@@ -4,12 +4,17 @@ A polynomial ansatz eta = sum_a c_a m_a over monomials in t, x, z_0..z_n
 (with configurable degree bounds) turns the invariance condition
 D_t eta - L'[eta] = 0 into an exact linear system for the coefficients:
 the residual of each ansatz monomial is scattered into rows indexed by the
-monomials of the residual, and the kernel of the resulting sparse rational
-matrix is computed by fraction-free Gaussian elimination (integer rows kept
-primitive by gcd division).  Pivoting is deterministic - each row's pivot
-is its first nonzero entry in the fixed column order - and kernel basis
-vectors are normalized to leading entry 1, so identical inputs always
-produce identical bases.
+monomials of the residual.  Residuals of t^a x^b J are expanded by the
+Leibniz rule from images computed once per jet part J.
+
+The kernel is found on the image side: the columns' residual vectors are
+taken in column order, each reduced by its highest row label against the
+earlier ones while tracking the column combination.  A column whose
+residual reduces to zero is free, and the tracked combination is its kernel
+vector - the unique one with entry 1 at that column, 0 at the other free
+columns and support on columns up to it.  Kernel basis vectors are
+normalized to leading entry 1, so identical inputs always produce identical
+bases.
 
 For the Burgers equation the solver reproduces the graded dimension count
 n + 1 at each order: the cumulative dimension through order n is
@@ -21,14 +26,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import comb
 from typing import Optional, Sequence
 
 from .diffring import DiffPoly, Monomial, T_VAR, X_VAR, jet, mono_key
-from .jetflow import BURGERS, Characteristic, EvolutionEquation, invariance_residual
+from .jetflow import (
+    BURGERS,
+    Characteristic,
+    EvolutionEquation,
+    invariance_residual,
+    x_derivative,
+)
 from .symfam import Family, q_char
 
 DEFAULT_MONOMIAL_CAP = 200_000
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class AnsatzTooLarge(RuntimeError):
@@ -110,80 +124,131 @@ class LinearSystem:
         return LinearSystem(ncols=ncols, rows=rows)
 
 
+def _split_prefix(mono: Monomial) -> tuple[int, int, Monomial]:
+    """Split t^a x^b J into (a, b, J); t and x sort before every jet variable."""
+    a = b = i = 0
+    if mono and mono[0][0] == T_VAR:
+        a = mono[0][1]
+        i = 1
+    if i < len(mono) and mono[i][0] == X_VAR:
+        b = mono[i][1]
+        i += 1
+    return a, b, mono[i:]
+
+
+def _x_power(b: int) -> DiffPoly:
+    return DiffPoly.variable(X_VAR, b) if b else DiffPoly.const(1)
+
+
+def _jet_part_images(eq: EvolutionEquation, jet_part: Monomial):
+    """Res(J) and the Leibniz tails G_1(J) .. G_ord(J) of one jet part J.
+
+    G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, so that G_0(J) is
+    the Frechet derivative L'[J] and Res(J) = D_t J - G_0(J).
+    """
+    top = eq.rhs.order()
+    ord_l = int(top) if top >= 0 else 0
+    J = DiffPoly({jet_part: 1})
+    dx_powers = [J]
+    for _ in range(ord_l):
+        dx_powers.append(x_derivative(dx_powers[-1]))
+    partials = [eq.rhs.partial(jet(k)) for k in range(ord_l + 1)]
+    tails = []
+    for i in range(ord_l + 1):
+        g = DiffPoly.zero()
+        for k in range(i, ord_l + 1):
+            if partials[k]:
+                g = g + partials[k] * dx_powers[k - i] * comb(k, i)
+        tails.append(g)
+    return eq.dt(J) - tails[0], tails[1:]
+
+
+def _x_power_residual(b: int, part) -> dict[Monomial, Fraction]:
+    """Res(x^b J) = x^b Res(J) - sum_{i=1}^{min(b, ord L)} b!/(b-i)! x^(b-i) G_i(J)."""
+    residual, tails = part
+    out = _x_power(b) * residual
+    falling = 1
+    for i, tail in enumerate(tails[:b], start=1):
+        falling *= b - i + 1
+        out = out - _x_power(b - i) * tail * falling
+    return out.terms
+
+
 def build_system(ansatz: Ansatz) -> LinearSystem:
-    """Scatter the invariance residual of each ansatz monomial into rows."""
+    """Scatter the invariance residual of each ansatz monomial into rows.
+
+    Residuals are expanded by the Leibniz rule from images cached once per
+    jet part J (see _jet_part_images) and once per x-power (see
+    _x_power_residual).  Since the right-hand side L is free of t,
+
+        Res(t^a x^b J) = t^a Res(x^b J) + a t^(a-1) x^b J,
+
+    where Res(x^b J) is free of t, so the two parts never share a monomial.
+    """
     columns = ansatz.monomials()
     eq = ansatz.equation
+    images: dict[Monomial, tuple] = {}
+    x_residuals: dict[tuple[int, Monomial], dict] = {}
     rows: dict[Monomial, dict[int, Fraction]] = {}
     for col, mono in enumerate(columns):
-        residual = invariance_residual(eq, DiffPoly({mono: 1}))
-        for rmono, coeff in residual.terms.items():
-            rows.setdefault(rmono, {})[col] = coeff
+        a, b, jet_part = _split_prefix(mono)
+        residual = x_residuals.get((b, jet_part))
+        if residual is None:
+            part = images.get(jet_part)
+            if part is None:
+                part = images[jet_part] = _jet_part_images(eq, jet_part)
+            residual = x_residuals[(b, jet_part)] = _x_power_residual(b, part)
+        t_factor = ((T_VAR, a),) if a else ()
+        for rmono, coeff in residual.items():
+            rows.setdefault(t_factor + rmono, {})[col] = coeff
+        if a:
+            lowered = mono[1:] if a == 1 else ((T_VAR, a - 1),) + mono[1:]
+            rows.setdefault(lowered, {})[col] = Fraction(a)
     return LinearSystem(ncols=len(columns), rows=rows, columns=tuple(columns))
 
 
 # -- exact elimination ---------------------------------------------------------
 
 
-def _as_int_row(entries: dict) -> dict[int, int]:
-    """Clear denominators and divide by the content, keeping the row primitive."""
-    if not entries:
-        return {}
-    denom_lcm = 1
-    for v in entries.values():
-        d = Fraction(v).denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    row = {c: int(Fraction(v) * denom_lcm) for c, v in entries.items()}
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+def _eliminate(vectors):
+    """Reduce each vector against its predecessors by its highest key.
 
-
-def _reduce_int_row(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
-
-
-def _echelon(int_rows) -> dict[int, dict[int, int]]:
-    """Fraction-free elimination; returns pivot column -> primitive row.
-
-    Each incoming row is reduced against the recorded pivots (cross
-    multiplication keeps everything integral); when a nonzero remainder
-    appears its first nonzero column becomes a new pivot.  The resulting
-    pivot column set is independent of the row processing order.
+    Vectors are sparse {key: Fraction} dicts over totally ordered keys.  Each
+    one is reduced against a lead -> (reduced vector, combination) table,
+    always at its current highest key, while that key leads a stored vector.
+    Yields, per input vector in turn, None when it is independent of the
+    vectors before it (its remainder joins the table), or else the exact
+    dependency {index: coeff}, with coefficient 1 at its own index and support
+    on earlier independent vectors, whose combination vanishes.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in int_rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                if row[c] < 0:
-                    row = {col: -v for col, v in row.items()}
-                pivots[c] = _reduce_int_row(row)
+    table: dict = {}
+    for index, vec in enumerate(vectors):
+        vec = dict(vec)
+        combo = {index: _ONE}
+        while vec:
+            lead = max(vec)
+            entry = table.get(lead)
+            if entry is None:
                 break
-            a, b = piv[c], row[c]
-            new = {col: a * v for col, v in row.items()}
-            for col, v in piv.items():
-                nv = new.get(col, 0) - b * v
-                if nv:
-                    new[col] = nv
-                else:
-                    new.pop(col, None)
-            row = _reduce_int_row(new)
-    return pivots
+            pivot, pivot_combo = entry
+            factor = -Fraction(vec[lead]) / pivot[lead]
+            _axpy(vec, factor, pivot)
+            _axpy(combo, factor, pivot_combo)
+        if vec:
+            table[lead] = (vec, combo)
+            yield None
+        else:
+            yield combo
+
+
+def _axpy(target: dict, factor: Fraction, source: dict) -> None:
+    """target += factor * source, dropping cancelled entries."""
+    for key, v in source.items():
+        s = target.get(key, 0) + factor * v
+        if s:
+            target[key] = s
+        else:
+            target.pop(key, None)
 
 
 def _row_sort_key(label):
@@ -195,48 +260,34 @@ def _row_sort_key(label):
 def nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:
     """Exact rational kernel basis, one vector per free column.
 
+    Each column's residual vector is reduced against the earlier columns'
+    (see _eliminate), keyed by its rows' positions in _row_sort_key order; a
+    column is free when its residual lies in the span of the earlier ones.
     Vectors are returned in increasing free-column order, each normalized
     so that its first nonzero entry equals 1.
     """
     ordered = sorted(system.rows, key=_row_sort_key)
-    int_rows = (_as_int_row(system.rows[label]) for label in ordered)
-    pivots = _echelon(r for r in int_rows if r)
-    pivot_cols = sorted(pivots)
-    pivot_set = set(pivot_cols)
+    columns: list[dict[int, Fraction]] = [{} for _ in range(system.ncols)]
+    for pos, label in enumerate(ordered):
+        for col, coeff in system.rows[label].items():
+            if coeff:
+                columns[col][pos] = coeff
     basis = []
-    for free in range(system.ncols):
-        if free in pivot_set:
+    for combo in _eliminate(columns):
+        if combo is None:
             continue
-        x: dict[int, Fraction] = {free: Fraction(1)}
-        for p in reversed(pivot_cols):
-            if p > free:
-                continue
-            row = pivots[p]
-            s = Fraction(0)
-            for col, v in row.items():
-                if col != p:
-                    xv = x.get(col)
-                    if xv:
-                        s += v * xv
-            if s:
-                x[p] = -s / row[p]
-        vec = [x.get(c, Fraction(0)) for c in range(system.ncols)]
-        lead = next((v for v in vec if v), None)
-        if lead is not None and lead != 1:
-            vec = [v / lead for v in vec]
-        basis.append(tuple(vec))
+        lead = combo[min(combo)]
+        if lead != 1:
+            combo = {c: v / lead for c, v in combo.items()}
+        basis.append(tuple(combo.get(c, _ZERO) for c in range(system.ncols)))
     return basis
 
 
 def _rank_of_bodies(bodies) -> int:
     monos = sorted({m for b in bodies for m in b.terms}, key=mono_key)
     index = {m: i for i, m in enumerate(monos)}
-    rows = [
-        _as_int_row({index[m]: c for m, c in b.terms.items()})
-        for b in bodies
-        if b.terms
-    ]
-    return len(_echelon(rows))
+    vectors = ({index[m]: c for m, c in b.terms.items()} for b in bodies)
+    return sum(1 for dep in _eliminate(vectors) if dep is None)
 
 
 def family_bodies(order: int) -> list[DiffPoly]:

@@ -1,5 +1,6 @@
 """Command-line surface: tables, serialization, solver, maps, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,57 @@ def test_solve_order_two_text(capsys):
     assert code == 0
     assert "dimension 5" in out
     assert "family span: MATCH" in out
+
+
+def test_solve_order_three_json_bytes_are_pinned(capsys):
+    # the exact solver output: basis, order and normalization of every vector
+    code, out, _ = run(["solve", "--order", "3", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9d0a4d4b49057bbd0d1ceb2237aaae2e31741d81d10bb31480f667245a813767"
+    )
+
+
+def test_gen_order_cap(capsys):
+    from jetsym.cli import GEN_MAX_ORDER
+
+    assert GEN_MAX_ORDER >= 12
+    code, _, _ = run(["gen", "--eq", "heat", "--max-order", str(GEN_MAX_ORDER)], capsys)
+    assert code == 0
+    code, out, err = run(
+        ["gen", "--eq", "heat", "--max-order", str(GEN_MAX_ORDER + 1)], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert "order too large" in err and f"cap {GEN_MAX_ORDER}" in err
+
+
+@pytest.mark.parametrize(
+    "suite, bound",
+    [("invariance", 9), ("commutators", 4), ("recursion", 7), ("zeta", 18), ("maps", 10)],
+)
+def test_verify_order_caps(suite, bound, capsys):
+    from jetsym.cli import _SUITES
+
+    cap = _SUITES[suite][2]
+    assert cap >= bound
+    code, out, err = run(["verify", "--suite", suite, "--max-order", str(cap + 1)], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"--suite {suite}" in err and f"cap {cap}" in err
+
+
+def test_verify_rejects_negative_order():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "maps", "--max-order", "-1"])
+    assert exc.value.code == 2
+
+
+def test_verify_all_checks_every_cap_before_running(capsys):
+    code, out, err = run(["verify", "--suite", "all", "--max-order", "6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "--suite commutators" in err
 
 
 def test_solve_resource_cap(monkeypatch, capsys):

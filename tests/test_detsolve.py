@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsym.detsolve import (
     Ansatz,
@@ -13,8 +16,8 @@ from jetsym.detsolve import (
     nullspace,
     solve_symmetries,
 )
-from jetsym.diffring import T_VAR, X_VAR, jet, jet_poly
-from jetsym.jetflow import BURGERS, HEAT, invariance_residual
+from jetsym.diffring import DiffPoly, T_VAR, X_VAR, jet, jet_poly
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, invariance_residual
 from jetsym.symfam import Family, q_char
 
 
@@ -53,6 +56,109 @@ def test_nullspace_fractional_entries():
     system = LinearSystem.from_dense([[Fraction(1, 2), Fraction(-1, 3)]])
     (vec,) = nullspace(system)
     assert Fraction(1, 2) * vec[0] - Fraction(1, 3) * vec[1] == 0
+
+
+def _normalized(vec):
+    lead = next((v for v in vec if v), 1)
+    return tuple(v / lead for v in vec)
+
+
+def _sympy_nullspace(matrix, ncols):
+    flat = [sympy.Rational(v.numerator, v.denominator) for r in matrix for v in r]
+    m = sympy.Matrix(len(matrix), ncols, flat)
+    return [
+        _normalized([Fraction(int(v.p), int(v.q)) for v in vec])
+        for vec in m.nullspace()
+    ]
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Small rational matrices with zero columns, zero rows and repeated rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=5))
+    for col in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for r in rows:
+            r[col] = Fraction(0)
+    extra = []
+    for r in rows:
+        kind = draw(st.sampled_from(("none", "duplicate", "proportional", "zero")))
+        if kind == "duplicate":
+            extra.append(list(r))
+        elif kind == "proportional":
+            factor = draw(st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)))
+            extra.append([v * factor for v in r])
+        elif kind == "zero":
+            extra.append([Fraction(0)] * ncols)
+    order = draw(st.permutations(range(len(rows) + len(extra))))
+    merged = rows + extra
+    return ncols, [merged[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_nullspace_matches_sympy(case):
+    ncols, matrix = case
+    expected = _sympy_nullspace(matrix, ncols)
+    # from_dense reads the width off the first row, so an empty matrix has none
+    system = LinearSystem.from_dense(matrix) if matrix else LinearSystem(ncols=ncols)
+    basis = nullspace(system)
+    assert basis == expected
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+    for vec in basis:
+        assert next(v for v in vec if v) == 1
+    # the basis does not depend on the row labels
+    relabelled = LinearSystem(
+        ncols=ncols, rows={-i: entries for i, entries in system.rows.items()}
+    )
+    assert nullspace(relabelled) == expected
+
+
+def _direct_system(ansatz):
+    """build_system's rows computed naively, one invariance residual per column."""
+    rows = {}
+    for col, mono in enumerate(ansatz.monomials()):
+        residual = invariance_residual(ansatz.equation, DiffPoly({mono: 1}))
+        for rmono, coeff in residual.terms.items():
+            rows.setdefault(rmono, {})[col] = coeff
+    return rows
+
+
+_LEIBNIZ_BOUNDS = [
+    (1, -1, -1, -1),
+    (2, -1, -1, -1),
+    (3, -1, -1, -1),
+    (2, 2, 5, 3),
+    (1, 1, 4, 2),
+    (3, 3, 4, 4),
+]
+
+
+@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS], ids=lambda eq: eq.name)
+@pytest.mark.parametrize("bounds", _LEIBNIZ_BOUNDS)
+def test_build_system_matches_direct_residuals(eq, bounds):
+    order, jet_degree, x_degree, t_degree = bounds
+    ansatz = Ansatz(eq, order, jet_degree=jet_degree, x_degree=x_degree, t_degree=t_degree)
+    system = build_system(ansatz)
+    assert system.columns == tuple(ansatz.monomials())
+    assert system.rows == _direct_system(ansatz)
+    assert all(type(v) is Fraction for r in system.rows.values() for v in r.values())
+
+
+@pytest.mark.parametrize("eq", [HEAT, POTBURGERS], ids=lambda eq: eq.name)
+def test_experimental_solve_at_lopsided_bounds(eq):
+    # x_degree above the order of L exercises every Leibniz tail; the solver
+    # checks each kernel vector's residual exactly and raises on a failure
+    report = solve_symmetries(
+        eq, 2, jet_degree=2, x_degree=5, t_degree=3, experimental=True
+    )
+    assert report.dimension > 0
 
 
 def test_ansatz_monomials_are_bounded_and_sorted():
