@@ -10,7 +10,6 @@ over bounded polynomial ansaetze.
 
 from .colemap import (
     BareDependentVariable,
-    ExpPoly,
     NotProjectable,
     heat_to_potential,
     hopf_cole_chain,
@@ -30,11 +29,11 @@ from .diffring import (
     DiffPoly,
     JetLimitError,
     const,
+    exp_poly,
     jet,
     jet_poly,
     par,
     par_poly,
-    set_index_limit,
     t_poly,
     x_poly,
 )

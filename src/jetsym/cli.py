@@ -36,6 +36,7 @@ from .diffring import (
     par,
     T_VAR,
     X_VAR,
+    render_terms,
 )
 from .jetflow import BURGERS, EQUATIONS, HEAT, POTBURGERS, invariance_residual
 from .opcalc import (
@@ -88,24 +89,7 @@ def _text_var(v, dep: str) -> str:
 
 
 def render_text(p: DiffPoly, dep: str) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for mono, coeff in p.sorted_terms():
-        body = "*".join(
-            _text_var(v, dep) if e == 1 else f"{_text_var(v, dep)}^{e}"
-            for v, e in mono
-        )
-        if not body:
-            frag = str(coeff)
-        elif coeff == 1:
-            frag = body
-        elif coeff == -1:
-            frag = f"-{body}"
-        else:
-            frag = f"{coeff}*{body}"
-        parts.append(frag)
-    return " + ".join(parts).replace("+ -", "- ")
+    return render_terms(p, lambda v: _text_var(v, dep))
 
 
 def _latex_var(v, dep: str) -> str:
@@ -131,25 +115,7 @@ def _latex_coeff(c: Fraction) -> str:
 
 
 def render_latex(p: DiffPoly, dep: str) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for mono, coeff in p.sorted_terms():
-        body = " ".join(
-            _latex_var(v, dep) if e == 1 else f"{_latex_var(v, dep)}^{{{e}}}"
-            for v, e in mono
-        )
-        if not body:
-            frag = _latex_coeff(coeff)
-        elif coeff == 1:
-            frag = body
-        elif coeff == -1:
-            frag = f"-{body}"
-        else:
-            frag = f"{_latex_coeff(coeff)} {body}"
-        parts.append(frag)
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+    return render_terms(p, lambda v: _latex_var(v, dep), "{}^{{{}}}", _latex_coeff, " ")
 
 
 _FAMILY_TEX = {
@@ -280,10 +246,6 @@ def _probe_detail(report) -> str:
     return ""
 
 
-def _is_zero(body) -> bool:
-    return body.is_zero() if hasattr(body, "is_zero") else body == 0
-
-
 def _index_range(max_sum: int, include_origin: bool = True):
     for total in range(0 if include_origin else 1, max_sum + 1):
         for k in range(total + 1):
@@ -324,7 +286,7 @@ def suite_invariance(max_order: int) -> list[CheckResult]:
         first_residual = ""
         for k, l in _index_range(max_order):
             residual = invariance_residual(eq, q_char(family, k, l))
-            if not _is_zero(residual):
+            if residual:
                 if not bad:
                     first_residual = f"; first residual {residual}"
                 bad.append((k, l))
@@ -338,13 +300,13 @@ def suite_invariance(max_order: int) -> list[CheckResult]:
     out.append(
         CheckResult(
             "invariance heat parameter family",
-            _is_zero(invariance_residual(HEAT, q_char(Family.HEAT_Z))),
+            invariance_residual(HEAT, q_char(Family.HEAT_Z)).is_zero(),
         )
     )
     out.append(
         CheckResult(
             "invariance potburgers parameter family",
-            _is_zero(invariance_residual(POTBURGERS, q_char(Family.POT_Z))),
+            invariance_residual(POTBURGERS, q_char(Family.POT_Z)).is_zero(),
         )
     )
     matches = lie_correspondence()
@@ -371,7 +333,7 @@ def suite_commutators(max_order: int) -> list[CheckResult]:
         for kl1 in pairs:
             for kl2 in pairs:
                 residual = structure_check(family, kl1, kl2)
-                if not _is_zero(residual):
+                if residual:
                     if not bad:
                         first_residual = f"; first residual {residual}"
                     bad.append((kl1, kl2))
@@ -386,7 +348,7 @@ def suite_commutators(max_order: int) -> list[CheckResult]:
         bad = [
             kl
             for kl in _index_range(max_order + 1)
-            if not _is_zero(structure_check(family, kl))
+            if structure_check(family, kl)
         ]
         out.append(
             CheckResult(
@@ -397,7 +359,7 @@ def suite_commutators(max_order: int) -> list[CheckResult]:
         )
     zz = commutator(HEAT, q_char(Family.HEAT_Z), q_char(Family.HEAT_Z)).body
     zz2 = commutator(POTBURGERS, q_char(Family.POT_Z), q_char(Family.POT_Z)).body
-    out.append(CheckResult("parameter bracket [Z, Z] = 0", _is_zero(zz) and _is_zero(zz2)))
+    out.append(CheckResult("parameter bracket [Z, Z] = 0", zz.is_zero() and zz2.is_zero()))
     return out
 
 
@@ -564,7 +526,7 @@ def suite_maps(max_order: int) -> list[CheckResult]:
     out.append(
         CheckResult(
             "kernel: value at (0,0) maps to 0",
-            _is_zero(potential_to_burgers(q_char(Family.POT_Q, 0, 0)).body),
+            potential_to_burgers(q_char(Family.POT_Q, 0, 0)).body.is_zero(),
         )
     )
     try:
@@ -710,7 +672,7 @@ def _cmd_map(args, parser) -> int:
     else:
         body = final.body
         print(f"burgers: {render_text(body, 'v')}")
-    if _is_zero(final.body):
+    if final.body.is_zero():
         print("KERNEL: the image vanishes")
     return 0
 

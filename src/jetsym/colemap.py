@@ -1,22 +1,15 @@
-"""Exponential grading and the substitution maps between the three equations.
+"""The substitution maps between the three equations.
 
-The substitution u = e^w sends the heat ring into an extension of the
-potential-Burgers ring by integer powers of e^w.  An ExpPoly stores the
-graded components p_m of sum_m p_m e^{m w}; only integer grades are
-admitted, and a pure grade-0 value is identified with a plain DiffPoly.
-The derivations extend by
+heat_to_potential pulls a heat characteristic back through u = e^w.  The
+ring carries E = e^w as a variable with integer exponents (see diffring),
+so u_k maps to B_k E with B_k = (D_x + w_1)^k 1, and the characteristic
+picks up a factor E^{-1}.  Linear heat characteristics land in plain
+polynomials; the parameter family h lands in h E^{-1} = h e^{-w}.
 
-    D_x(p e^{m w}) = (D_x p + m w_1 p) e^{m w},
-    D_t(p e^{m w}) = (D_t p + m (w_2 + w_1^2) p) e^{m w},
-
-and the evolutionary prolongation uses d/dw (p e^{m w}) = (dp/dw + m p) e^{m w}.
-
-heat_to_potential pulls a heat characteristic back through u = e^w
-(u_k maps to (D_x + w_1)^k 1 times e^w, and the characteristic picks up a
-factor e^{-w}).  potential_to_burgers pushes a potential-Burgers
-characteristic forward through -2 w_x = v: prolong to w_x, check that the
-prolongation coefficient involves no bare w (otherwise the vector field
-does not project), substitute w_j -> -v_{j-1}/2, and scale by -2.  On the
+potential_to_burgers pushes a potential-Burgers characteristic forward
+through -2 w_x = v: prolong to w_x, check that the prolongation
+coefficient involves neither bare w nor E (otherwise the vector field does
+not project), substitute w_j -> -v_{j-1}/2, and scale by -2.  On the
 symmetry families the composite realizes the classical Hopf-Cole
 correspondence exactly.
 """
@@ -24,12 +17,12 @@ correspondence exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from .diffring import (
     DiffPoly,
-    KIND_JET,
+    KIND_EXP,
     KIND_PAR,
+    exp_poly,
     jet,
     jet_poly,
 )
@@ -38,7 +31,6 @@ from .jetflow import (
     HEAT,
     POTBURGERS,
     Characteristic,
-    EvolutionEquation,
 )
 
 
@@ -48,212 +40,6 @@ class NotProjectable(ValueError):
 
 class BareDependentVariable(ValueError):
     """The substitution w_j -> -v_{j-1}/2 requires the absence of bare w."""
-
-
-class ExpPoly:
-    """A finite sum of DiffPoly components graded by integer powers of e^{w}."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Mapping[int, DiffPoly] | None = None):
-        clean: dict[int, DiffPoly] = {}
-        if components:
-            for grade, poly in components.items():
-                if not isinstance(grade, int):
-                    raise ValueError("exponential grades must be integers")
-                if poly:
-                    clean[grade] = poly
-        self.components = clean
-
-    @staticmethod
-    def _raw(components: dict[int, DiffPoly]) -> "ExpPoly":
-        ep = ExpPoly.__new__(ExpPoly)
-        ep.components = components
-        return ep
-
-    @staticmethod
-    def from_poly(p: DiffPoly, grade: int = 0) -> "ExpPoly":
-        return ExpPoly({grade: p})
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __bool__(self) -> bool:
-        return bool(self.components)
-
-    def grades(self) -> list[int]:
-        return sorted(self.components)
-
-    def component(self, grade: int) -> DiffPoly:
-        return self.components.get(grade, DiffPoly.zero())
-
-    def pure_grade0(self) -> DiffPoly | None:
-        """The plain polynomial when no exponential factor is present."""
-        if not self.components:
-            return DiffPoly.zero()
-        if set(self.components) == {0}:
-            return self.components[0]
-        return None
-
-    def __eq__(self, other) -> bool:
-        other = _as_exp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.components == other.components
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(frozenset((g, p) for g, p in self.components.items()))
-
-    def __add__(self, other) -> "ExpPoly":
-        other = _as_exp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.components)
-        for grade, poly in other.components.items():
-            s = out.get(grade)
-            s = poly if s is None else s + poly
-            if s:
-                out[grade] = s
-            else:
-                out.pop(grade, None)
-        return ExpPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly._raw({g: -p for g, p in self.components.items()})
-
-    def __sub__(self, other) -> "ExpPoly":
-        other = _as_exp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ExpPoly":
-        other = _as_exp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "ExpPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return ExpPoly._raw({})
-            return ExpPoly._raw({g: p * c for g, p in self.components.items()})
-        other = _as_exp(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, DiffPoly] = {}
-        for ga, pa in self.components.items():
-            for gb, pb in other.components.items():
-                grade = ga + gb
-                prod = pa * pb
-                s = out.get(grade)
-                s = prod if s is None else s + prod
-                if s:
-                    out[grade] = s
-                else:
-                    out.pop(grade, None)
-        return ExpPoly._raw(out)
-
-    __rmul__ = __mul__
-
-    def partial_jet(self, k: int) -> "ExpPoly":
-        """d/dz_k, with the grade chain rule at the dependent variable z_0."""
-        out: dict[int, DiffPoly] = {}
-        v = jet(k)
-        for grade, poly in self.components.items():
-            d = poly.partial(v)
-            if k == 0 and grade:
-                d = d + poly * grade
-            if d:
-                out[grade] = d
-        return ExpPoly._raw(out)
-
-    def jet_order_for_prolongation(self) -> int | float:
-        """Highest z_k with a nonzero d/dz_k (grades make z_0 implicit)."""
-        best = max((p.order() for p in self.components.values()), default=float("-inf"))
-        if best < 0 and any(g != 0 for g in self.components):
-            best = 0
-        return best
-
-    def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        parts = []
-        for grade in self.grades():
-            poly = self.components[grade]
-            if grade == 0:
-                parts.append(f"{poly}")
-            else:
-                if grade == 1:
-                    exp = "e^w"
-                elif grade == -1:
-                    exp = "e^{-w}"
-                else:
-                    exp = f"e^{{{grade}w}}"
-                parts.append(f"({poly})*{exp}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ExpPoly({self})"
-
-
-def _as_exp(value) -> "ExpPoly":
-    if isinstance(value, ExpPoly):
-        return value
-    if isinstance(value, DiffPoly):
-        return ExpPoly.from_poly(value)
-    if isinstance(value, (int, Fraction)):
-        return ExpPoly.from_poly(DiffPoly.const(value))
-    return NotImplemented
-
-
-def exp_dx(eq: EvolutionEquation, ep: ExpPoly) -> ExpPoly:
-    out: dict[int, DiffPoly] = {}
-    w1 = jet_poly(1)
-    for grade, poly in ep.components.items():
-        d = eq.dx(poly)
-        if grade:
-            d = d + poly * w1 * grade
-        if d:
-            out[grade] = d
-    return ExpPoly._raw(out)
-
-
-def exp_dt(eq: EvolutionEquation, ep: ExpPoly) -> ExpPoly:
-    out: dict[int, DiffPoly] = {}
-    for grade, poly in ep.components.items():
-        d = eq.dt(poly)
-        if grade:
-            d = d + poly * eq.rhs * grade
-        if d:
-            out[grade] = d
-    return ExpPoly._raw(out)
-
-
-def exp_frechet(eq: EvolutionEquation, F: DiffPoly, ep: ExpPoly) -> ExpPoly:
-    top = F.order()
-    if top < 0:
-        return ExpPoly._raw({})
-    result = ExpPoly._raw({})
-    dk = ep
-    for k in range(int(top) + 1):
-        coeff = F.partial(jet(k))
-        if coeff:
-            result = result + dk * coeff
-        if k < top:
-            dk = exp_dx(eq, dk)
-    return result
-
-
-def exp_invariance_residual(eq: EvolutionEquation, ep: ExpPoly) -> ExpPoly:
-    return exp_dt(eq, ep) - exp_frechet(eq, eq.rhs, ep)
 
 
 # -- heat -> potential Burgers -------------------------------------------------
@@ -272,41 +58,19 @@ def _prolongation_basis(max_k: int) -> list[DiffPoly]:
 def heat_to_potential(eta: Characteristic) -> Characteristic:
     """Pull a heat characteristic back through u = e^w.
 
-    Each u_k maps to B_k e^w; the characteristic transforms with an overall
-    factor e^{-w}.  The result is a plain polynomial when the exponential
-    grades cancel (linear heat characteristics), and keeps its grading
-    otherwise (the parameter family lands in grade -1).
+    Each u_k maps to B_k E and the characteristic transforms with an
+    overall factor E^{-1}, E = e^w.  The powers of E cancel on linear heat
+    characteristics; the parameter family lands in h e^{-w}.
     """
     if eta.equation is not HEAT:
         raise ValueError("expected a characteristic of the heat equation")
     body = eta.body
-    if not isinstance(body, DiffPoly):
-        raise ValueError("expected a polynomial characteristic body")
     top = body.order()
-    basis = _prolongation_basis(int(top) + 1 if top >= 0 else 0)
-    out: dict[int, DiffPoly] = {}
-    for mono, coeff in body.terms.items():
-        passthrough: list[tuple] = []
-        grade = -1  # the overall e^{-w} factor
-        factor = DiffPoly.const(coeff)
-        for v, e in mono:
-            kind, idx = v
-            if kind == KIND_JET:
-                grade += e
-                factor = factor * basis[idx] ** e
-            else:
-                passthrough.append((v, e))
-        if passthrough:
-            factor = factor * DiffPoly({tuple(sorted(passthrough)): 1})
-        s = out.get(grade)
-        s = factor if s is None else s + factor
-        if s:
-            out[grade] = s
-        else:
-            out.pop(grade, None)
-    ep = ExpPoly._raw(out)
-    plain = ep.pure_grade0()
-    new_body: object = plain if plain is not None else ep
+    rules = {}
+    if top >= 0:
+        e = exp_poly(1)
+        rules = {jet(k): b * e for k, b in enumerate(_prolongation_basis(int(top)))}
+    new_body = body.substitute(rules) * exp_poly(-1)
     return Characteristic(POTBURGERS, new_body, eta.label)
 
 
@@ -314,8 +78,8 @@ def heat_to_potential(eta: Characteristic) -> Characteristic:
 
 
 def w_jet_substitution(p: DiffPoly) -> DiffPoly:
-    """Replace w_j by -v_{j-1}/2 for all j >= 1 (no bare w allowed)."""
-    if p.degree(jet(0)):
+    """Replace w_j by -v_{j-1}/2 for all j >= 1 (no bare w or e^w allowed)."""
+    if p.degree(jet(0)) or p.has_kind(KIND_EXP):
         raise BareDependentVariable("bare dependent variable blocks the substitution")
     top = p.order()
     if top < 1:
@@ -328,22 +92,17 @@ def w_jet_substitution(p: DiffPoly) -> DiffPoly:
 def potential_to_burgers(eta: Characteristic) -> Characteristic:
     """Push a potential-Burgers characteristic forward through -2 w_x = v.
 
-    Raises NotProjectable when the body carries a nonzero exponential grade
-    or its x-derivative involves bare w: in these cases the prolonged
-    vector field depends on w itself and has no image downstairs.
+    Raises NotProjectable when the body carries a power of e^w or its
+    x-derivative involves bare w: in these cases the prolonged vector field
+    depends on w itself and has no image downstairs.
     """
     if eta.equation is not POTBURGERS:
         raise ValueError("expected a characteristic of the potential Burgers equation")
     body = eta.body
-    if isinstance(body, ExpPoly):
-        plain = body.pure_grade0()
-        if plain is None:
-            raise NotProjectable(
-                "exponential weight depends on w; the vector field does not project"
-            )
-        body = plain
-    if not isinstance(body, DiffPoly):
-        raise ValueError("expected a polynomial characteristic body")
+    if body.has_kind(KIND_EXP):
+        raise NotProjectable(
+            "exponential weight depends on w; the vector field does not project"
+        )
     if body.has_kind(KIND_PAR):
         raise ValueError("parameter symbols have no counterpart in the Burgers ring")
     prolonged = POTBURGERS.dx(body)

@@ -2,18 +2,21 @@
 
 Polynomials live over the independent variables t and x, a bank of jet
 coordinates z_0, z_1, ... (z_k standing for the k-th x-derivative of the
-dependent variable), and a bank of parameter-function symbols h_0, h_1, ...
+dependent variable), a bank of parameter-function symbols h_0, h_1, ...
 (h_j standing for the j-th x-derivative of a symbolic solution h(t, x) of
-the linear heat equation).  Coefficients are arbitrary-precision rationals
+the linear heat equation), and the exponential E = e^{z_0}, which may carry
+any integer exponent (E^{-1} E = 1), so that the pullback through u = e^w
+stays inside the ring.  Coefficients are arbitrary-precision rationals
 (fractions.Fraction), so equality of polynomials is decidable and every
 identity check in this package is exact.
 
 Representation: a monomial is a tuple of ((kind, index), exponent) pairs
-sorted by variable; a polynomial is a dict mapping monomials to nonzero
-Fraction coefficients.  The variable order T < X < z_0 < z_1 < ... <
-h_0 < h_1 < ... induces a graded monomial order (total degree first, ties
-broken by the exponent sequence) that makes all rendered output
-deterministic.
+sorted by variable, with no zero exponent; a polynomial is a dict mapping
+monomials to nonzero Fraction coefficients.  The variable order T < X <
+z_0 < z_1 < ... < h_0 < h_1 < ... < E induces a graded monomial order
+(total degree first, ties broken by the exponent sequence) that makes all
+rendered output deterministic; a value carrying E is rendered grouped by
+its power of E.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ KIND_T = 0
 KIND_X = 1
 KIND_JET = 2
 KIND_PAR = 3
+KIND_EXP = 4
 
 VarId = tuple[int, int]
 Monomial = tuple[tuple[VarId, int], ...]
 
 T_VAR: VarId = (KIND_T, 0)
 X_VAR: VarId = (KIND_X, 0)
+EXP_VAR: VarId = (KIND_EXP, 0)
 
 _ONE_MONO: Monomial = ()
 
@@ -42,17 +47,7 @@ _INDEX_LIMIT = 64
 
 
 class JetLimitError(RuntimeError):
-    """Raised when a jet or parameter index exceeds the configured cap."""
-
-
-def set_index_limit(limit: int) -> int:
-    """Set the global jet/parameter index cap; returns the previous value."""
-    global _INDEX_LIMIT
-    if limit < 1:
-        raise ValueError("index limit must be positive")
-    previous = _INDEX_LIMIT
-    _INDEX_LIMIT = limit
-    return previous
+    """Raised when a jet or parameter index exceeds the cap."""
 
 
 def jet(k: int) -> VarId:
@@ -74,7 +69,7 @@ def par(j: int) -> VarId:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted exponent tuples."""
+    """Merge two sorted exponent tuples (only E can cancel to exponent 0)."""
     if not a:
         return b
     if not b:
@@ -86,7 +81,8 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         va, ea = a[i]
         vb, eb = b[j]
         if va == vb:
-            out.append((va, ea + eb))
+            if ea + eb:
+                out.append((va, ea + eb))
             i += 1
             j += 1
         elif va < vb:
@@ -105,7 +101,7 @@ def _mono_without(m: Monomial, v: VarId) -> Monomial:
     out = []
     for var, e in m:
         if var == v:
-            if e > 1:
+            if e != 1:
                 out.append((var, e - 1))
         else:
             out.append((var, e))
@@ -297,14 +293,6 @@ class DiffPoly:
                     best = idx
         return best
 
-    def max_par_index(self) -> int | float:
-        best: int | float = NEG_INF
-        for mono in self.terms:
-            for (kind, idx), _ in mono:
-                if kind == KIND_PAR and idx > best:
-                    best = idx
-        return best
-
     def has_kind(self, kind: int) -> bool:
         for mono in self.terms:
             for (k, _), _ in mono:
@@ -312,20 +300,8 @@ class DiffPoly:
                     return True
         return False
 
-    def jet_degree(self) -> int:
-        """Largest total degree in the jet variables over all terms."""
-        best = 0
-        for mono in self.terms:
-            d = sum(e for (kind, _), e in mono if kind == KIND_JET)
-            if d > best:
-                best = d
-        return best
-
     def constant_term(self) -> Fraction:
         return self.terms.get(_ONE_MONO, Fraction(0))
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def restrict_to_kinds(self, kinds: Iterable[int]) -> "DiffPoly":
         """The sum of terms whose variables all belong to the given kinds."""
@@ -406,24 +382,7 @@ class DiffPoly:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]), reverse=reverse)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            body = "*".join(
-                var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono
-            )
-            if not body:
-                frag = str(coeff)
-            elif coeff == 1:
-                frag = body
-            elif coeff == -1:
-                frag = f"-{body}"
-            else:
-                frag = f"{coeff}*{body}"
-            parts.append(frag)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return render_terms(self, var_name)
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"
@@ -448,6 +407,56 @@ def var_name(v: VarId) -> str:
     return f"h{idx}"
 
 
+def _exp_name(m: int) -> str:
+    if m == 1:
+        return "e^w"
+    if m == -1:
+        return "e^{-w}"
+    return f"e^{{{m}w}}"
+
+
+def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=str, sep: str = "*") -> str:
+    """Render p term by term, leading monomial first.
+
+    name(v) names a variable, power formats (name, exponent), coeff(c)
+    renders a coefficient, and sep joins factors and a coefficient to its
+    monomial.  A value carrying E is rendered as a sum of groups
+    (...)*e^{mw} in increasing m, the E-free group bare.
+    """
+    if not p.terms:
+        return "0"
+    groups: dict[int, list] = {}
+    for mono, c in p.terms.items():
+        m = 0
+        if mono and mono[-1][0] == EXP_VAR:
+            mono, m = mono[:-1], mono[-1][1]
+        groups.setdefault(m, []).append((mono, c))
+    factors: dict[tuple[VarId, int], str] = {}
+    parts = []
+    for m in sorted(groups):
+        frags = []
+        for mono, c in sorted(groups[m], key=lambda kv: mono_key(kv[0]), reverse=True):
+            names = []
+            for f in mono:
+                factor = factors.get(f)
+                if factor is None:
+                    v, e = f
+                    factor = factors[f] = name(v) if e == 1 else power.format(name(v), e)
+                names.append(factor)
+            body = sep.join(names)
+            if not body:
+                frags.append(coeff(c))
+            elif c == 1:
+                frags.append(body)
+            elif c == -1:
+                frags.append(f"-{body}")
+            else:
+                frags.append(f"{coeff(c)}{sep}{body}")
+        text = " + ".join(frags).replace("+ -", "- ")
+        parts.append(f"({text})*{_exp_name(m)}" if m else text)
+    return " + ".join(parts)
+
+
 # Convenience constructors used throughout the package and the tests.
 
 def t_poly() -> DiffPoly:
@@ -464,6 +473,11 @@ def jet_poly(k: int) -> DiffPoly:
 
 def par_poly(j: int) -> DiffPoly:
     return DiffPoly.variable(par(j))
+
+
+def exp_poly(m: int) -> DiffPoly:
+    """E^m = e^{m z_0}, for any integer m."""
+    return DiffPoly.variable(EXP_VAR, m) if m else DiffPoly.const(1)
 
 
 def const(c: Fraction | int) -> DiffPoly:

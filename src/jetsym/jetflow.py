@@ -3,12 +3,14 @@
 An evolution equation z_t = L[z] is reduced to the parametric jet
 coordinates (t, x, z_0, z_1, ...).  The restricted total derivatives act as
 
-    D_x = d/dx + sum_k z_{k+1} d/dz_k + sum_j h_{j+1} d/dh_j,
-    D_t = d/dt + sum_k (D_x^k L) d/dz_k + sum_j h_{j+2} d/dh_j,
+    D_x = d/dx + sum_k z_{k+1} d/dz_k + sum_j h_{j+1} d/dh_j + z_1 E d/dE,
+    D_t = d/dt + sum_k (D_x^k L) d/dz_k + sum_j h_{j+2} d/dh_j + L E d/dE,
 
 where the parameter symbols h_j differentiate by index shift because the
 symbolic parameter function h(t, x) solves the linear heat equation
-(h_t = h_xx).  Three equations are built in:
+(h_t = h_xx), and E = e^{z_0} by the chain rule.  Both are the one
+routine derive, driven by a table of the images of the variables.  Three
+equations are built in:
 
     HEAT         z_t = z_2             (u_t = u_xx)
     POTBURGERS   z_t = z_2 + z_1^2     (w_t = w_xx + w_x^2)
@@ -27,63 +29,95 @@ from typing import Optional
 
 from .diffring import (
     DiffPoly,
+    EXP_VAR,
     KIND_JET,
     KIND_PAR,
     KIND_T,
-    KIND_X,
     Monomial,
+    T_VAR,
+    VarId,
+    X_VAR,
+    exp_poly,
     jet,
     jet_poly,
     par,
 )
 
-_X_IMAGE = DiffPoly.const(1)
+# The image of one variable under a derivation, as a term dict.
+Image = dict[Monomial, Fraction]
+
+_ONE = Fraction(1)
+
+
+def derive(p: DiffPoly, images: dict[VarId, Image], fill) -> DiffPoly:
+    """The derivation D with D(v) = images[v], extended by the Leibniz rule.
+
+    A factor v^e of a monomial contributes e v^(e-1) D(v); e may be
+    negative (E^{-1}).  A variable missing from images gets fill(v), which
+    is expected to store the image in the table for the next call.
+    """
+    out: dict[Monomial, Fraction] = {}
+    get = images.get
+    for mono, coeff in p.terms.items():
+        for pos, (v, e) in enumerate(mono):
+            image = get(v)
+            if image is None:
+                image = fill(v)
+            if not image:
+                continue
+            base = list(mono)
+            if e != 1:
+                base[pos] = (v, e - 1)
+                c = coeff * e
+            else:
+                del base[pos]
+                c = coeff
+            for img_mono, img_coeff in image.items():
+                if img_mono:
+                    emap = dict(base)
+                    for iv, ie in img_mono:
+                        emap[iv] = emap.get(iv, 0) + ie
+                    new_mono = tuple(sorted(emap.items()))
+                else:
+                    new_mono = tuple(base)
+                cc = c if img_coeff == 1 else c * img_coeff
+                s = out.get(new_mono)
+                if s is None:
+                    out[new_mono] = cc
+                else:
+                    s = s + cc
+                    if s:
+                        out[new_mono] = s
+                    else:
+                        del out[new_mono]
+    return DiffPoly._raw(out)
+
+
+# D_x: x -> 1, t -> 0, z_k -> z_{k+1}, h_j -> h_{j+1}, E -> z_1 E.
+_DX_IMAGES: dict[VarId, Image] = {
+    T_VAR: {},
+    X_VAR: {(): _ONE},
+    EXP_VAR: {((jet(1), 1), (EXP_VAR, 1)): _ONE},
+}
+
+
+def _dx_image(v: VarId) -> Image:
+    kind, idx = v
+    shifted = jet(idx + 1) if kind == KIND_JET else par(idx + 1)
+    image = _DX_IMAGES[v] = {((shifted, 1),): _ONE}
+    return image
 
 
 def x_derivative(p: DiffPoly) -> DiffPoly:
     """Equation-independent total x-derivative on the parametric jet ring."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for pos, (v, e) in enumerate(mono):
-            kind, idx = v
-            if kind == KIND_T:
-                continue
-            # d/dx of the factor v: 1 for x, z_{k+1} for z_k, h_{j+1} for h_j.
-            if kind == KIND_X:
-                image_var = None
-            elif kind == KIND_JET:
-                image_var = jet(idx + 1)
-            else:
-                image_var = par(idx + 1)
-            base = list(mono)
-            if e > 1:
-                base[pos] = (v, e - 1)
-            else:
-                del base[pos]
-            if image_var is not None:
-                emap = dict(base)
-                emap[image_var] = emap.get(image_var, 0) + 1
-                new_mono = tuple(sorted(emap.items()))
-            else:
-                new_mono = tuple(base)
-            c = coeff * e
-            s = out.get(new_mono)
-            if s is None:
-                out[new_mono] = c
-            else:
-                s = s + c
-                if s:
-                    out[new_mono] = s
-                else:
-                    del out[new_mono]
-    return DiffPoly._raw(out)
+    return derive(p, _DX_IMAGES, _dx_image)
 
 
 class EvolutionEquation:
     """A named evolution equation z_t = rhs, with cached D_x powers of rhs.
 
-    Instances are effectively immutable: the derivative cache only ever
-    extends, and every public operation is a pure function of its inputs.
+    Instances are effectively immutable: the derivative caches only ever
+    extend, and every public operation is a pure function of its inputs.
     """
 
     def __init__(self, name: str, rhs: DiffPoly, allows_par: bool = True):
@@ -93,6 +127,12 @@ class EvolutionEquation:
         self.rhs = rhs
         self.allows_par = allows_par
         self._rhs_dx: list[DiffPoly] = [rhs]
+        # D_t: t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2}, E -> rhs E.
+        self._dt_images: dict[VarId, Image] = {
+            T_VAR: {(): _ONE},
+            X_VAR: {},
+            EXP_VAR: (rhs * exp_poly(1)).terms,
+        }
 
     def __repr__(self) -> str:
         return f"EvolutionEquation({self.name}: z_t = {self.rhs})"
@@ -102,9 +142,15 @@ class EvolutionEquation:
         while len(self._rhs_dx) <= max_order:
             self._rhs_dx.append(x_derivative(self._rhs_dx[-1]))
 
-    def _rhs_dx_k(self, k: int) -> DiffPoly:
-        self.prepare(k)
-        return self._rhs_dx[k]
+    def _dt_image(self, v: VarId) -> Image:
+        kind, idx = v
+        if kind == KIND_JET:
+            self.prepare(idx)
+            image = self._rhs_dx[idx].terms
+        else:
+            image = {((par(idx + 2), 1),): _ONE}
+        self._dt_images[v] = image
+        return image
 
     def _check_par(self, p: DiffPoly) -> None:
         if not self.allows_par and p.has_kind(KIND_PAR):
@@ -120,43 +166,7 @@ class EvolutionEquation:
     def dt(self, p: DiffPoly) -> DiffPoly:
         """Restricted total t-derivative (z_t replaced by D_x^k(rhs))."""
         self._check_par(p)
-        top = p.order()
-        if top >= 0:
-            self.prepare(int(top))
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in p.terms.items():
-            for pos, (v, e) in enumerate(mono):
-                kind, idx = v
-                if kind == KIND_X:
-                    continue
-                base = list(mono)
-                if e > 1:
-                    base[pos] = (v, e - 1)
-                else:
-                    del base[pos]
-                c = coeff * e
-                if kind == KIND_T:
-                    images = {(): Fraction(1)}
-                elif kind == KIND_JET:
-                    images = self._rhs_dx[idx].terms
-                else:
-                    images = {((par(idx + 2), 1),): Fraction(1)}
-                for img_mono, img_coeff in images.items():
-                    emap = dict(base)
-                    for iv, ie in img_mono:
-                        emap[iv] = emap.get(iv, 0) + ie
-                    new_mono = tuple(sorted(emap.items()))
-                    cc = c * img_coeff
-                    s = out.get(new_mono)
-                    if s is None:
-                        out[new_mono] = cc
-                    else:
-                        s = s + cc
-                        if s:
-                            out[new_mono] = s
-                        else:
-                            del out[new_mono]
-        return DiffPoly._raw(out)
+        return derive(p, self._dt_images, self._dt_image)
 
     def frechet(self, F: DiffPoly, eta: DiffPoly) -> DiffPoly:
         """Frechet derivative of F in the direction eta (on-shell).
@@ -184,35 +194,31 @@ class EvolutionEquation:
 class Characteristic:
     """A reduced evolutionary-symmetry characteristic tied to one equation.
 
-    The body depends only on t, x, jet variables and (for parameter
-    families) the h_j symbols; bodies over the Burgers ring must be free of
-    the h_j symbols.  The body may also be an exponential-graded polynomial
-    (see colemap.ExpPoly) for the potential-Burgers parameter family.
+    The body depends only on t, x, jet variables, (for parameter families)
+    the h_j symbols and (for the potential-Burgers parameter family) powers
+    of E = e^w; bodies over the Burgers ring must be free of the h_j
+    symbols.
     """
 
     equation: EvolutionEquation
-    body: object
+    body: DiffPoly
     label: Optional[object] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.body}"
 
 
-def invariance_residual(eq: EvolutionEquation, eta) -> object:
+def invariance_residual(eq: EvolutionEquation, eta) -> DiffPoly:
     """D_t(eta) - L'[eta]; zero exactly when eta is a generalized symmetry.
 
-    Accepts a Characteristic, a DiffPoly, or an exponential-graded ExpPoly
-    body (needed for the e^{-w}-weighted parameter family).
+    Accepts a Characteristic or its body.  The body may carry powers of
+    E = e^w, which differentiate by D_x E = z_1 E and D_t E = L E.
     """
     if isinstance(eta, Characteristic):
         if eta.equation is not eq:
             raise ValueError("characteristic belongs to a different equation")
         eta = eta.body
-    if isinstance(eta, DiffPoly):
-        return eq.dt(eta) - eq.frechet(eq.rhs, eta)
-    from .colemap import exp_invariance_residual
-
-    return exp_invariance_residual(eq, eta)
+    return eq.dt(eta) - eq.frechet(eq.rhs, eta)
 
 
 HEAT = EvolutionEquation("heat", jet_poly(2), allows_par=True)

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .diffring import (
     DiffPoly,
+    KIND_EXP,
     KIND_PAR,
     KIND_T,
     T_VAR,
@@ -206,8 +207,8 @@ def euler_residual(p: DiffPoly) -> DiffPoly:
     Zero exactly when p is a total x-derivative of a differential
     polynomial (within the class of polynomial (t, x) coefficients).
     """
-    if p.has_kind(KIND_PAR):
-        raise ValueError("Euler operator requires a parameter-free polynomial")
+    if p.has_kind(KIND_PAR) or p.has_kind(KIND_EXP):
+        raise ValueError("Euler operator requires a polynomial free of h_j and e^w")
     top = p.order()
     if top < 0:
         return DiffPoly.zero()
@@ -250,8 +251,8 @@ def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
     and the kernel branch is fixed as described in the module docstring.
     Raises NotATotalDerivative when p is not a total x-derivative.
     """
-    if p.has_kind(KIND_PAR):
-        raise ValueError("formal integration requires a parameter-free polynomial")
+    if p.has_kind(KIND_PAR) or p.has_kind(KIND_EXP):
+        raise ValueError("formal integration requires a polynomial free of h_j and e^w")
 
     def fail() -> NotATotalDerivative:
         return NotATotalDerivative(

@@ -9,14 +9,15 @@ built from its recursion operators applied to a seed:
 
 (the Burgers (0,0) entry is the zero characteristic).  The heat and
 potential-Burgers equations additionally admit the parameter families
-h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution.
+h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w} is the
+ring variable E^{-1} (see diffring).
 
 Brackets of evolutionary vector fields are computed through the
 prolongation formula [eta, zeta] = pr_eta(zeta) - pr_zeta(eta) with
 pr_eta(zeta) = sum_k D_x^k(eta) dzeta/dz_k; the parameter symbols are
-coefficients, so prolongations act on jet variables only.  The closed-form
-structure constants of the families are binomial sums, checked exactly
-against the brute-force brackets.
+coefficients, so prolongations act on jet variables only, and on E = e^{z_0}
+through dE/dz_0 = E.  The closed-form structure constants of the families
+are binomial sums, checked exactly against the brute-force brackets.
 """
 
 from __future__ import annotations
@@ -28,14 +29,24 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Optional
 
-from .colemap import ExpPoly, exp_dx
-from .diffring import DiffPoly, jet, jet_poly, par_poly, t_poly, x_poly
+from .diffring import (
+    EXP_VAR,
+    KIND_EXP,
+    DiffPoly,
+    exp_poly,
+    jet,
+    jet_poly,
+    par_poly,
+    t_poly,
+    x_poly,
+)
 from .jetflow import (
     BURGERS,
     HEAT,
     POTBURGERS,
     Characteristic,
     EvolutionEquation,
+    derive,
 )
 from .opcalc import Compose, Dx, apply, boost_op, translation_op
 
@@ -74,7 +85,7 @@ def _q_body(family: Family, k: int, l: int):
     if family is Family.HEAT_Z:
         return par_poly(0)
     if family is Family.POT_Z:
-        return ExpPoly({-1: par_poly(0)})
+        return par_poly(0) * exp_poly(-1)
     eq = FAMILY_EQUATION[family]
     ops = (boost_op(eq),) * k + (translation_op(eq),) * l
     if family is Family.BURGERS_Q:
@@ -102,25 +113,31 @@ def q_char(family: Family | FamilyIndex, k: int = 0, l: int = 0) -> Characterist
 # -- evolutionary brackets -----------------------------------------------------
 
 
-def _prolongation(eq: EvolutionEquation, eta, zeta):
+# d/dz_0 as a derivation: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}),
+# every other variable -> 0.
+_DZ0_IMAGES = {jet(0): {(): Fraction(1)}, EXP_VAR: {((EXP_VAR, 1),): Fraction(1)}}
+
+
+def _dz0_image(v):
+    image = _DZ0_IMAGES[v] = {}
+    return image
+
+
+def _prolongation(eq: EvolutionEquation, eta: DiffPoly, zeta: DiffPoly) -> DiffPoly:
     """pr_eta(zeta) = sum_k D_x^k(eta) * dzeta/dz_k (jet variables only)."""
-    if isinstance(zeta, ExpPoly):
-        top = zeta.jet_order_for_prolongation()
-    else:
-        top = zeta.order()
+    top = zeta.order()
+    if zeta.has_kind(KIND_EXP):
+        top = max(top, 0)
+    result = DiffPoly.zero()
     if top < 0:
-        return DiffPoly.zero() if isinstance(eta, DiffPoly) else ExpPoly({})
-    result = None
+        return result
     dk = eta
     for k in range(int(top) + 1):
-        c = zeta.partial_jet(k) if isinstance(zeta, ExpPoly) else zeta.partial(jet(k))
+        c = derive(zeta, _DZ0_IMAGES, _dz0_image) if k == 0 else zeta.partial(jet(k))
         if c:
-            term = c * dk
-            result = term if result is None else result + term
+            result = result + c * dk
         if k < top:
-            dk = exp_dx(eq, dk) if isinstance(dk, ExpPoly) else eq.dx(dk)
-    if result is None:
-        return DiffPoly.zero() if isinstance(eta, DiffPoly) else ExpPoly({})
+            dk = eq.dx(dk)
     return result
 
 
@@ -131,15 +148,7 @@ def commutator(
     if eta.equation is not eq or zeta.equation is not eq:
         raise ValueError("both characteristics must belong to the given equation")
     a, b = eta.body, zeta.body
-    if isinstance(a, ExpPoly) or isinstance(b, ExpPoly):
-        a = a if isinstance(a, ExpPoly) else ExpPoly.from_poly(a)
-        b = b if isinstance(b, ExpPoly) else ExpPoly.from_poly(b)
-    body = _prolongation(eq, a, b) - _prolongation(eq, b, a)
-    if isinstance(body, ExpPoly):
-        plain = body.pure_grade0()
-        if plain is not None:
-            body = plain
-    return Characteristic(eq, body)
+    return Characteristic(eq, _prolongation(eq, a, b) - _prolongation(eq, b, a))
 
 
 # -- closed-form structure constants -------------------------------------------
@@ -192,7 +201,7 @@ def structure_check(family: Family, idx1, idx2=None):
         brute = commutator(eq, z, q).body
         ops = (boost_op(HEAT),) * k + (Dx(),) * l
         h_image = apply(Compose(ops), HEAT, par_poly(0))
-        expected = h_image if family is Family.HEAT_Z else ExpPoly({-1: h_image})
+        expected = h_image if family is Family.HEAT_Z else h_image * exp_poly(-1)
         return brute - expected
     (k, l), (kp, lp) = idx1, idx2
     brute = commutator(eq, q_char(family, k, l), q_char(family, kp, lp)).body

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffring import DiffPoly, KIND_PAR, jet, jet_poly
+from .diffring import DiffPoly, KIND_EXP, KIND_PAR, jet, jet_poly
 from .jetflow import BURGERS
 from .opcalc import apply, translation_op
 
@@ -101,8 +101,8 @@ def _jet_images_in_zeta(basis: ZetaBasis) -> list[DiffPoly]:
 
 def to_zeta_coordinates(p: DiffPoly, basis: ZetaBasis) -> ZetaPoly:
     """Rewrite a v-jet polynomial in the zeta coordinates."""
-    if p.has_kind(KIND_PAR):
-        raise ValueError("zeta coordinates are defined on the parameter-free ring")
+    if p.has_kind(KIND_PAR) or p.has_kind(KIND_EXP):
+        raise ValueError("zeta coordinates are defined on the ring free of h_j and e^w")
     top = p.order()
     if top > basis.max_index:
         raise OrderExceeded(

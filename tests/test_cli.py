@@ -203,6 +203,19 @@ def test_map_parameter_family_not_projectable(capsys):
     assert "NOT PROJECTABLE" in out
 
 
+def test_map_stdout_goldens(capsys):
+    code, out, _ = run(["map", "--family", "z", "--to", "potburgers"], capsys)
+    assert code == 0
+    assert out == "heat: Z(h) = h\npotential: (h0)*e^{-w}\n"
+    code, out, _ = run(["map", "--k", "1", "--l", "1"], capsys)
+    assert code == 0
+    assert out == (
+        "heat: Q[1,1] = 1/2*x*u1 + t*u2\n"
+        "potential: t*w1^2 + 1/2*x*w1 + t*w2\n"
+        "burgers: -t*v*v1 + 1/2*x*v1 + t*v2 + 1/2*v\n"
+    )
+
+
 def test_render_text_and_latex_zero():
     from jetsym.diffring import DiffPoly
 

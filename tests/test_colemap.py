@@ -6,61 +6,68 @@ import pytest
 
 from jetsym.colemap import (
     BareDependentVariable,
-    ExpPoly,
     NotProjectable,
-    exp_dt,
-    exp_dx,
-    exp_invariance_residual,
     heat_to_potential,
     hopf_cole_chain,
     potential_to_burgers,
     w_jet_substitution,
 )
-from jetsym.diffring import DiffPoly, jet_poly, par_poly
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic
+from jetsym.diffring import EXP_VAR, KIND_EXP, DiffPoly, const, exp_poly, jet_poly, par_poly
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, invariance_residual
 from jetsym.symfam import Family, commutator, q_char
 
 half = Fraction(1, 2)
+E, E_inv = exp_poly(1), exp_poly(-1)
 
 
 def z(k):
     return jet_poly(k)
 
 
+def grades(p):
+    """The powers of E = e^w that occur in p, in increasing order."""
+    return sorted({dict(mono).get(EXP_VAR, 0) for mono in p.terms})
+
+
 def test_exp_poly_canonical():
-    ep = ExpPoly({0: z(0), 1: DiffPoly.zero()})
-    assert ep.grades() == [0]
-    assert ep.pure_grade0() == z(0)
-    assert ExpPoly({-1: z(1)}).pure_grade0() is None
+    assert E * E_inv == 1
+    assert (E * E_inv).terms == {(): 1}
+    assert exp_poly(0) == 1
+    assert z(0) + 0 * E == z(0)
+    assert grades(z(0) + 0 * E) == [0]
+    assert (z(1) * E_inv).has_kind(KIND_EXP)
 
 
 def test_exp_poly_arithmetic():
-    a = ExpPoly({-1: par_poly(0)})
-    b = ExpPoly({0: z(1)})
-    assert (a + b).grades() == [-1, 0]
+    a = par_poly(0) * E_inv
+    b = z(1)
+    assert grades(a + b) == [-1, 0]
     assert (a - a).is_zero()
-    prod = a * b
-    assert prod.component(-1) == par_poly(0) * z(1)
-    assert (a * ExpPoly({1: DiffPoly.const(1)})).grades() == [0]
+    assert a * b == par_poly(0) * z(1) * E_inv
+    assert grades(a * E) == [0]
+    assert a * E == par_poly(0)
+    assert grades(E * E * E_inv * E_inv * E_inv) == [-1]
 
 
 def test_exp_derivation_rules():
     # D_x(p e^{m w}) = (D_x p + m w_1 p) e^{m w}
-    ep = ExpPoly({-1: par_poly(0)})
-    d = exp_dx(POTBURGERS, ep)
-    assert d.component(-1) == par_poly(1) - z(1) * par_poly(0)
-    dt = exp_dt(POTBURGERS, ep)
-    assert dt.component(-1) == par_poly(2) - (z(2) + z(1) ** 2) * par_poly(0)
+    ep = par_poly(0) * E_inv
+    assert POTBURGERS.dx(ep) == (par_poly(1) - z(1) * par_poly(0)) * E_inv
+    assert POTBURGERS.dt(ep) == (par_poly(2) - (z(2) + z(1) ** 2) * par_poly(0)) * E_inv
 
 
 def test_exp_partial_grade_chain_rule():
-    ep = ExpPoly({-1: par_poly(0)})
-    assert ep.partial_jet(0).component(-1) == -par_poly(0)
-    assert ep.partial_jet(1).is_zero()
+    # d/dw (h e^{-w}) = -h e^{-w}: [1, Z] = pr_1(Z) - pr_Z(1) = dZ/dw
+    zt = q_char(Family.POT_Z)
+    one = Characteristic(POTBURGERS, const(1))
+    assert commutator(POTBURGERS, one, zt).body == -par_poly(0) * E_inv
+    # Z has no w_x dependence, so [w_x, Z] = w_x dZ/dw - D_x Z = -h_1 e^{-w}
+    w1 = Characteristic(POTBURGERS, z(1))
+    assert commutator(POTBURGERS, w1, zt).body == -par_poly(1) * E_inv
 
 
 def test_parameter_family_is_a_symmetry():
-    res = exp_invariance_residual(POTBURGERS, ExpPoly({-1: par_poly(0)}))
+    res = invariance_residual(POTBURGERS, par_poly(0) * E_inv)
     assert res.is_zero()
 
 
@@ -68,8 +75,9 @@ def test_heat_to_potential_examples():
     assert heat_to_potential(q_char(Family.HEAT_Q, 0, 0)).body == DiffPoly.const(1)
     assert heat_to_potential(q_char(Family.HEAT_Q, 0, 1)).body == z(1)
     zh = heat_to_potential(q_char(Family.HEAT_Z))
-    assert isinstance(zh.body, ExpPoly)
-    assert zh.body == ExpPoly({-1: par_poly(0)})
+    assert grades(zh.body) == [-1]
+    assert zh.body == par_poly(0) * E_inv
+    assert str(zh.body) == "(h0)*e^{-w}"
 
 
 def test_heat_to_potential_matches_family():
@@ -85,9 +93,8 @@ def test_heat_to_potential_nonlinear_input_keeps_grading():
     # u * u_x picks up a net positive exponential grade
     eta = Characteristic(HEAT, z(0) * z(1))
     out = heat_to_potential(eta).body
-    assert isinstance(out, ExpPoly)
-    assert out.grades() == [1]
-    assert out.component(1) == z(1)
+    assert grades(out) == [1]
+    assert out == z(1) * E
 
 
 def test_w_jet_substitution():
@@ -96,6 +103,12 @@ def test_w_jet_substitution():
     assert w_jet_substitution(z(2) + z(1) ** 2) == -half * z(1) + Fraction(1, 4) * z(0) ** 2
     with pytest.raises(BareDependentVariable):
         w_jet_substitution(z(0))
+
+
+def test_w_jet_substitution_rejects_exp():
+    # E = e^w depends on bare w, even with no z_0 factor in sight
+    with pytest.raises(BareDependentVariable):
+        w_jet_substitution(z(1) * E_inv)
 
 
 def test_potential_to_burgers_examples():
@@ -148,5 +161,5 @@ def test_parameter_bracket_on_potential_side():
     zt = q_char(Family.POT_Z)
     q = q_char(Family.POT_Q, 1, 0)
     got = commutator(POTBURGERS, zt, q).body
-    assert isinstance(got, ExpPoly)
-    assert got.grades() == [-1]
+    assert got
+    assert grades(got) == [-1]

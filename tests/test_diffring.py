@@ -14,10 +14,10 @@ from jetsym.diffring import (
     jet,
     jet_poly,
     par_poly,
-    set_index_limit,
     t_poly,
     x_poly,
 )
+from jetsym.jetflow import HEAT, x_derivative
 
 t, x = t_poly(), x_poly()
 z0, z1, z2 = jet_poly(0), jet_poly(1), jet_poly(2)
@@ -117,13 +117,13 @@ def test_integrate_inverts_partial():
 def test_jet_index_cap():
     with pytest.raises(JetLimitError):
         jet(3000)
-    old = set_index_limit(5)
-    try:
-        with pytest.raises(JetLimitError):
-            jet(6)
-        assert jet(5) == (2, 5)
-    finally:
-        set_index_limit(old)
+
+
+def test_derivations_stop_at_the_index_cap():
+    with pytest.raises(JetLimitError):
+        x_derivative(jet_poly(64))
+    with pytest.raises(JetLimitError):
+        HEAT.dt(par_poly(63))
 
 
 def test_par_variables_are_distinct_from_jets():

@@ -1,0 +1,129 @@
+"""The E = e^w rules of the derivations, checked outside the code under test.
+
+Property tests draw polynomials carrying E^m, m in [-2, 2], and check the
+Leibniz rule and the commutation of D_t with D_x.  A sympy oracle
+differentiates p(w, w_x, ...) exp(m w) as a function of (t, x) and
+replaces w_t by the right-hand side of the equation.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetsym.diffring import (
+    EXP_VAR,
+    KIND_JET,
+    KIND_PAR,
+    KIND_T,
+    KIND_X,
+    DiffPoly,
+    T_VAR,
+    X_VAR,
+    jet,
+    par,
+)
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, x_derivative
+
+_coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def exp_polys(draw, with_par=True, max_jet=3, max_terms=4):
+    """Small polynomials whose terms carry E^m for m in [-2, 2]."""
+    pool = [T_VAR, X_VAR] + [jet(k) for k in range(max_jet + 1)]
+    if with_par:
+        pool += [par(0), par(1)]
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        chosen = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        mono = [(v, draw(st.integers(1, 2))) for v in chosen]
+        m = draw(st.integers(-2, 2))
+        if m:
+            mono.append((EXP_VAR, m))
+        terms[tuple(sorted(mono))] = draw(_coeffs)
+    return DiffPoly(terms)
+
+
+_DERIVATIONS = [
+    ("D_x", x_derivative, True),
+    ("heat D_t", HEAT.dt, True),
+    ("potburgers D_t", POTBURGERS.dt, True),
+    ("burgers D_t", BURGERS.dt, False),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leibniz_rule_with_exp(data):
+    for name, d, with_par in _DERIVATIONS:
+        p = data.draw(exp_polys(with_par=with_par))
+        q = data.draw(exp_polys(with_par=with_par))
+        assert d(p * q) == d(p) * q + p * d(q), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_polys())
+def test_potburgers_dt_commutes_with_dx(p):
+    assert POTBURGERS.dt(POTBURGERS.dx(p)) == POTBURGERS.dx(POTBURGERS.dt(p))
+
+
+# -- sympy oracle ----------------------------------------------------------------
+
+_t, _x = sympy.symbols("t x")
+_w = sympy.Function("w")(_t, _x)
+_h = sympy.Function("h")(_t, _x)
+
+
+def _to_sympy(p: DiffPoly):
+    total = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for (kind, idx), e in mono:
+            if kind == KIND_T:
+                factor = _t
+            elif kind == KIND_X:
+                factor = _x
+            elif kind == KIND_JET:
+                factor = _w.diff(_x, idx) if idx else _w
+            elif kind == KIND_PAR:
+                factor = _h.diff(_x, idx) if idx else _h
+            else:
+                factor = sympy.exp(_w)
+            term *= factor**e
+        total += term
+    return total
+
+
+def _on_shell(expr, eq, max_k=3):
+    """Replace w_t x^k by D_x^k rhs and h_t x^j by h_x^(j+2)."""
+    rhs = _to_sympy(eq.rhs)
+    rules = {}
+    for k in range(max_k + 1):
+        rules[_w.diff(_t).diff(_x, k) if k else _w.diff(_t)] = rhs.diff(_x, k) if k else rhs
+        rules[_h.diff(_t).diff(_x, k) if k else _h.diff(_t)] = _h.diff(_x, k + 2)
+    return expr.xreplace(rules)
+
+
+def _same(ours: DiffPoly, expected) -> bool:
+    return sympy.expand(_to_sympy(ours) - expected) == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_derivations_match_sympy(data):
+    for eq, with_par in ((HEAT, True), (POTBURGERS, True), (BURGERS, False)):
+        p = data.draw(exp_polys(with_par=with_par, max_jet=2, max_terms=3))
+        f = _to_sympy(p)
+        assert _same(eq.dx(p), f.diff(_x)), (eq.name, str(p))
+        assert _same(eq.dt(p), _on_shell(f.diff(_t), eq)), (eq.name, str(p))
+
+
+def test_sympy_oracle_example():
+    # D_t (h e^{-w}) = (h_xx - (w_xx + w_x^2) h) e^{-w} on potential Burgers
+    p = DiffPoly({((par(0), 1), (EXP_VAR, -1)): 1})
+    f = _to_sympy(p)
+    expected = (_h.diff(_x, 2) - (_w.diff(_x, 2) + _w.diff(_x) ** 2) * _h) * sympy.exp(-_w)
+    assert sympy.expand(_on_shell(f.diff(_t), POTBURGERS) - expected) == 0
+    assert _same(POTBURGERS.dt(p), expected)

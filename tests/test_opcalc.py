@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_poly, random_poly_stream
-from jetsym.diffring import DiffPoly, jet_poly, t_poly, x_poly
+from jetsym.diffring import DiffPoly, exp_poly, jet_poly, t_poly, x_poly
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS
 from jetsym.opcalc import (
     Compose,
@@ -257,3 +257,17 @@ def test_probe_report_carries_residuals():
     report = operator_identity_probe(Dx(), op_scale(0), BURGERS, [z(0)])
     assert not report.all_equal
     assert report.outcomes[0].residual == z(1)
+
+
+def test_euler_residual_rejects_exp():
+    with pytest.raises(ValueError):
+        euler_residual(z(1) * exp_poly(1))
+
+
+def test_dx_preimage_rejects_exp():
+    # Both are total derivatives (of e^w and w_x e^w), but peeling jets
+    # treats e^w as a constant: formal integration has no rule for it.
+    for p in (z(1) * exp_poly(1), (z(2) + z(1) ** 2) * exp_poly(1)):
+        with pytest.raises(ValueError) as exc:
+            dx_preimage(POTBURGERS, p)
+        assert not isinstance(exc.value, NotATotalDerivative)

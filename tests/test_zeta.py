@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_poly
-from jetsym.diffring import DiffPoly, jet, jet_poly
+from jetsym.diffring import DiffPoly, exp_poly, jet, jet_poly
 from jetsym.jetflow import BURGERS
 from jetsym.symfam import Family, q_char
 from jetsym.zeta import (
@@ -91,3 +91,8 @@ def test_order_exceeded():
         to_zeta_coordinates(z(3), basis)
     with pytest.raises(OrderExceeded):
         from_zeta_coordinates(ZetaPoly(z(3)), basis)
+
+
+def test_to_zeta_coordinates_rejects_exp():
+    with pytest.raises(ValueError):
+        to_zeta_coordinates(z(1) * exp_poly(-1), build_zetas(2))
