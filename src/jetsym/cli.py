@@ -27,6 +27,7 @@ from .colemap import NotProjectable, heat_to_potential, potential_to_burgers
 from .detsolve import AnsatzTooLarge, solve_symmetries
 from .diffring import (
     DiffPoly,
+    KIND_EXP,
     KIND_JET,
     KIND_PAR,
     KIND_T,
@@ -54,6 +55,7 @@ from .opcalc import (
 )
 from .symfam import (
     Family,
+    _chain,
     commutator,
     lie_correspondence,
     q_char,
@@ -71,7 +73,7 @@ _EQ_FAMILY = {
     "burgers": Family.BURGERS_Q,
 }
 
-_KIND_LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h"}
+_KIND_LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h", KIND_EXP: "e"}
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
 
 
@@ -400,37 +402,29 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
         cur = apply(r2, BURGERS, cur)
         ok = ok and cur == burgers_body(k, 0)
     out.append(CheckResult(f"generation chains Q[0,l] and Q[k,0] up to {max_order}", ok))
+    # Route a: R2^k R1^(l-1) Q[0,1] = Q[k,l]; route b: R2^(k-1) R1^l Q[1,0] =
+    # Q[k,l] + (l-1)/2 Q[k-1,l-1].  Each R1 power is formed once per l, and
+    # R2 steps over k from it.
     ok = True
-    for k, l in _index_range(max_order):
-        if k < 1 or l < 1:
-            continue
-        cur = burgers_body(0, 1)
-        for _ in range(l - 1):
-            cur = apply(r1, BURGERS, cur)
-        for _ in range(k):
-            cur = apply(r2, BURGERS, cur)
-        ok = ok and cur == burgers_body(k, l)
-        cur = burgers_body(1, 0)
-        for _ in range(l):
-            cur = apply(r1, BURGERS, cur)
-        for _ in range(k - 1):
-            cur = apply(r2, BURGERS, cur)
-        expected = burgers_body(k, l) + Fraction(l - 1, 2) * burgers_body(k - 1, l - 1)
-        ok = ok and cur == expected
+    r1_a, r1_b = burgers_body(0, 1), burgers_body(1, 0)
+    for l in range(1, max_order):
+        if l > 1:
+            r1_a = apply(r1, BURGERS, r1_a)
+        r1_b = apply(r1, BURGERS, r1_b)
+        cur_a, cur_b = r1_a, r1_b
+        for k in range(1, max_order - l + 1):
+            cur_a = apply(r2, BURGERS, cur_a)
+            if k > 1:
+                cur_b = apply(r2, BURGERS, cur_b)
+            expected = burgers_body(k, l) + Fraction(l - 1, 2) * burgers_body(k - 1, l - 1)
+            ok = ok and cur_a == burgers_body(k, l) and cur_b == expected
     out.append(
         CheckResult(f"mixed generation routes k,l>=1, k+l<={max_order}", ok)
     )
 
     rng = random.Random(20240607)
     flow = potential_defect_op(BURGERS)
-    fam_probes = [
-        apply(
-            Compose((boost_op(BURGERS),) * k + (translation_op(BURGERS),) * l),
-            BURGERS,
-            DiffPoly.const(1),
-        )
-        for k, l in _index_range(4)
-    ]
+    fam_probes = [_chain(Family.BURGERS_Q, k, l) for k, l in _index_range(4)]
     probes = fam_probes + _random_polys(rng, 20)
     zero = op_scale(0)
     for label, op in (

@@ -37,6 +37,7 @@ from .diffring import (
     T_VAR,
     VarId,
     X_VAR,
+    _mono_mul,
     exp_poly,
     jet,
     jet_poly,
@@ -65,21 +66,14 @@ def derive(p: DiffPoly, images: dict[VarId, Image], fill) -> DiffPoly:
                 image = fill(v)
             if not image:
                 continue
-            base = list(mono)
             if e != 1:
-                base[pos] = (v, e - 1)
+                base = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
                 c = coeff * e
             else:
-                del base[pos]
+                base = mono[:pos] + mono[pos + 1 :]
                 c = coeff
             for img_mono, img_coeff in image.items():
-                if img_mono:
-                    emap = dict(base)
-                    for iv, ie in img_mono:
-                        emap[iv] = emap.get(iv, 0) + ie
-                    new_mono = tuple(sorted(emap.items()))
-                else:
-                    new_mono = tuple(base)
+                new_mono = _mono_mul(base, img_mono)
                 cc = c if img_coeff == 1 else c * img_coeff
                 s = out.get(new_mono)
                 if s is None:

@@ -7,10 +7,15 @@ built from its recursion operators applied to a seed:
     potential Burgers: Q[k,l] = boost^k translation^l (1)
     Burgers:           Q[k,l] = D_x boost^k translation^l (1)
 
-(the Burgers (0,0) entry is the zero characteristic).  The heat and
-potential-Burgers equations additionally admit the parameter families
-h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w} is the
-ring variable E^{-1} (see diffring).
+(the Burgers (0,0) entry is the zero characteristic).  Each entry
+boost^k translation^l (seed) is built by one operator step from a cached
+predecessor: a boost from (k-1, l) when k > 0, otherwise a translation
+from (0, l-1).  The heat operators on h_0 build the right sides of the
+parameter brackets in the same chain.  Cached bodies are read-only.
+
+The heat and potential-Burgers equations additionally admit the parameter
+families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
+is the ring variable E^{-1} (see diffring).
 
 Brackets of evolutionary vector fields are computed through the
 prolongation formula [eta, zeta] = pr_eta(zeta) - pr_zeta(eta) with
@@ -27,6 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Optional
 
 from .diffring import (
@@ -48,7 +54,7 @@ from .jetflow import (
     EvolutionEquation,
     derive,
 )
-from .opcalc import Compose, Dx, apply, boost_op, translation_op
+from .opcalc import apply, boost_op, translation_op
 
 
 class Family(Enum):
@@ -80,22 +86,55 @@ class FamilyIndex:
     l: int = 0
 
 
+def _frozen(p: DiffPoly) -> DiffPoly:
+    """A copy of p whose term dict cannot be changed, for sharing from a cache."""
+    return DiffPoly._raw(MappingProxyType(dict(p.terms)))
+
+
+# The equation whose recursion operators build each chain, and its seed.
+# The HEAT_Z chain, boost^k D_x^l h, is the parameter function of the bracket
+# [Z(h), Q[k,l]] in both parameter families.
+_CHAIN_SEEDS = {
+    Family.HEAT_Q: (HEAT, jet_poly(0)),
+    Family.POT_Q: (POTBURGERS, DiffPoly.const(1)),
+    Family.BURGERS_Q: (BURGERS, DiffPoly.const(1)),
+    Family.HEAT_Z: (HEAT, par_poly(0)),
+}
+
+_CHAINS: dict[tuple[Family, int, int], DiffPoly] = {}
+
+
+def _chain(family: Family, k: int, l: int) -> DiffPoly:
+    """boost^k translation^l (seed), each entry one step from its predecessor.
+
+    The predecessor of (k, l) is (k-1, l) when k > 0, else (0, l-1).  The
+    chain is filled iteratively, so deep indices need no recursion.
+    """
+    body = _CHAINS.get((family, k, l))
+    if body is not None:
+        return body
+    eq, seed = _CHAIN_SEEDS[family]
+    translation, boost = translation_op(eq), boost_op(eq)
+    path = [(0, j) for j in range(l + 1)] + [(i, l) for i in range(1, k + 1)]
+    for i, j in path:
+        cached = _CHAINS.get((family, i, j))
+        if cached is None:
+            step = seed if not (i or j) else apply(boost if i else translation, eq, body)
+            cached = _CHAINS[(family, i, j)] = _frozen(step)
+        body = cached
+    return body
+
+
 @lru_cache(maxsize=None)
-def _q_body(family: Family, k: int, l: int):
+def _q_body(family: Family, k: int, l: int) -> DiffPoly:
     if family is Family.HEAT_Z:
-        return par_poly(0)
+        return _frozen(par_poly(0))
     if family is Family.POT_Z:
-        return par_poly(0) * exp_poly(-1)
-    eq = FAMILY_EQUATION[family]
-    ops = (boost_op(eq),) * k + (translation_op(eq),) * l
+        return _frozen(par_poly(0) * exp_poly(-1))
+    body = _chain(family, k, l)
     if family is Family.BURGERS_Q:
-        ops = (Dx(),) + ops
-        seed = DiffPoly.const(1)
-    elif family is Family.HEAT_Q:
-        seed = jet_poly(0)
-    else:
-        seed = DiffPoly.const(1)
-    return apply(Compose(ops), eq, seed)
+        return _frozen(BURGERS.dx(body))
+    return body
 
 
 def q_char(family: Family | FamilyIndex, k: int = 0, l: int = 0) -> Characteristic:
@@ -199,8 +238,7 @@ def structure_check(family: Family, idx1, idx2=None):
         z = q_char(family)
         q = q_char(_Q_OF_Z[family], k, l)
         brute = commutator(eq, z, q).body
-        ops = (boost_op(HEAT),) * k + (Dx(),) * l
-        h_image = apply(Compose(ops), HEAT, par_poly(0))
+        h_image = _chain(Family.HEAT_Z, k, l)
         expected = h_image if family is Family.HEAT_Z else h_image * exp_poly(-1)
         return brute - expected
     (k, l), (kp, lp) = idx1, idx2

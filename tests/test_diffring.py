@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_poly
 from jetsym.diffring import (
+    EXP_VAR,
     DiffPoly,
     JetLimitError,
     NEG_INF,
@@ -13,6 +16,7 @@ from jetsym.diffring import (
     X_VAR,
     jet,
     jet_poly,
+    par,
     par_poly,
     t_poly,
     x_poly,
@@ -55,6 +59,39 @@ def test_substitute_identity_and_zero():
     p = z2 - z0 * z1 + t * x
     assert p.substitute({}) == p
     assert (z2 - z0 * z1).substitute({jet(0): DiffPoly.zero()}) == z2
+
+
+_POOL = [T_VAR, X_VAR, jet(0), jet(1), jet(2), par(0)]
+_coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _polys(draw, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        chosen = draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+        mono = [(v, draw(st.integers(1, 3))) for v in chosen]
+        m = draw(st.integers(-2, 2))
+        if m:
+            mono.append((EXP_VAR, m))
+        terms[tuple(sorted(mono))] = draw(_coeffs)
+    return DiffPoly(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_is_the_sum_of_substituted_terms(data):
+    p = data.draw(_polys())
+    targets = data.draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+    rules = {v: data.draw(_polys(max_terms=3)) for v in targets}
+    total = DiffPoly.zero()
+    for mono, coeff in p.terms.items():
+        term = DiffPoly.const(coeff)
+        for v, e in mono:
+            term = term * (rules[v] ** e if v in rules else DiffPoly.variable(v, e))
+        assert DiffPoly({mono: coeff}).substitute(rules) == term
+        total = total + term
+    assert p.substitute(rules) == total
 
 
 def test_order():

@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 
 from conftest import make_random_poly
-from jetsym.diffring import DiffPoly, jet_poly, par_poly, t_poly, x_poly
+from jetsym import symfam
+from jetsym.diffring import DiffPoly, JetLimitError, jet_poly, par_poly, t_poly, x_poly
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, invariance_residual
+from jetsym.opcalc import Compose, Dx, apply, boost_op, translation_op
 from jetsym.symfam import (
     Family,
     FamilyIndex,
@@ -218,3 +220,39 @@ def test_z_family_rejects_indices():
         q_char(Family.HEAT_Z, 1, 0)
     with pytest.raises(ValueError):
         q_char(Family.BURGERS_Q, -1, 0)
+
+
+def _from_scratch(family, k, l):
+    """boost^k translation^l (seed), with a leading D_x for Burgers, in one apply."""
+    eq = {Family.HEAT_Q: HEAT, Family.POT_Q: POTBURGERS, Family.BURGERS_Q: BURGERS}[family]
+    seed = z(0) if family is Family.HEAT_Q else DiffPoly.const(1)
+    ops = (boost_op(eq),) * k + (translation_op(eq),) * l
+    if family is Family.BURGERS_Q:
+        ops = (Dx(),) + ops
+    return apply(Compose(ops), eq, seed)
+
+
+def test_family_entries_match_one_composed_operator():
+    # the cached one-step chain against a single composed operator
+    symfam._q_body.cache_clear()
+    symfam._CHAINS.clear()
+    for family in (Family.HEAT_Q, Family.POT_Q, Family.BURGERS_Q):
+        for k in range(7):
+            for l in range(7 - k):
+                assert q_char(family, k, l).body == _from_scratch(family, k, l), (family, k, l)
+
+
+def test_cached_bodies_are_read_only():
+    body = q_char(Family.BURGERS_Q, 2, 1).body
+    with pytest.raises(TypeError):
+        body.terms[()] = Fraction(1)
+    with pytest.raises(TypeError):
+        q_char(Family.POT_Q, 2, 1).body.terms[()] = Fraction(1)
+    assert q_char(Family.BURGERS_Q, 2, 1).body == _from_scratch(Family.BURGERS_Q, 2, 1)
+    assert q_char(Family.BURGERS_Q, 3, 1).body == _from_scratch(Family.BURGERS_Q, 3, 1)
+
+
+def test_deep_family_index_stops_at_the_jet_cap():
+    # the chain is filled iteratively: the jet cap, not the recursion limit, stops it
+    with pytest.raises(JetLimitError):
+        q_char(Family.HEAT_Q, 500, 500)
