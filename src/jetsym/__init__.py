@@ -73,6 +73,7 @@ from .symfam import (
     LieMatch,
     commutator,
     evolution_form,
+    family_seed_chain,
     heat_point_symmetries,
     lie_correspondence,
     q_char,

@@ -55,8 +55,8 @@ from .opcalc import (
 )
 from .symfam import (
     Family,
-    _chain,
     commutator,
+    family_seed_chain,
     lie_correspondence,
     q_char,
     structure_check,
@@ -424,7 +424,7 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
 
     rng = random.Random(20240607)
     flow = potential_defect_op(BURGERS)
-    fam_probes = [_chain(Family.BURGERS_Q, k, l) for k, l in _index_range(4)]
+    fam_probes = [family_seed_chain(Family.BURGERS_Q, k, l) for k, l in _index_range(4)]
     probes = fam_probes + _random_polys(rng, 20)
     zero = op_scale(0)
     for label, op in (

@@ -353,7 +353,7 @@ class DiffPoly:
         """
         if not rules:
             return self
-        out: dict[Monomial, Fraction] = {}
+        result = DiffPoly.zero()
         pow_cache: dict[tuple[VarId, int], DiffPoly] = {}
         for mono, coeff in self.terms.items():
             passthrough = []
@@ -372,17 +372,8 @@ class DiffPoly:
             term = DiffPoly._raw({tuple(passthrough): coeff})
             for f in factors:
                 term = term * f
-            for m, c in term.terms.items():
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return DiffPoly._raw(out)
+            result = result + term
+        return result
 
     # -- ordering and display ------------------------------------------------
 

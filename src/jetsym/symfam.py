@@ -104,10 +104,13 @@ _CHAIN_SEEDS = {
 _CHAINS: dict[tuple[Family, int, int], DiffPoly] = {}
 
 
-def _chain(family: Family, k: int, l: int) -> DiffPoly:
-    """boost^k translation^l (seed), each entry one step from its predecessor.
+def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
+    """boost^k translation^l (seed) of a family, read-only and cached.
 
-    The predecessor of (k, l) is (k-1, l) when k > 0, else (0, l-1).  The
+    This is Q[k,l] for heat and potential Burgers, the value before the
+    leading D_x for Burgers, and boost^k D_x^l h for HEAT_Z (for which only
+    (0, 0), the seed h, is a family member).  Each entry is one operator
+    step from its predecessor: (k-1, l) when k > 0, else (0, l-1).  The
     chain is filled iteratively, so deep indices need no recursion.
     """
     body = _CHAINS.get((family, k, l))
@@ -128,10 +131,10 @@ def _chain(family: Family, k: int, l: int) -> DiffPoly:
 @lru_cache(maxsize=None)
 def _q_body(family: Family, k: int, l: int) -> DiffPoly:
     if family is Family.HEAT_Z:
-        return _frozen(par_poly(0))
+        return family_seed_chain(family, 0, 0)
     if family is Family.POT_Z:
         return _frozen(par_poly(0) * exp_poly(-1))
-    body = _chain(family, k, l)
+    body = family_seed_chain(family, k, l)
     if family is Family.BURGERS_Q:
         return _frozen(BURGERS.dx(body))
     return body
@@ -238,7 +241,7 @@ def structure_check(family: Family, idx1, idx2=None):
         z = q_char(family)
         q = q_char(_Q_OF_Z[family], k, l)
         brute = commutator(eq, z, q).body
-        h_image = _chain(Family.HEAT_Z, k, l)
+        h_image = family_seed_chain(Family.HEAT_Z, k, l)
         expected = h_image if family is Family.HEAT_Z else h_image * exp_poly(-1)
         return brute - expected
     (k, l), (kp, lp) = idx1, idx2

@@ -17,6 +17,7 @@ from jetsym.symfam import (
     closed_form_bracket,
     commutator,
     evolution_form,
+    family_seed_chain,
     heat_point_symmetries,
     lie_correspondence,
     q_char,
@@ -250,6 +251,10 @@ def test_cached_bodies_are_read_only():
         q_char(Family.POT_Q, 2, 1).body.terms[()] = Fraction(1)
     assert q_char(Family.BURGERS_Q, 2, 1).body == _from_scratch(Family.BURGERS_Q, 2, 1)
     assert q_char(Family.BURGERS_Q, 3, 1).body == _from_scratch(Family.BURGERS_Q, 3, 1)
+    with pytest.raises(TypeError):
+        family_seed_chain(Family.BURGERS_Q, 2, 1).terms[()] = Fraction(1)
+    # the HEAT_Z seed h is written once, in the chain
+    assert q_char(Family.HEAT_Z).body is family_seed_chain(Family.HEAT_Z, 0, 0)
 
 
 def test_deep_family_index_stops_at_the_jet_cap():
