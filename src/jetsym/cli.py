@@ -37,6 +37,7 @@ from .diffring import (
     par,
     T_VAR,
     X_VAR,
+    JetLimitError,
     render_terms,
 )
 from .jetflow import BURGERS, EQUATIONS, HEAT, POTBURGERS, invariance_residual
@@ -135,10 +136,24 @@ def _mono_to_json(mono: Monomial) -> list:
 
 
 def _mono_from_json(data) -> Monomial:
-    out = []
-    for letter, idx, e in data:
-        out.append(((_LETTER_KIND[letter], idx), e))
-    return tuple(sorted(out))
+    if not isinstance(data, list):
+        raise ValueError(f"a monomial must be a list of factors, got {data!r}")
+    exps: dict = {}
+    for factor in data:
+        if not (isinstance(factor, list) and len(factor) == 3):
+            raise ValueError(f"a factor must be [letter, index, exponent], got {factor!r}")
+        letter, idx, e = factor
+        kind = _LETTER_KIND.get(letter) if isinstance(letter, str) else None
+        if kind is None:
+            raise ValueError(f"unknown variable kind letter {letter!r}")
+        if type(idx) is not int:
+            raise ValueError(f"index {idx!r} of kind {letter!r} is not an int")
+        if e == 0:
+            raise ValueError(f"zero exponent on {letter}{idx}")
+        if (kind, idx) in exps:
+            raise ValueError(f"variable {letter}{idx} occurs twice in one monomial")
+        exps[(kind, idx)] = e
+    return tuple(sorted(exps.items()))
 
 
 def _body_to_json(p: DiffPoly) -> list:
@@ -146,7 +161,36 @@ def _body_to_json(p: DiffPoly) -> list:
 
 
 def _body_from_json(data) -> DiffPoly:
-    return DiffPoly({_mono_from_json(m): Fraction(c) for m, c in data})
+    """Parse a body written by _body_to_json; malformed input raises ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"a body must be a list of terms, got {data!r}")
+    terms: dict = {}
+    for term in data:
+        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], str)):
+            raise ValueError(f"a term must be [monomial, coefficient string], got {term!r}")
+        mono = _mono_from_json(term[0])
+        try:
+            coeff = Fraction(term[1])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"invalid coefficient {term[1]!r}") from exc
+        if not coeff:
+            raise ValueError(f"zero coefficient on {term[0]!r}")
+        if mono in terms:
+            raise ValueError(f"monomial {term[0]!r} occurs twice")
+        terms[mono] = coeff
+    # The constructor checks each variable and exponent.
+    try:
+        return DiffPoly(terms)
+    except JetLimitError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks the keys {missing}")
 
 
 @dataclass
@@ -184,6 +228,11 @@ class SymmetryTableDoc:
     @staticmethod
     def from_json(text: str) -> "SymmetryTableDoc":
         payload = json.loads(text)
+        _require_keys(payload, ("equation", "metadata", "entries"), "a table document")
+        if not isinstance(payload["entries"], list):
+            raise ValueError("the entries of a table document must be a list")
+        for e in payload["entries"]:
+            _require_keys(e, ("family", "k", "l", "body"), "a table entry")
         entries = [
             TableEntry(e["family"], e["k"], e["l"], _body_from_json(e["body"]))
             for e in payload["entries"]
@@ -614,7 +663,7 @@ def _cmd_solve(args, parser) -> int:
             x_degree=args.x_deg,
             t_degree=args.t_deg,
         )
-    except AnsatzTooLarge as exc:
+    except (AnsatzTooLarge, JetLimitError) as exc:
         print(f"ansatz too large: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":

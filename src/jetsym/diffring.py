@@ -6,23 +6,41 @@ dependent variable), a bank of parameter-function symbols h_0, h_1, ...
 (h_j standing for the j-th x-derivative of a symbolic solution h(t, x) of
 the linear heat equation), and the exponential E = e^{z_0}, which may carry
 any integer exponent (E^{-1} E = 1), so that the pullback through u = e^w
-stays inside the ring.  Coefficients are arbitrary-precision rationals
-(fractions.Fraction), so equality of polynomials is decidable and every
-identity check in this package is exact.
+stays inside the ring.  Coefficients are exact rationals, so equality of
+polynomials is decidable and every identity check in this package is exact.
 
-Representation: a monomial is a tuple of ((kind, index), exponent) pairs
-sorted by variable, with no zero exponent; a polynomial is a dict mapping
-monomials to nonzero Fraction coefficients.  The variable order T < X <
-z_0 < z_1 < ... < h_0 < h_1 < ... < E induces a graded monomial order
-(total degree first, ties broken by the exponent sequence) that makes all
-rendered output deterministic; a value carrying E is rendered grouped by
-its power of E.
+Representation: a monomial is one Python int holding every exponent in an
+8-bit field, slots in the order t, x, E, z_0, h_0, z_1, h_1, ... (unit(v)
+is 1 shifted to v's slot), so a monomial product is one integer addition.
+The E field is a balanced digit in [-64, 64), so E^m E^{-m} cancels by the
+same addition; every other field lies in [0, 128).  The top bit of each
+field is a guard: an operation whose result leaves a field raises
+ExponentOverflow instead of wrapping.  A polynomial stores integer
+numerators per monomial over one positive denominator, normalised after
+each operation so that gcd(denominator, *numerators) = 1; the zero
+polynomial has no terms and denominator 1.  Values are therefore canonical
+and compared by their packed form.  derive, the one loop behind every total
+derivative, reads the packed form directly; its tables of variable images
+are keyed by unit.
+
+At the edges monomials appear as tuples of ((kind, index), exponent) pairs
+sorted by variable, with no zero exponent, and coefficients as Fractions:
+the constructor takes {tuple monomial: coefficient}, and the terms view,
+sorted_terms and render_terms decode.  The variable order T < X < z_0 <
+z_1 < ... < h_0 < h_1 < ... < E of the tuples induces a graded monomial
+order (total degree first, ties broken by the exponent sequence) that makes
+all rendered output deterministic; a value carrying E is rendered grouped
+by its power of E.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Iterable
 
 # Variable kinds; a VarId is the pair (kind, index).
 KIND_T = 0
@@ -38,8 +56,6 @@ T_VAR: VarId = (KIND_T, 0)
 X_VAR: VarId = (KIND_X, 0)
 EXP_VAR: VarId = (KIND_EXP, 0)
 
-_ONE_MONO: Monomial = ()
-
 NEG_INF = float("-inf")
 
 # Safety cap on jet/parameter indices, to catch runaway derivations early.
@@ -48,6 +64,123 @@ _INDEX_LIMIT = 64
 
 class JetLimitError(RuntimeError):
     """Raised when a jet or parameter index exceeds the cap."""
+
+
+class ExponentOverflow(JetLimitError):
+    """Raised when an exponent leaves its packed field."""
+
+
+# -- packed monomials ----------------------------------------------------------
+
+_BITS = 8
+_MASK = (1 << _BITS) - 1
+_E_SLOT = 2
+_E_SHIFT = _E_SLOT * _BITS
+# Adding _DIGITS_BIAS to a valid monomial lifts its E digit into [128, 256)
+# without a borrow, so the bytes of the sum are its fields, E at byte 2
+# raised by _E_DIGIT_BIAS, and there are at least three of them.
+_E_DIGIT_BIAS = 3 << (_BITS - 2)
+_DIGITS_BIAS = _E_DIGIT_BIAS << _E_SHIFT
+# Adding _GUARD_BIAS lifts a valid E digit into [0, 128) instead, so that the
+# top bit of every field of the sum is clear exactly when m is valid.
+_GUARD_BIAS = 1 << (_BITS - 2) << _E_SHIFT
+
+# Slot order t, x, E, then z_k and h_k interleaved.
+_SLOT_VARS: list[VarId] = [T_VAR, X_VAR, EXP_VAR]
+for _k in range(_INDEX_LIMIT + 1):
+    _SLOT_VARS += [(KIND_JET, _k), (KIND_PAR, _k)]
+_UNIT: dict[VarId, int] = {v: 1 << (_BITS * s) for s, v in enumerate(_SLOT_VARS)}
+_JET_VARS = _SLOT_VARS[3::2]
+_PAR_VARS = _SLOT_VARS[4::2]
+
+
+def _slot_mask(slots) -> int:
+    return sum(_MASK << (_BITS * s) for s in slots)
+
+
+_NSLOTS = len(_SLOT_VARS)
+_GUARD = int.from_bytes(bytes([1 << (_BITS - 1)]) * _NSLOTS, "little")
+_E_MASK = _MASK << _E_SHIFT
+# Valid exponents: [0, _FIELD_LIMIT) off E, [-_E_LIMIT, _E_LIMIT) on E.
+_FIELD_LIMIT = 1 << (_BITS - 1)
+_E_LIMIT = 1 << (_BITS - 2)
+# Fields of each kind other than E, read from a monomial plus _DIGITS_BIAS.
+_KIND_MASK = {
+    KIND_T: _MASK,
+    KIND_X: _MASK << _BITS,
+    KIND_JET: _slot_mask(range(3, _NSLOTS, 2)),
+    KIND_PAR: _slot_mask(range(4, _NSLOTS, 2)),
+}
+
+
+def unit(v: VarId) -> int:
+    """The packed monomial v^1."""
+    u = _UNIT.get(v)
+    if u is None:
+        kind, idx = v
+        if kind in (KIND_JET, KIND_PAR) and idx > _INDEX_LIMIT:
+            raise JetLimitError(f"index {idx} exceeds the cap {_INDEX_LIMIT}")
+        raise ValueError(f"not a ring variable: {v!r}")
+    return u
+
+
+def unit_var(u: int) -> VarId:
+    """The variable whose unit is u."""
+    return _SLOT_VARS[(u.bit_length() - 1) // _BITS]
+
+
+def _field(m: int, shift: int) -> int:
+    """The exponent in the field at bit offset shift of the packed monomial m."""
+    if shift == _E_SHIFT:
+        e = (m >> shift) & _MASK
+        return e - (1 << _BITS) if e >> (_BITS - 1) else e
+    return ((m + _DIGITS_BIAS) >> shift) & _MASK
+
+
+def _check_fields(monos) -> None:
+    """Raise ExponentOverflow unless every field of every monomial is valid."""
+    if reduce(or_, map(_GUARD_BIAS.__add__, monos), 0) & _GUARD:
+        raise ExponentOverflow(
+            "an exponent leaves its packed field: at most 127, and E^m needs -64 <= m < 64"
+        )
+
+
+def _encode(mono: Monomial) -> int:
+    m = 0
+    for v, e in mono:
+        if type(e) is not int:
+            raise ValueError(f"exponent of {v!r} must be an int, got {e!r}")
+        if e < 0 and v != EXP_VAR:
+            raise ValueError(f"negative exponent {e} on {v!r}")
+        u = unit(v)
+        # A factor is checked before it is added, since one outside its field
+        # carries into the next; a sum of in-field factors is caught by the guard.
+        if not (-_E_LIMIT <= e < _E_LIMIT if v == EXP_VAR else e < _FIELD_LIMIT):
+            raise ExponentOverflow(f"exponent {e} of {v!r} leaves its packed field")
+        m += e * u
+        _check_fields((m,))
+    return m
+
+
+def _decode(m: int) -> Monomial:
+    """The sorted ((kind, index), exponent) tuple of a packed monomial."""
+    b = m + _DIGITS_BIAS
+    digits = b.to_bytes((b.bit_length() + 7) >> 3, "little")
+    out = []
+    if digits[0]:
+        out.append((T_VAR, digits[0]))
+    if digits[1]:
+        out.append((X_VAR, digits[1]))
+    for k, e in enumerate(digits[3::2]):
+        if e:
+            out.append((_JET_VARS[k], e))
+    for j, e in enumerate(digits[4::2]):
+        if e:
+            out.append((_PAR_VARS[j], e))
+    e = digits[2] - _E_DIGIT_BIAS
+    if e:
+        out.append((EXP_VAR, e))
+    return tuple(out)
 
 
 def jet(k: int) -> VarId:
@@ -68,46 +201,6 @@ def par(j: int) -> VarId:
     return (KIND_PAR, j)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted exponent tuples (only E can cancel to exponent 0)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            if ea + eb:
-                out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def _mono_without(m: Monomial, v: VarId) -> Monomial:
-    """Lower the exponent of v in m by one (v must occur)."""
-    out = []
-    for var, e in m:
-        if var == v:
-            if e != 1:
-                out.append((var, e - 1))
-        else:
-            out.append((var, e))
-    return tuple(out)
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -117,48 +210,106 @@ def mono_key(m: Monomial):
     return (mono_degree(m), m)
 
 
-class DiffPoly:
-    """An exact sparse polynomial; immutable by convention.
+_new = object.__new__
 
-    The term dict maps monomials to nonzero Fraction coefficients; the zero
-    polynomial has an empty dict.  All arithmetic returns canonical values.
+
+class TermsView(Mapping):
+    """Read-only {tuple monomial: Fraction} view of a polynomial.
+
+    Decoded on first read and kept; its length needs no decoding.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den", "_dict")
+
+    def __init__(self, nums: dict[int, int], den: int):
+        self._nums = nums
+        self._den = den
+        self._dict = None
+
+    def _decoded(self) -> dict[Monomial, Fraction]:
+        d = self._dict
+        if d is None:
+            den = self._den
+            d = self._dict = {_decode(m): Fraction(c, den) for m, c in self._nums.items()}
+        return d
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __getitem__(self, mono):
+        return self._decoded()[mono]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def items(self):
+        return self._decoded().items()
+
+    def __repr__(self) -> str:
+        return f"TermsView({self._decoded()!r})"
+
+
+class DiffPoly:
+    """An exact sparse polynomial; immutable.
+
+    _nums maps packed monomials to nonzero integer numerators over the
+    positive denominator _den (see the module docstring); terms is the
+    decoded read-only view.  All arithmetic returns canonical values.
+    """
+
+    __slots__ = ("_nums", "_den", "_view")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        coeffs: dict[int, Fraction] = {}
+        for mono, coeff in (terms or {}).items():
+            m = _encode(mono)
+            coeffs[m] = coeffs.get(m, 0) + Fraction(coeff)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
+        p = DiffPoly._make(nums, den)
+        self._nums, self._den, self._view = p._nums, p._den, None
 
     @staticmethod
-    def _raw(terms: dict[Monomial, Fraction]) -> "DiffPoly":
-        """Wrap an already-canonical term dict without copying."""
-        p = DiffPoly.__new__(DiffPoly)
-        p.terms = terms
+    def _make(nums: dict[int, int], den: int = 1) -> "DiffPoly":
+        """Wrap nonzero numerators over den > 0, dividing both by gcd(den, *nums).
+
+        nums is not copied.
+        """
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {m: c // g for m, c in nums.items()}
+                den //= g
+        p = _new(DiffPoly)
+        p._nums = nums
+        p._den = den
+        p._view = None
         return p
+
+    @property
+    def terms(self) -> TermsView:
+        view = self._view
+        if view is None:
+            view = self._view = TermsView(self._nums, self._den)
+        return view
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def zero() -> "DiffPoly":
-        return DiffPoly._raw({})
+        return DiffPoly._make({})
 
     @staticmethod
     def const(c: Fraction | int) -> "DiffPoly":
         c = Fraction(c)
-        return DiffPoly._raw({_ONE_MONO: c} if c else {})
+        return DiffPoly._make({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(v: VarId, exp: int = 1, coeff: Fraction | int = 1) -> "DiffPoly":
         c = Fraction(coeff)
         if not c:
             return DiffPoly.zero()
-        return DiffPoly._raw({((v, exp),): c})
+        return DiffPoly._make({_encode(((v, exp),)): c.numerator}, c.denominator)
 
     # -- ring arithmetic -----------------------------------------------------
 
@@ -166,27 +317,24 @@ class DiffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
+        b = other._nums
+        if not b:
             return self
-        if not self.terms:
+        if not self._nums:
             return other
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return DiffPoly._raw(out)
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = dict(self._nums) if fa == 1 else {m: c * fa for m, c in self._nums.items()}
+        get = out.get
+        for m, c in b.items():
+            out[m] = get(m, 0) + c * fb
+        return DiffPoly._make(_nonzero(out), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly._raw({m: -c for m, c in self.terms.items()})
+        return DiffPoly._make({m: -c for m, c in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "DiffPoly":
         other = _coerce(other)
@@ -201,32 +349,27 @@ class DiffPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "DiffPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return DiffPoly.zero()
-            return DiffPoly._raw({m: v * c for m, v in self.terms.items()})
         if not isinstance(other, DiffPoly):
-            return NotImplemented
-        a, b = self.terms, other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            num, den = other.numerator, other.denominator
+            if not num:
+                return DiffPoly.zero()
+            return DiffPoly._make({m: c * num for m, c in self._nums.items()}, self._den * den)
+        a, b = self._nums, other._nums
         if not a or not b:
             return DiffPoly.zero()
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, Fraction] = {}
+        out: dict[int, int] = {}
+        get = out.get
+        b_items = b.items()
         for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = _mono_mul(ma, mb)
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return DiffPoly._raw(out)
+            for mb, cb in b_items:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        _check_fields(out)
+        return DiffPoly._make(_nonzero(out), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -250,101 +393,86 @@ class DiffPoly:
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     def __ne__(self, other) -> bool:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
-    def variables(self) -> set[VarId]:
-        seen: set[VarId] = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                seen.add(v)
-        return seen
+    def _fields_or(self) -> int:
+        """The union of the fields of every monomial other than E."""
+        return reduce(or_, map(_DIGITS_BIAS.__add__, self._nums), 0) & ~_E_MASK
 
     def degree(self, v: VarId) -> int:
         """Largest exponent of v over all terms (0 if v is absent)."""
-        best = 0
-        for mono in self.terms:
-            for var, e in mono:
-                if var == v and e > best:
-                    best = e
-        return best
+        shift = unit(v).bit_length() - 1
+        return max([0, *(_field(m, shift) for m in self._nums)])
 
     def order(self) -> int | float:
         """Largest jet index present, or -inf if no jet variable occurs."""
-        best: int | float = NEG_INF
-        for mono in self.terms:
-            for (kind, idx), _ in mono:
-                if kind == KIND_JET and idx > best:
-                    best = idx
-        return best
+        jets = self._fields_or() & _KIND_MASK[KIND_JET]
+        if not jets:
+            return NEG_INF
+        return ((jets.bit_length() - 1) // _BITS - 3) // 2
 
     def has_kind(self, kind: int) -> bool:
-        for mono in self.terms:
-            for (k, _), _ in mono:
-                if k == kind:
-                    return True
-        return False
+        if kind == KIND_EXP:
+            return any(m & _E_MASK for m in self._nums)
+        return bool(self._fields_or() & _KIND_MASK[kind])
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def restrict_to_kinds(self, kinds: Iterable[int]) -> "DiffPoly":
         """The sum of terms whose variables all belong to the given kinds."""
         allowed = set(kinds)
+        banned = sum(mask for kind, mask in _KIND_MASK.items() if kind not in allowed)
+        e_banned = 0 if KIND_EXP in allowed else _E_MASK
         out = {
-            mono: coeff
-            for mono, coeff in self.terms.items()
-            if all(kind in allowed for (kind, _), _ in mono)
+            m: c
+            for m, c in self._nums.items()
+            if not (m + _DIGITS_BIAS) & banned and not m & e_banned
         }
-        return DiffPoly._raw(out)
+        return DiffPoly._make(out, self._den)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, v: VarId) -> "DiffPoly":
         """Formal partial derivative with respect to the single variable v."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for var, e in mono:
-                if var == v:
-                    reduced = _mono_without(mono, v)
-                    c = coeff * e
-                    s = out.get(reduced)
-                    if s is None:
-                        out[reduced] = c
-                    else:
-                        s = s + c
-                        if s:
-                            out[reduced] = s
-                        else:
-                            del out[reduced]
-                    break
-        return DiffPoly._raw(out)
+        u = unit(v)
+        shift = u.bit_length() - 1
+        out = {}
+        for m, c in self._nums.items():
+            e = _field(m, shift)
+            if e:
+                out[m - u] = c * e
+        if v == EXP_VAR:
+            _check_fields(out)
+        return DiffPoly._make(out, self._den)
 
     def integrate(self, v: VarId) -> "DiffPoly":
         """Formal antiderivative with respect to v (no integration constant)."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            emap = dict(mono)
-            e = emap.get(v, 0)
-            emap[v] = e + 1
-            new_mono = tuple(sorted(emap.items()))
-            out[new_mono] = coeff / (e + 1)
-        return DiffPoly._raw(out)
+        u = unit(v)
+        shift = u.bit_length() - 1
+        raised = [(m, c, _field(m, shift) + 1) for m, c in self._nums.items()]
+        if any(e == 0 for _, _, e in raised):
+            raise ZeroDivisionError("the antiderivative of E^-1 is not in the ring")
+        den = lcm(*(abs(e) for _, _, e in raised))
+        out = {m + u: c * (den // e) for m, c, e in raised}
+        _check_fields(out)
+        return DiffPoly._make(out, self._den * den)
 
     def substitute(self, rules: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of polynomials for variables.
@@ -353,39 +481,108 @@ class DiffPoly:
         """
         if not rules:
             return self
-        result = DiffPoly.zero()
-        pow_cache: dict[tuple[VarId, int], DiffPoly] = {}
-        for mono, coeff in self.terms.items():
-            passthrough = []
-            factors = []
-            for var, e in mono:
-                image = rules.get(var)
-                if image is None:
-                    passthrough.append((var, e))
-                else:
-                    key = (var, e)
-                    cached = pow_cache.get(key)
-                    if cached is None:
-                        cached = image ** e
-                        pow_cache[key] = cached
-                    factors.append(cached)
-            term = DiffPoly._raw({tuple(passthrough): coeff})
-            for f in factors:
-                term = term * f
-            result = result + term
-        return result
+        targets = [(_UNIT[v], image) for v, image in rules.items() if v in _UNIT]
+        targets = [(u, u.bit_length() - 1, image) for u, image in targets]
+        pow_cache: dict[tuple[int, int], DiffPoly] = {}
+        out: dict[int, int] = {}
+        get = out.get
+        den = 1  # common denominator of the factor products so far
+        for m, c in self._nums.items():
+            rest = m
+            image_product = None
+            for u, shift, image in targets:
+                e = _field(m, shift)
+                if e:
+                    rest -= e * u
+                    power = pow_cache.get((u, e))
+                    if power is None:
+                        power = pow_cache[(u, e)] = image**e
+                    image_product = power if image_product is None else image_product * power
+            if image_product is None:
+                out[rest] = get(rest, 0) + c * den
+                continue
+            d = image_product._den
+            if den % d:
+                out, den = _widened(out, den, d)
+                get = out.get
+            c *= den // d
+            for pm, pc in image_product._nums.items():
+                k = rest + pm
+                out[k] = get(k, 0) + c * pc
+        _check_fields(out)
+        return DiffPoly._make(_nonzero(out), self._den * den)
 
     # -- ordering and display ------------------------------------------------
 
     def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Fraction]]:
         """Terms in the global monomial order (leading term first by default)."""
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]), reverse=reverse)
+        return sorted(_decoded_items(self), key=lambda kv: mono_key(kv[0]), reverse=reverse)
 
     def __str__(self) -> str:
         return render_terms(self, var_name)
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"
+
+
+def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
+    """The derivation D with D(v) = images[unit(v)], extended by the Leibniz rule.
+
+    A factor v^e of a monomial m contributes e (m - unit(v)) D(v), each
+    term of D(v) by one integer addition; e may be negative (E^{-1}).  A
+    variable missing from images gets fill(unit), which is expected to
+    store the image in the table for the next call.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    image_den = 1  # common denominator of the images used so far
+    for m, c in p._nums.items():
+        b = m + _DIGITS_BIAS
+        for slot, e in enumerate(b.to_bytes((b.bit_length() + 7) >> 3, "little")):
+            if slot == _E_SLOT:
+                e -= _E_DIGIT_BIAS
+            if not e:
+                continue
+            u = 1 << (_BITS * slot)
+            image = images.get(u)
+            if image is None:
+                image = fill(u)
+            terms = image._nums
+            if not terms:
+                continue
+            d = image._den
+            if image_den % d:
+                out, image_den = _widened(out, image_den, d)
+                get = out.get
+            cc = c * e * (image_den // d)
+            base = m - u
+            for im, ic in terms.items():
+                k = base + im
+                out[k] = get(k, 0) + cc * ic
+    _check_fields(out)
+    return DiffPoly._make(_nonzero(out), p._den * image_den)
+
+
+def _widened(nums: dict[int, int], den: int, d: int) -> tuple[dict[int, int], int]:
+    """nums over den rewritten over lcm(den, d)."""
+    grow = d // gcd(den, d)
+    return {m: c * grow for m, c in nums.items()}, den * grow
+
+
+def _nonzero(nums: dict[int, int]) -> dict[int, int]:
+    """nums without its cancelled entries."""
+    if 0 in nums.values():
+        return {m: c for m, c in nums.items() if c}
+    return nums
+
+
+def _decoded_items(p: DiffPoly):
+    """p's (tuple monomial, Fraction) pairs, without keeping the decoded form."""
+    view = p._view
+    if view is not None and view._dict is not None:
+        return view._dict.items()
+    den = p._den
+    return [(_decode(m), Fraction(c, den)) for m, c in p._nums.items()]
 
 
 def _coerce(value) -> "DiffPoly":
@@ -423,10 +620,10 @@ def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=str, sep: str = 
     monomial.  A value carrying E is rendered as a sum of groups
     (...)*e^{mw} in increasing m, the E-free group bare.
     """
-    if not p.terms:
+    if not p:
         return "0"
     groups: dict[int, list] = {}
-    for mono, c in p.terms.items():
+    for mono, c in _decoded_items(p):
         m = 0
         if mono and mono[-1][0] == EXP_VAR:
             mono, m = mono[:-1], mono[-1][1]

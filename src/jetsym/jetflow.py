@@ -9,8 +9,8 @@ coordinates (t, x, z_0, z_1, ...).  The restricted total derivatives act as
 where the parameter symbols h_j differentiate by index shift because the
 symbolic parameter function h(t, x) solves the linear heat equation
 (h_t = h_xx), and E = e^{z_0} by the chain rule.  Both are the one
-routine derive, driven by a table of the images of the variables.  Three
-equations are built in:
+routine diffring.derive, driven by a table of the images of the variables
+kept here.  Three equations are built in:
 
     HEAT         z_t = z_2             (u_t = u_xx)
     POTBURGERS   z_t = z_2 + z_1^2     (w_t = w_xx + w_x^2)
@@ -24,7 +24,6 @@ the Frechet derivative of the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .diffring import (
@@ -33,72 +32,36 @@ from .diffring import (
     KIND_JET,
     KIND_PAR,
     KIND_T,
-    Monomial,
     T_VAR,
-    VarId,
     X_VAR,
-    _mono_mul,
+    derive,
     exp_poly,
     jet,
     jet_poly,
     par,
+    unit,
+    unit_var,
 )
 
-# The image of one variable under a derivation, as a term dict.
-Image = dict[Monomial, Fraction]
+# A derivation's table for derive: the image of each variable, keyed by its
+# packed unit.
+Images = dict[int, DiffPoly]
 
-_ONE = Fraction(1)
-
-
-def derive(p: DiffPoly, images: dict[VarId, Image], fill) -> DiffPoly:
-    """The derivation D with D(v) = images[v], extended by the Leibniz rule.
-
-    A factor v^e of a monomial contributes e v^(e-1) D(v); e may be
-    negative (E^{-1}).  A variable missing from images gets fill(v), which
-    is expected to store the image in the table for the next call.
-    """
-    out: dict[Monomial, Fraction] = {}
-    get = images.get
-    for mono, coeff in p.terms.items():
-        for pos, (v, e) in enumerate(mono):
-            image = get(v)
-            if image is None:
-                image = fill(v)
-            if not image:
-                continue
-            if e != 1:
-                base = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
-                c = coeff * e
-            else:
-                base = mono[:pos] + mono[pos + 1 :]
-                c = coeff
-            for img_mono, img_coeff in image.items():
-                new_mono = _mono_mul(base, img_mono)
-                cc = c if img_coeff == 1 else c * img_coeff
-                s = out.get(new_mono)
-                if s is None:
-                    out[new_mono] = cc
-                else:
-                    s = s + cc
-                    if s:
-                        out[new_mono] = s
-                    else:
-                        del out[new_mono]
-    return DiffPoly._raw(out)
+_E_UNIT = unit(EXP_VAR)
 
 
 # D_x: x -> 1, t -> 0, z_k -> z_{k+1}, h_j -> h_{j+1}, E -> z_1 E.
-_DX_IMAGES: dict[VarId, Image] = {
-    T_VAR: {},
-    X_VAR: {(): _ONE},
-    EXP_VAR: {((jet(1), 1), (EXP_VAR, 1)): _ONE},
+_DX_IMAGES: Images = {
+    unit(T_VAR): DiffPoly.zero(),
+    unit(X_VAR): DiffPoly.const(1),
+    _E_UNIT: jet_poly(1) * exp_poly(1),
 }
 
 
-def _dx_image(v: VarId) -> Image:
-    kind, idx = v
+def _dx_image(u: int) -> DiffPoly:
+    kind, idx = unit_var(u)
     shifted = jet(idx + 1) if kind == KIND_JET else par(idx + 1)
-    image = _DX_IMAGES[v] = {((shifted, 1),): _ONE}
+    image = _DX_IMAGES[u] = DiffPoly.variable(shifted)
     return image
 
 
@@ -122,10 +85,10 @@ class EvolutionEquation:
         self.allows_par = allows_par
         self._rhs_dx: list[DiffPoly] = [rhs]
         # D_t: t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2}, E -> rhs E.
-        self._dt_images: dict[VarId, Image] = {
-            T_VAR: {(): _ONE},
-            X_VAR: {},
-            EXP_VAR: (rhs * exp_poly(1)).terms,
+        self._dt_images: Images = {
+            unit(T_VAR): DiffPoly.const(1),
+            unit(X_VAR): DiffPoly.zero(),
+            _E_UNIT: rhs * exp_poly(1),
         }
 
     def __repr__(self) -> str:
@@ -136,14 +99,14 @@ class EvolutionEquation:
         while len(self._rhs_dx) <= max_order:
             self._rhs_dx.append(x_derivative(self._rhs_dx[-1]))
 
-    def _dt_image(self, v: VarId) -> Image:
-        kind, idx = v
+    def _dt_image(self, u: int) -> DiffPoly:
+        kind, idx = unit_var(u)
         if kind == KIND_JET:
             self.prepare(idx)
-            image = self._rhs_dx[idx].terms
+            image = self._rhs_dx[idx]
         else:
-            image = {((par(idx + 2), 1),): _ONE}
-        self._dt_images[v] = image
+            image = DiffPoly.variable(par(idx + 2))
+        self._dt_images[u] = image
         return image
 
     def _check_par(self, p: DiffPoly) -> None:

@@ -130,6 +130,12 @@ def commutator_op(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return Sum((Compose((a, b)), Compose((Scale(Fraction(-1)), b, a))))
 
 
+# The multipliers of the Burgers translation D_x - v/2 and boost
+# t D_x + (x - vt)/2.
+BURGERS_TRANSLATION_SHIFT = jet_poly(0) * Fraction(-1, 2)
+BURGERS_BOOST_SHIFT = (x_poly() - jet_poly(0) * t_poly()) * Fraction(1, 2)
+
+
 def translation_op(eq: EvolutionEquation) -> OperatorExpr:
     """The first-order recursion operator tied to space translations."""
     if eq is HEAT:
@@ -137,7 +143,7 @@ def translation_op(eq: EvolutionEquation) -> OperatorExpr:
     if eq is POTBURGERS:
         return Sum((Dx(), MulBy(jet_poly(1))))
     if eq is BURGERS:
-        return Sum((Dx(), MulBy(jet_poly(0) * Fraction(-1, 2))))
+        return Sum((Dx(), MulBy(BURGERS_TRANSLATION_SHIFT)))
     raise ValueError(f"no built-in recursion operators for {eq.name}")
 
 
@@ -147,8 +153,7 @@ def boost_op(eq: EvolutionEquation) -> OperatorExpr:
     if eq in (HEAT, POTBURGERS):
         return Sum((Compose((MulBy(t_poly()), translation_op(eq))), half_x))
     if eq is BURGERS:
-        shift = (x_poly() - jet_poly(0) * t_poly()) * Fraction(1, 2)
-        return Sum((Compose((MulBy(t_poly()), Dx())), MulBy(shift)))
+        return Sum((Compose((MulBy(t_poly()), Dx())), MulBy(BURGERS_BOOST_SHIFT)))
     raise ValueError(f"no built-in recursion operators for {eq.name}")
 
 

@@ -10,8 +10,10 @@ built from its recursion operators applied to a seed:
 (the Burgers (0,0) entry is the zero characteristic).  Each entry
 boost^k translation^l (seed) is built by one operator step from a cached
 predecessor: a boost from (k-1, l) when k > 0, otherwise a translation
-from (0, l-1).  The heat operators on h_0 build the right sides of the
-parameter brackets in the same chain.  Cached bodies are read-only.
+from (0, l-1).  A Burgers step reads the predecessor's D_x, which is the
+cached member Q[k,l] itself, so each entry costs one D_x.  The heat
+operators on h_0 build the right sides of the parameter brackets in the
+same chain.
 
 The heat and potential-Burgers equations additionally admit the parameter
 families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
@@ -32,7 +34,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from types import MappingProxyType
 from typing import Optional
 
 from .diffring import (
@@ -44,6 +45,7 @@ from .diffring import (
     jet_poly,
     par_poly,
     t_poly,
+    unit,
     x_poly,
 )
 from .jetflow import (
@@ -54,7 +56,13 @@ from .jetflow import (
     EvolutionEquation,
     derive,
 )
-from .opcalc import apply, boost_op, translation_op
+from .opcalc import (
+    BURGERS_BOOST_SHIFT,
+    BURGERS_TRANSLATION_SHIFT,
+    apply,
+    boost_op,
+    translation_op,
+)
 
 
 class Family(Enum):
@@ -86,11 +94,6 @@ class FamilyIndex:
     l: int = 0
 
 
-def _frozen(p: DiffPoly) -> DiffPoly:
-    """A copy of p whose term dict cannot be changed, for sharing from a cache."""
-    return DiffPoly._raw(MappingProxyType(dict(p.terms)))
-
-
 # The equation whose recursion operators build each chain, and its seed.
 # The HEAT_Z chain, boost^k D_x^l h, is the parameter function of the bracket
 # [Z(h), Q[k,l]] in both parameter families.
@@ -105,7 +108,7 @@ _CHAINS: dict[tuple[Family, int, int], DiffPoly] = {}
 
 
 def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
-    """boost^k translation^l (seed) of a family, read-only and cached.
+    """boost^k translation^l (seed) of a family, cached.
 
     This is Q[k,l] for heat and potential Burgers, the value before the
     leading D_x for Burgers, and boost^k D_x^l h for HEAT_Z (for which only
@@ -119,13 +122,26 @@ def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
     eq, seed = _CHAIN_SEEDS[family]
     translation, boost = translation_op(eq), boost_op(eq)
     path = [(0, j) for j in range(l + 1)] + [(i, l) for i in range(1, k + 1)]
+    prev = None
     for i, j in path:
         cached = _CHAINS.get((family, i, j))
         if cached is None:
-            step = seed if not (i or j) else apply(boost if i else translation, eq, body)
-            cached = _CHAINS[(family, i, j)] = _frozen(step)
-        body = cached
+            if prev is None:
+                step = seed
+            elif family is Family.BURGERS_Q:
+                step = _burgers_step(i > 0, body, _q_body(family, *prev))
+            else:
+                step = apply(boost if i else translation, eq, body)
+            cached = _CHAINS[(family, i, j)] = step
+        body, prev = cached, (i, j)
     return body
+
+
+def _burgers_step(is_boost: bool, entry: DiffPoly, dx_entry: DiffPoly) -> DiffPoly:
+    """The Burgers boost or translation of a chain entry, given its D_x (the member Q[k,l])."""
+    if is_boost:
+        return t_poly() * dx_entry + BURGERS_BOOST_SHIFT * entry
+    return dx_entry + BURGERS_TRANSLATION_SHIFT * entry
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +149,10 @@ def _q_body(family: Family, k: int, l: int) -> DiffPoly:
     if family is Family.HEAT_Z:
         return family_seed_chain(family, 0, 0)
     if family is Family.POT_Z:
-        return _frozen(par_poly(0) * exp_poly(-1))
+        return par_poly(0) * exp_poly(-1)
     body = family_seed_chain(family, k, l)
     if family is Family.BURGERS_Q:
-        return _frozen(BURGERS.dx(body))
+        return BURGERS.dx(body)
     return body
 
 
@@ -157,11 +173,11 @@ def q_char(family: Family | FamilyIndex, k: int = 0, l: int = 0) -> Characterist
 
 # d/dz_0 as a derivation: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}),
 # every other variable -> 0.
-_DZ0_IMAGES = {jet(0): {(): Fraction(1)}, EXP_VAR: {((EXP_VAR, 1),): Fraction(1)}}
+_DZ0_IMAGES = {unit(jet(0)): DiffPoly.const(1), unit(EXP_VAR): exp_poly(1)}
 
 
-def _dz0_image(v):
-    image = _DZ0_IMAGES[v] = {}
+def _dz0_image(u):
+    image = _DZ0_IMAGES[u] = DiffPoly.zero()
     return image
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -241,3 +242,70 @@ def test_json_round_trips_bodies_with_exp():
         assert _body_from_json(_body_to_json(body)) == body
     doc = SymmetryTableDoc("potburgers", [TableEntry("Z", 0, 0, z.body)])
     assert SymmetryTableDoc.from_json(doc.to_json()) == doc
+
+
+_GOOD_TERM = [[["z", 1, 2], ["e", 0, -1]], "3/2"]
+
+
+def _doc_with_body(body) -> str:
+    entry = {"family": "Q", "k": 0, "l": 0, "body": body}
+    return json.dumps({"equation": "heat", "metadata": {}, "entries": [entry]})
+
+
+def test_json_accepts_the_good_term():
+    from jetsym.cli import _body_from_json
+    from jetsym.diffring import exp_poly
+
+    assert _body_from_json([_GOOD_TERM]) == Fraction(3, 2) * jet_poly(1) ** 2 * exp_poly(-1)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ([[[["q", 0, 1]], "1"]], "unknown variable kind"),
+        ([[[[["z"], 0, 1]], "1"]], "unknown variable kind"),
+        ([[[["z", "0", 1]], "1"]], "not an int"),
+        ([[[["z", -1, 1]], "1"]], "not a ring variable"),
+        ([[[["h", 65, 1]], "1"]], "exceeds the cap"),
+        ([[[["t", 1, 1]], "1"]], "not a ring variable"),
+        ([[[["z", 0, 0]], "1"]], "zero exponent"),
+        ([[[["z", 0, 1.5]], "1"]], "must be an int"),
+        ([[[["z", 0, -1]], "1"]], "negative exponent"),
+        ([[[["z", 0, 200]], "1"]], "exponent 200"),
+        ([[[["x", 0, 256]], "1"]], "exponent 256"),
+        ([[[["e", 0, 192]], "1"]], "exponent 192"),
+        ([[[["e", 0, -65]], "1"]], "exponent -65"),
+        ([[[["z", 0, 1]], "0"]], "zero coefficient"),
+        ([[[["z", 0, 1]], "1/0"]], "invalid coefficient"),
+        ([_GOOD_TERM, [[["e", 0, -1], ["z", 1, 2]], "1"]], "occurs twice"),
+        ([[[["z", 0, 1], ["z", 0, 1]], "1"]], "occurs twice"),
+        ([[[["z", 0]], "1"]], "factor"),
+        ([[[["z", 0, 1]]]], "term"),
+    ],
+)
+def test_json_rejects_malformed_bodies(body, message):
+    with pytest.raises(ValueError, match=message):
+        SymmetryTableDoc.from_json(_doc_with_body(body))
+
+
+def test_json_rejects_missing_keys():
+    entry = {"family": "Q", "k": 0, "l": 0, "body": [_GOOD_TERM]}
+    for key in ("equation", "metadata", "entries"):
+        payload = {"equation": "heat", "metadata": {}, "entries": [entry]}
+        del payload[key]
+        with pytest.raises(ValueError, match=key):
+            SymmetryTableDoc.from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match="entries"):
+        SymmetryTableDoc.from_json(json.dumps({"equation": "heat", "metadata": {}, "entries": 5}))
+    for key in entry:
+        partial = {k: v for k, v in entry.items() if k != key}
+        payload = {"equation": "heat", "metadata": {}, "entries": [partial]}
+        with pytest.raises(ValueError, match=key):
+            SymmetryTableDoc.from_json(json.dumps(payload))
+
+
+def test_solve_exponent_over_the_field_exits_3(capsys):
+    code, out, err = run(["solve", "--order", "0", "--x-deg", "130", "--t-deg", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "exponent" in err

@@ -261,3 +261,21 @@ def test_deep_family_index_stops_at_the_jet_cap():
     # the chain is filled iteratively: the jet cap, not the recursion limit, stops it
     with pytest.raises(JetLimitError):
         q_char(Family.HEAT_Q, 500, 500)
+
+
+def test_burgers_chain_takes_one_dx_per_entry(monkeypatch):
+    # a Burgers step reuses Q[k,l] = D_x(entry) instead of differentiating again
+    from jetsym import jetflow
+
+    symfam._q_body.cache_clear()
+    symfam._CHAINS.clear()
+    calls = []
+    real = jetflow.x_derivative
+    monkeypatch.setattr(jetflow, "x_derivative", lambda p: calls.append(1) or real(p))
+    entries = [(k, total - k) for total in range(7) for k in range(total + 1)]
+    for k, l in entries:
+        q_char(Family.BURGERS_Q, k, l)
+    assert len(calls) == len(entries)
+    monkeypatch.undo()
+    for k, l in entries:
+        assert q_char(Family.BURGERS_Q, k, l).body == _from_scratch(Family.BURGERS_Q, k, l)
