@@ -122,6 +122,43 @@ def test_solve_order_three_json_bytes_are_pinned(capsys):
     )
 
 
+_GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (_GEN_ARGS + ["heat", "--format", "text"],
+         "ce2628a69e7319f40475ab3af1f86e1a938b1fdb227c01734e426bf67a27ade8"),
+        (_GEN_ARGS + ["heat", "--format", "latex"],
+         "50a89fb3a3736b4d487913ec16b5ebb474dcd7d5fb8b3d4d6b36f1eac29caeea"),
+        (_GEN_ARGS + ["heat", "--format", "json"],
+         "137b865318a1f27442f0142d494b4164e694ae0856f37f625c70880003296484"),
+        (_GEN_ARGS + ["potburgers", "--format", "text"],
+         "be45030b8b41f8e5ae2be293db4d28ce4425a7c542d6c3969ce4c3ed7ead03e4"),
+        (_GEN_ARGS + ["potburgers", "--format", "latex"],
+         "34e95c727e042e43d1ad1d1efc39b32e76371c0b1d496cfe179fe499fef2a44f"),
+        (_GEN_ARGS + ["potburgers", "--format", "json"],
+         "384f3cab57b89c6be0936e1d885b9862527b8c1aa40e652e548f62f3836928c0"),
+        (_GEN_ARGS + ["burgers", "--format", "text"],
+         "53430af47a5470390c3aa13e04bfc58437245125e0a780bd55a6922df95e944f"),
+        (_GEN_ARGS + ["burgers", "--format", "latex"],
+         "becaa8be376271d06e57a8a8262d13b019bd203839dec25d97c859c21f3dfdac"),
+        (_GEN_ARGS + ["burgers", "--format", "json"],
+         "d33549b0ad0f1ee4c70356e0bd09a238cd0c9cf9b772d794e534e5e8f38e31d6"),
+        (["verify", "--suite", "all"],
+         "20216dd407bf6875462df98dd65d85c715c5edf350640a67fc4b7fc18f9d0e21"),
+        (["verify", "--suite", "commutators", "--max-order", "4"],
+         "114fcda14a043668983f1d34588b1972d16149ec911f4bdee1ab1e3a85353576"),
+    ],
+)
+def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
+    # family tables in every format and the verify reports, byte for byte
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gen_order_cap(capsys):
     from jetsym.cli import GEN_MAX_ORDER
 
