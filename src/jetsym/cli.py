@@ -58,6 +58,7 @@ from .symfam import (
     Family,
     commutator,
     family_seed_chain,
+    index_range,
     lie_correspondence,
     q_char,
     structure_check,
@@ -239,25 +240,13 @@ class SymmetryTableDoc:
         ]
         return SymmetryTableDoc(payload["equation"], entries, payload["metadata"])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetryTableDoc):
-            return NotImplemented
-        return (
-            self.equation == other.equation
-            and self.metadata == other.metadata
-            and [(e.family, e.k, e.l, e.body) for e in self.entries]
-            == [(e.family, e.k, e.l, e.body) for e in other.entries]
-        )
-
 
 def family_table(equation: str, max_order: int) -> SymmetryTableDoc:
     family = _EQ_FAMILY[equation]
-    entries = []
-    start = 1 if equation == "burgers" else 0
-    for total in range(start, max_order + 1):
-        for k in range(total + 1):
-            l = total - k
-            entries.append(TableEntry("Q", k, l, q_char(family, k, l).body))
+    entries = [
+        TableEntry("Q", k, l, q_char(family, k, l).body)
+        for k, l in index_range(max_order, include_origin=equation != "burgers")
+    ]
     metadata = {
         "engine": f"jetsym {__version__}",
         "monomial_order": MONOMIAL_ORDER_ID,
@@ -297,12 +286,6 @@ def _probe_detail(report) -> str:
     return ""
 
 
-def _index_range(max_sum: int, include_origin: bool = True):
-    for total in range(0 if include_origin else 1, max_sum + 1):
-        for k in range(total + 1):
-            yield k, total - k
-
-
 def _random_polys(rng: random.Random, count: int, with_par: bool = False):
     vars_pool = [T_VAR, X_VAR, jet(0), jet(1), jet(2), jet(3)]
     if with_par:
@@ -335,7 +318,7 @@ def suite_invariance(max_order: int) -> list[CheckResult]:
         eq = EQUATIONS[name]
         bad = []
         first_residual = ""
-        for k, l in _index_range(max_order):
+        for k, l in index_range(max_order):
             residual = invariance_residual(eq, q_char(family, k, l))
             if residual:
                 if not bad:
@@ -380,7 +363,7 @@ def suite_commutators(max_order: int) -> list[CheckResult]:
     ):
         bad = []
         first_residual = ""
-        pairs = list(_index_range(max_order))
+        pairs = list(index_range(max_order))
         for kl1 in pairs:
             for kl2 in pairs:
                 residual = structure_check(family, kl1, kl2)
@@ -398,7 +381,7 @@ def suite_commutators(max_order: int) -> list[CheckResult]:
     for name, family in (("heat", Family.HEAT_Z), ("potburgers", Family.POT_Z)):
         bad = [
             kl
-            for kl in _index_range(max_order + 1)
+            for kl in index_range(max_order + 1)
             if structure_check(family, kl)
         ]
         out.append(
@@ -422,7 +405,7 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
         return q_char(Family.BURGERS_Q, k, l).body
 
     probes = [
-        burgers_body(k, l) for k, l in _index_range(max_order, include_origin=False)
+        burgers_body(k, l) for k, l in index_range(max_order, include_origin=False)
     ]
     report = operator_identity_probe(
         commutator_op(r1, r2), op_scale(Fraction(1, 2)), BURGERS, probes
@@ -431,7 +414,7 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
         CheckResult(
             f"[R1, R2] = 1/2 on family bodies k+l<={max_order}",
             report.all_equal,
-            "" if report.all_equal else _probe_detail(report),
+            _probe_detail(report),
         )
     )
     out.append(
@@ -473,7 +456,7 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
 
     rng = random.Random(20240607)
     flow = potential_defect_op(BURGERS)
-    fam_probes = [family_seed_chain(Family.BURGERS_Q, k, l) for k, l in _index_range(4)]
+    fam_probes = [family_seed_chain(Family.BURGERS_Q, k, l) for k, l in index_range(4)]
     probes = fam_probes + _random_polys(rng, 20)
     zero = op_scale(0)
     for label, op in (
@@ -485,7 +468,7 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
             CheckResult(
                 f"[D_t + v D_x - D_x^2, {label}] = 0 on {len(probes)} probes",
                 rep.all_equal,
-                "" if rep.all_equal else _probe_detail(rep),
+                _probe_detail(rep),
             )
         )
     p_op, g_op = translation_op(HEAT), boost_op(HEAT)
@@ -500,7 +483,7 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
         CheckResult(
             f"PG = GP + 1/2 on {len(heat_probes)} heat probes",
             rep.all_equal,
-            "" if rep.all_equal else _probe_detail(rep),
+            _probe_detail(rep),
         )
     )
     return out
@@ -549,7 +532,7 @@ def suite_maps(max_order: int) -> list[CheckResult]:
     out = []
     ok_hp = True
     ok_pb = True
-    for k, l in _index_range(max_order):
+    for k, l in index_range(max_order):
         qh = q_char(Family.HEAT_Q, k, l)
         qp = q_char(Family.POT_Q, k, l)
         ok_hp = ok_hp and heat_to_potential(qh).body == qp.body

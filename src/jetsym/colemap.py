@@ -2,7 +2,8 @@
 
 heat_to_potential pulls a heat characteristic back through u = e^w.  The
 ring carries E = e^w as a variable with integer exponents (see diffring),
-so u_k maps to B_k E with B_k = (D_x + w_1)^k 1, and the characteristic
+so u_k maps to B_k E with B_k = (D_x + w_1)^k 1, the potential-Burgers
+chain entry (0, k) of symfam.family_seed_chain, and the characteristic
 picks up a factor E^{-1}.  Linear heat characteristics land in plain
 polynomials; the parameter family h lands in h E^{-1} = h e^{-w}.
 
@@ -26,12 +27,8 @@ from .diffring import (
     jet,
     jet_poly,
 )
-from .jetflow import (
-    BURGERS,
-    HEAT,
-    POTBURGERS,
-    Characteristic,
-)
+from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic
+from .symfam import Family, family_seed_chain
 
 
 class NotProjectable(ValueError):
@@ -43,16 +40,6 @@ class BareDependentVariable(ValueError):
 
 
 # -- heat -> potential Burgers -------------------------------------------------
-
-
-def _prolongation_basis(max_k: int) -> list[DiffPoly]:
-    """B_k = (D_x + w_1)^k 1, the image of u_k/u under u = e^w."""
-    basis = [DiffPoly.const(1)]
-    w1 = jet_poly(1)
-    for _ in range(max_k):
-        prev = basis[-1]
-        basis.append(POTBURGERS.dx(prev) + w1 * prev)
-    return basis
 
 
 def heat_to_potential(eta: Characteristic) -> Characteristic:
@@ -69,7 +56,10 @@ def heat_to_potential(eta: Characteristic) -> Characteristic:
     rules = {}
     if top >= 0:
         e = exp_poly(1)
-        rules = {jet(k): b * e for k, b in enumerate(_prolongation_basis(int(top)))}
+        rules = {
+            jet(k): family_seed_chain(Family.POT_Q, 0, k) * e
+            for k in range(int(top) + 1)
+        }
     new_body = body.substitute(rules) * exp_poly(-1)
     return Characteristic(POTBURGERS, new_body, eta.label)
 

@@ -37,7 +37,7 @@ from .jetflow import (
     invariance_residual,
     x_derivative,
 )
-from .symfam import Family, q_char
+from .symfam import Family, index_range, q_char
 
 DEFAULT_MONOMIAL_CAP = 200_000
 
@@ -292,11 +292,10 @@ def _rank_of_bodies(bodies) -> int:
 
 def family_bodies(order: int) -> list[DiffPoly]:
     """The Burgers family members with 1 <= k + l <= order, in index order."""
-    bodies = []
-    for total in range(1, order + 1):
-        for k in range(total + 1):
-            bodies.append(q_char(Family.BURGERS_Q, k, total - k).body)
-    return bodies
+    return [
+        q_char(Family.BURGERS_Q, k, l).body
+        for k, l in index_range(order, include_origin=False)
+    ]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from typing import Optional
 from .diffring import (
     DiffPoly,
     EXP_VAR,
+    KIND_EXP,
     KIND_JET,
     KIND_PAR,
     KIND_T,
@@ -68,6 +69,16 @@ def _dx_image(u: int) -> DiffPoly:
 def x_derivative(p: DiffPoly) -> DiffPoly:
     """Equation-independent total x-derivative on the parametric jet ring."""
     return derive(p, _DX_IMAGES, _dx_image)
+
+
+# d/dz_0: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}), every other
+# variable -> 0.
+_DZ0_IMAGES: Images = {unit(jet(0)): DiffPoly.const(1), _E_UNIT: exp_poly(1)}
+
+
+def _dz0_image(u: int) -> DiffPoly:
+    image = _DZ0_IMAGES[u] = DiffPoly.zero()
+    return image
 
 
 class EvolutionEquation:
@@ -128,18 +139,20 @@ class EvolutionEquation:
     def frechet(self, F: DiffPoly, eta: DiffPoly) -> DiffPoly:
         """Frechet derivative of F in the direction eta (on-shell).
 
-        F must be free of parameter symbols; the result is
-        sum_k (dF/dz_k) * D_x^k(eta).
+        The result is sum_k (dF/dz_k) * D_x^k(eta).  F may carry powers of
+        E = e^{z_0}, which enter the k = 0 coefficient through dE/dz_0 = E,
+        and, where the ring allows them, the h_j, which are coefficients.
         """
-        if F.has_kind(KIND_PAR):
-            raise ValueError("Frechet derivative target must be free of parameter symbols")
+        self._check_par(F)
         top = F.order()
-        if top < 0:
-            return DiffPoly.zero()
+        if F.has_kind(KIND_EXP):
+            top = max(top, 0)
         result = DiffPoly.zero()
+        if top < 0:
+            return result
         dk_eta = eta
         for k in range(int(top) + 1):
-            coeff = F.partial(jet(k))
+            coeff = derive(F, _DZ0_IMAGES, _dz0_image) if k == 0 else F.partial(jet(k))
             if coeff:
                 result = result + coeff * dk_eta
             if k < top:

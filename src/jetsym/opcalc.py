@@ -41,7 +41,14 @@ from .diffring import (
     t_poly,
     x_poly,
 )
-from .jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, x_derivative
+from .jetflow import (
+    BURGERS,
+    HEAT,
+    POTBURGERS,
+    EvolutionEquation,
+    invariance_residual,
+    x_derivative,
+)
 
 
 class NotATotalDerivative(ValueError):
@@ -217,14 +224,11 @@ def euler_residual(p: DiffPoly) -> DiffPoly:
     top = p.order()
     if top < 0:
         return DiffPoly.zero()
-    result = DiffPoly.zero()
-    for k in range(int(top) + 1):
-        term = p.partial(jet(k))
-        for _ in range(k):
-            term = x_derivative(term)
-        if k % 2:
-            term = -term
-        result = result + term
+    # Horner form: one D_x per order instead of k for the k-th term.
+    top = int(top)
+    result = p.partial(jet(top))
+    for k in range(top - 1, -1, -1):
+        result = p.partial(jet(k)) - x_derivative(result)
     return result
 
 
@@ -237,15 +241,6 @@ class IntegrabilityCertificate:
 def integrability_certificate(p: DiffPoly) -> IntegrabilityCertificate:
     res = euler_residual(p)
     return IntegrabilityCertificate(res, res.is_zero())
-
-
-def _potential_defect(eq: EvolutionEquation, g: DiffPoly) -> DiffPoly:
-    # D_t g - sum_{k>=1} (dL/dz_k) D_x^k g, written via the Frechet derivative.
-    defect = eq.dt(g) - eq.frechet(eq.rhs, g)
-    mult = eq.rhs.partial(jet(0))
-    if mult:
-        defect = defect + mult * g
-    return defect
 
 
 def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
@@ -288,8 +283,10 @@ def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
         if cur.order() >= top:
             raise fail()
 
-    # Fix the t-only kernel branch via the potential defect.
-    sigma = _potential_defect(eq, g).restrict_to_kinds((KIND_T,))
+    # Fix the t-only kernel branch via the potential defect
+    # D_t g - sum_{k>=1} (dL/dz_k) D_x^k g.
+    defect = invariance_residual(eq, g) + eq.rhs.partial(jet(0)) * g
+    sigma = defect.restrict_to_kinds((KIND_T,))
     if sigma:
         g = g - sigma.integrate(T_VAR)
     return g

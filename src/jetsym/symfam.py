@@ -19,11 +19,11 @@ The heat and potential-Burgers equations additionally admit the parameter
 families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
 is the ring variable E^{-1} (see diffring).
 
-Brackets of evolutionary vector fields are computed through the
-prolongation formula [eta, zeta] = pr_eta(zeta) - pr_zeta(eta) with
-pr_eta(zeta) = sum_k D_x^k(eta) dzeta/dz_k; the parameter symbols are
-coefficients, so prolongations act on jet variables only, and on E = e^{z_0}
-through dE/dz_0 = E.  The closed-form structure constants of the families
+Brackets of evolutionary vector fields are computed as
+[eta, zeta] = zeta'[eta] - eta'[zeta] through EvolutionEquation.frechet,
+the one prolongation sum zeta'[eta] = sum_k (dzeta/dz_k) D_x^k(eta); the
+parameter symbols are coefficients, and E = e^{z_0} enters through
+dE/dz_0 = E.  The closed-form structure constants of the families
 are binomial sums, checked exactly against the brute-force brackets.
 """
 
@@ -36,26 +36,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Optional
 
-from .diffring import (
-    EXP_VAR,
-    KIND_EXP,
-    DiffPoly,
-    exp_poly,
-    jet,
-    jet_poly,
-    par_poly,
-    t_poly,
-    unit,
-    x_poly,
-)
-from .jetflow import (
-    BURGERS,
-    HEAT,
-    POTBURGERS,
-    Characteristic,
-    EvolutionEquation,
-    derive,
-)
+from .diffring import DiffPoly, exp_poly, jet_poly, par_poly, t_poly, x_poly
+from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation
 from .opcalc import (
     BURGERS_BOOST_SHIFT,
     BURGERS_TRANSLATION_SHIFT,
@@ -168,45 +150,24 @@ def q_char(family: Family | FamilyIndex, k: int = 0, l: int = 0) -> Characterist
     return Characteristic(FAMILY_EQUATION[family], body, FamilyIndex(family, k, l))
 
 
+def index_range(max_sum: int, include_origin: bool = True):
+    """The family indices (k, l) with k + l <= max_sum, by total, then by k."""
+    for total in range(0 if include_origin else 1, max_sum + 1):
+        for k in range(total + 1):
+            yield k, total - k
+
+
 # -- evolutionary brackets -----------------------------------------------------
-
-
-# d/dz_0 as a derivation: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}),
-# every other variable -> 0.
-_DZ0_IMAGES = {unit(jet(0)): DiffPoly.const(1), unit(EXP_VAR): exp_poly(1)}
-
-
-def _dz0_image(u):
-    image = _DZ0_IMAGES[u] = DiffPoly.zero()
-    return image
-
-
-def _prolongation(eq: EvolutionEquation, eta: DiffPoly, zeta: DiffPoly) -> DiffPoly:
-    """pr_eta(zeta) = sum_k D_x^k(eta) * dzeta/dz_k (jet variables only)."""
-    top = zeta.order()
-    if zeta.has_kind(KIND_EXP):
-        top = max(top, 0)
-    result = DiffPoly.zero()
-    if top < 0:
-        return result
-    dk = eta
-    for k in range(int(top) + 1):
-        c = derive(zeta, _DZ0_IMAGES, _dz0_image) if k == 0 else zeta.partial(jet(k))
-        if c:
-            result = result + c * dk
-        if k < top:
-            dk = eq.dx(dk)
-    return result
 
 
 def commutator(
     eq: EvolutionEquation, eta: Characteristic, zeta: Characteristic
 ) -> Characteristic:
-    """The evolutionary bracket [eta, zeta] = pr_eta(zeta) - pr_zeta(eta)."""
+    """The evolutionary bracket [eta, zeta] = zeta'[eta] - eta'[zeta]."""
     if eta.equation is not eq or zeta.equation is not eq:
         raise ValueError("both characteristics must belong to the given equation")
     a, b = eta.body, zeta.body
-    return Characteristic(eq, _prolongation(eq, a, b) - _prolongation(eq, b, a))
+    return Characteristic(eq, eq.frechet(b, a) - eq.frechet(a, b))
 
 
 # -- closed-form structure constants -------------------------------------------

@@ -8,7 +8,8 @@ repeatedly to 1 produces polynomials
 with order(zeta_k) = k and leading part -v_k/2, so the zeta_k serve as
 coordinates on the solution manifold in place of the jets v_k.  They
 satisfy D_x zeta_k = zeta_{k+1} - zeta_0 zeta_k and are annihilated by
-D_t + v D_x - D_x^2.
+D_t + v D_x - D_x^2.  zeta_k is the Burgers chain entry (0, k+1) of
+symfam.family_seed_chain, so it is built and cached with the family.
 
 Zeta-coordinate polynomials reuse the jet variable bank of the base ring;
 the ZetaPoly wrapper tags them so they cannot be mixed with v-jet
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .diffring import DiffPoly, KIND_EXP, KIND_PAR, jet, jet_poly
 from .jetflow import BURGERS
-from .opcalc import apply, translation_op
+from .symfam import Family, family_seed_chain
 
 
 class OrderExceeded(ValueError):
@@ -48,13 +49,10 @@ class ZetaPoly:
 def build_zetas(max_index: int) -> ZetaBasis:
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    shift = translation_op(BURGERS)
-    zetas = []
-    cur = DiffPoly.const(1)
-    for _ in range(max_index + 1):
-        cur = apply(shift, BURGERS, cur)
-        zetas.append(cur)
-    return ZetaBasis(max_index, tuple(zetas))
+    zetas = tuple(
+        family_seed_chain(Family.BURGERS_Q, 0, k + 1) for k in range(max_index + 1)
+    )
+    return ZetaBasis(max_index, zetas)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 Property tests draw polynomials carrying E^m, m in [-2, 2], and check the
 Leibniz rule and the commutation of D_t with D_x.  A sympy oracle
 differentiates p(w, w_x, ...) exp(m w) as a function of (t, x) and
-replaces w_t by the right-hand side of the equation.
+replaces w_t by the right-hand side of the equation; it also takes the
+Frechet derivative as d/d eps F[w + eps eta] at eps = 0 and checks the
+pullback of u_k through u = e^w.
 """
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,17 +24,21 @@ from jetsym.diffring import (
     DiffPoly,
     T_VAR,
     X_VAR,
+    exp_poly,
     jet,
+    jet_poly,
     par,
+    par_poly,
 )
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, x_derivative
+from jetsym.colemap import heat_to_potential
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, x_derivative
 
 _coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
 
 @st.composite
-def exp_polys(draw, with_par=True, max_jet=3, max_terms=4):
-    """Small polynomials whose terms carry E^m for m in [-2, 2]."""
+def exp_polys(draw, with_par=True, max_jet=3, max_terms=4, max_exp=2):
+    """Small polynomials whose terms carry E^m for m in [-max_exp, max_exp]."""
     pool = [T_VAR, X_VAR] + [jet(k) for k in range(max_jet + 1)]
     if with_par:
         pool += [par(0), par(1)]
@@ -39,7 +46,7 @@ def exp_polys(draw, with_par=True, max_jet=3, max_terms=4):
     for _ in range(draw(st.integers(1, max_terms))):
         chosen = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
         mono = [(v, draw(st.integers(1, 2))) for v in chosen]
-        m = draw(st.integers(-2, 2))
+        m = draw(st.integers(-max_exp, max_exp))
         if m:
             mono.append((EXP_VAR, m))
         terms[tuple(sorted(mono))] = draw(_coeffs)
@@ -127,3 +134,39 @@ def test_sympy_oracle_example():
     expected = (_h.diff(_x, 2) - (_w.diff(_x, 2) + _w.diff(_x) ** 2) * _h) * sympy.exp(-_w)
     assert sympy.expand(_on_shell(f.diff(_t), POTBURGERS) - expected) == 0
     assert _same(POTBURGERS.dt(p), expected)
+
+
+_eps = sympy.Symbol("eps")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_frechet_matches_sympy(data):
+    # F'[eta] = d/d eps F[w + eps eta] at eps = 0; h and e^w ride along
+    for eq, plain in ((HEAT, False), (POTBURGERS, False), (BURGERS, True)):
+        drawn = exp_polys(
+            with_par=not plain, max_jet=2, max_terms=3, max_exp=0 if plain else 2
+        )
+        F, eta = data.draw(drawn), data.draw(drawn)
+        varied = _to_sympy(F).subs(_w, _w + _eps * _to_sympy(eta)).doit()
+        expected = varied.diff(_eps).subs(_eps, 0)
+        assert _same(eq.frechet(F, eta), expected), (eq.name, str(F), str(eta))
+
+
+def test_frechet_chain_rule_for_exp():
+    w1, w2, w3 = jet_poly(1), jet_poly(2), jet_poly(3)
+    E = exp_poly(1)
+    assert POTBURGERS.frechet(w1 * E, w2) == (w1 * w2 + w3) * E
+    assert POTBURGERS.frechet(exp_poly(-1), w1) == -w1 * exp_poly(-1)
+
+
+def test_frechet_rejects_parameters_in_burgers_ring():
+    with pytest.raises(ValueError):
+        BURGERS.frechet(par_poly(0) * jet_poly(1), jet_poly(1))
+
+
+def test_heat_to_potential_matches_sympy():
+    # u_k pulls back to e^{-w} d^k/dx^k e^w through u = e^w
+    for k in range(7):
+        body = heat_to_potential(Characteristic(HEAT, jet_poly(k))).body
+        assert _same(body, sympy.exp(-_w) * sympy.exp(_w).diff(_x, k)), k
