@@ -150,6 +150,10 @@ _GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
          "20216dd407bf6875462df98dd65d85c715c5edf350640a67fc4b7fc18f9d0e21"),
         (["verify", "--suite", "commutators", "--max-order", "4"],
          "114fcda14a043668983f1d34588b1972d16149ec911f4bdee1ab1e3a85353576"),
+        (["gen", "--max-order", "12", "--eq", "potburgers", "--format", "json"],
+         "1ede1b62f33c247ac3aec2b3beb07358a6df18954f1937b370459dba434f53b2"),
+        (["gen", "--max-order", "12", "--eq", "burgers", "--format", "json"],
+         "131692dc53f5eac3efce4f25323c5c032a987204e18ceea2cee43ea5b1810077"),
     ],
 )
 def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
