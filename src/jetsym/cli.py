@@ -19,6 +19,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -111,11 +112,11 @@ def _latex_var(v, dep: str) -> str:
 
 
 def _latex_coeff(c: Fraction) -> str:
-    sign = "-" if c < 0 else ""
-    c = abs(c)
-    if c.denominator == 1:
-        return f"{sign}{c.numerator}"
-    return f"{sign}\\tfrac{{{c.numerator}}}{{{c.denominator}}}"
+    num, den = c.numerator, c.denominator
+    if den == 1:
+        return str(num)
+    sign = "-" if num < 0 else ""
+    return f"{sign}\\tfrac{{{abs(num)}}}{{{den}}}"
 
 
 def render_latex(p: DiffPoly, dep: str) -> str:
@@ -130,10 +131,6 @@ _FAMILY_TEX = {
 
 
 # -- lossless JSON documents -----------------------------------------------------
-
-
-def _mono_to_json(mono: Monomial) -> list:
-    return [[_KIND_LETTER[kind], idx, e] for (kind, idx), e in mono]
 
 
 def _mono_from_json(data) -> Monomial:
@@ -157,12 +154,68 @@ def _mono_from_json(data) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _json_array(items: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
+    """The text of a JSON array, laid out as json.dumps(indent=2) at depth,
+    in fragments; each item is given as its own fragments."""
+    inner = "\n" + "  " * (depth + 1)
+    sep = "[" + inner
+    for item in items:
+        yield sep
+        yield from item
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
+
+
+def _json_object(fields: dict[str, str | Iterable[str]], depth: int) -> Iterator[str]:
+    """The text of a JSON object, laid out as json.dumps(indent=2,
+    sort_keys=True) at depth, in fragments.  The keys are plain names; a
+    value is its text or its fragments."""
+    inner = "\n" + "  " * (depth + 1)
+    sep = "{" + inner
+    for key, value in sorted(fields.items()):
+        yield f'{sep}"{key}": '
+        if isinstance(value, str):
+            yield value
+        else:
+            yield from value
+        sep = "," + inner
+    yield "\n" + "  " * depth + "}"
+
+
+def _body_json(p: DiffPoly, depth: int) -> Iterator[str]:
+    """The text of p as a JSON array at depth, one fragment per term: each
+    term is [monomial, "coefficient"], each factor [letter, index, exponent].
+
+    A coefficient is str(c) (digits, "-" and "/" need no escaping).  Each
+    factor's text is built once per call.
+    """
+    i1, i2, i3, i4 = ("\n" + "  " * (depth + n) for n in (1, 2, 3, 4))
+    factors: dict[tuple[tuple[int, int], int], str] = {}
+    sep = "[" + i1
+    for mono, c in p.sorted_terms():
+        names = []
+        for f in mono:
+            text = factors.get(f)
+            if text is None:
+                (kind, idx), e = f
+                text = factors[f] = f'[{i4}"{_KIND_LETTER[kind]}",{i4}{idx},{i4}{e}{i3}]'
+            names.append(text)
+        m = f"[{i3}" + f",{i3}".join(names) + f"{i2}]" if names else "[]"
+        yield f'{sep}[{i2}{m},{i2}"{c}"{i1}]'
+        sep = "," + i1
+    yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
+
+
 def _body_to_json(p: DiffPoly) -> list:
-    return [[_mono_to_json(m), str(c)] for m, c in p.sorted_terms()]
+    """p as the list that _body_json writes, for json.dumps to compare with."""
+    return [
+        [[[_KIND_LETTER[kind], idx, e] for (kind, idx), e in m], str(c)]
+        for m, c in p.sorted_terms()
+    ]
 
 
 def _body_from_json(data) -> DiffPoly:
-    """Parse a body written by _body_to_json; malformed input raises ValueError."""
+    """Parse a body written by _body_json; malformed input raises ValueError."""
     if not isinstance(data, list):
         raise ValueError(f"a body must be a list of terms, got {data!r}")
     terms: dict = {}
@@ -211,34 +264,58 @@ class SymmetryTableDoc:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "equation": self.equation,
-            "metadata": self.metadata,
-            "entries": [
+        """The document as JSON, written directly.
+
+        The bytes equal json.dumps(payload, indent=2, sort_keys=True) + "\\n"
+        of the dict payload (tests/test_cli.py compares the two on random
+        documents); the standard library's indenting encoder is pure Python
+        and several times slower on large tables.
+        """
+        entries = (
+            _json_object(
                 {
-                    "family": e.family,
-                    "k": e.k,
-                    "l": e.l,
-                    "body": _body_to_json(e.body),
-                }
-                for e in self.entries
-            ],
+                    "body": _body_json(e.body, 3),
+                    "family": json.dumps(e.family),
+                    "k": json.dumps(e.k),
+                    "l": json.dumps(e.l),
+                },
+                2,
+            )
+            for e in self.entries
+        )
+        metadata = json.dumps(self.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields = {
+            "entries": _json_array(entries, 1),
+            "equation": json.dumps(self.equation),
+            "metadata": metadata,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # one join of term-sized fragments: the 6.7 MB order-12 Burgers
+        # table is copied once, not once per nesting level
+        return "".join([*_json_object(fields, 0), "\n"])
 
     @staticmethod
     def from_json(text: str) -> "SymmetryTableDoc":
         payload = json.loads(text)
         _require_keys(payload, ("equation", "metadata", "entries"), "a table document")
+        equation = payload["equation"]
+        if not (isinstance(equation, str) and equation in DEP_LETTER):
+            raise ValueError(f"unknown equation {equation!r}; expected one of {sorted(DEP_LETTER)}")
+        if not isinstance(payload["metadata"], dict):
+            raise ValueError("the metadata of a table document must be a JSON object")
         if not isinstance(payload["entries"], list):
             raise ValueError("the entries of a table document must be a list")
         for e in payload["entries"]:
             _require_keys(e, ("family", "k", "l", "body"), "a table entry")
+            if not isinstance(e["family"], str):
+                raise ValueError(f"the family of a table entry must be a string: {e['family']!r}")
+            for key in ("k", "l"):
+                if type(e[key]) is not int or e[key] < 0:
+                    raise ValueError(f"{key} of a table entry must be an int >= 0: {e[key]!r}")
         entries = [
             TableEntry(e["family"], e["k"], e["l"], _body_from_json(e["body"]))
             for e in payload["entries"]
         ]
-        return SymmetryTableDoc(payload["equation"], entries, payload["metadata"])
+        return SymmetryTableDoc(equation, entries, payload["metadata"])
 
 
 def family_table(equation: str, max_order: int) -> SymmetryTableDoc:
@@ -650,14 +727,14 @@ def _cmd_solve(args, parser) -> int:
         print(f"ansatz too large: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        payload = {
-            "order": report.order,
-            "dimension": report.dimension,
-            "ansatz_size": report.ansatz_size,
-            "family_span_matches": report.family_span_matches,
-            "basis": [_body_to_json(c.body) for c in report.basis],
+        fields = {
+            "ansatz_size": json.dumps(report.ansatz_size),
+            "basis": _json_array((_body_json(c.body, 2) for c in report.basis), 1),
+            "dimension": json.dumps(report.dimension),
+            "family_span_matches": json.dumps(report.family_span_matches),
+            "order": json.dumps(report.order),
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write("".join([*_json_object(fields, 0), "\n"]))
     else:
         print(f"order {report.order}: dimension {report.dimension} "
               f"(ansatz {report.ansatz_size} monomials)")

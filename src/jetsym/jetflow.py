@@ -144,6 +144,7 @@ class EvolutionEquation:
         and, where the ring allows them, the h_j, which are coefficients.
         """
         self._check_par(F)
+        self._check_par(eta)
         top = F.order()
         if F.has_kind(KIND_EXP):
             top = max(top, 0)

@@ -5,15 +5,34 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetsym.cli import (
     SymmetryTableDoc,
+    TableEntry,
     family_table,
     main,
     render_latex,
     render_text,
 )
-from jetsym.diffring import jet_poly, t_poly
+from jetsym.detsolve import solve_symmetries
+from jetsym.diffring import (
+    EXP_VAR,
+    KIND_EXP,
+    KIND_JET,
+    KIND_PAR,
+    KIND_T,
+    KIND_X,
+    T_VAR,
+    X_VAR,
+    DiffPoly,
+    jet,
+    jet_poly,
+    par,
+    t_poly,
+)
+from jetsym.jetflow import BURGERS
 from jetsym.symfam import q_char
 
 
@@ -285,6 +304,79 @@ def test_json_round_trips_bodies_with_exp():
     assert SymmetryTableDoc.from_json(doc.to_json()) == doc
 
 
+# -- the JSON writer against the standard library's encoder ------------------------
+
+_LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h", KIND_EXP: "e"}
+
+
+def _body_payload(body) -> list:
+    return [
+        [[[_LETTER[kind], idx, e] for (kind, idx), e in mono], str(c)]
+        for mono, c in body.sorted_terms()
+    ]
+
+
+def _doc_payload(doc) -> dict:
+    return {
+        "equation": doc.equation,
+        "metadata": doc.metadata,
+        "entries": [
+            {"family": e.family, "k": e.k, "l": e.l, "body": _body_payload(e.body)}
+            for e in doc.entries
+        ],
+    }
+
+
+@st.composite
+def _bodies(draw):
+    # up to four terms (none: the zero body); a term may have no factor (the
+    # constant monomial), h_j factors, and E^m with m in [-2, 2]
+    pool = [T_VAR, X_VAR, jet(0), jet(1), jet(7), par(0), par(2)]
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+        mono = [(v, draw(st.integers(1, 3))) for v in chosen]
+        m = draw(st.integers(-2, 2))
+        if m:
+            mono.append((EXP_VAR, m))
+        num = draw(st.integers(-9, 9).filter(bool))
+        terms[tuple(sorted(mono))] = Fraction(num, draw(st.integers(1, 4)))
+    return DiffPoly(terms)
+
+
+_entries = st.builds(TableEntry, st.text(max_size=3), st.integers(0, 20), st.integers(0, 20), _bodies())
+_docs = st.builds(
+    SymmetryTableDoc,
+    st.sampled_from(["heat", "potburgers", "burgers"]),
+    st.lists(_entries, max_size=4),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.text(max_size=4), st.integers())),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_docs)
+@example(SymmetryTableDoc("heat", [], {}))
+@example(SymmetryTableDoc("potburgers", [TableEntry("Z", 0, 0, DiffPoly.zero())], {}))
+def test_to_json_matches_the_standard_encoder(doc):
+    text = doc.to_json()
+    assert text == json.dumps(_doc_payload(doc), indent=2, sort_keys=True) + "\n"
+    assert SymmetryTableDoc.from_json(text) == doc
+
+
+def test_solve_json_matches_the_standard_encoder(capsys):
+    report = solve_symmetries(BURGERS, 2)
+    payload = {
+        "order": report.order,
+        "dimension": report.dimension,
+        "ansatz_size": report.ansatz_size,
+        "family_span_matches": report.family_span_matches,
+        "basis": [_body_payload(c.body) for c in report.basis],
+    }
+    code, out, _ = run(["solve", "--order", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 _GOOD_TERM = [[["z", 1, 2], ["e", 0, -1]], "3/2"]
 
 
@@ -343,6 +435,30 @@ def test_json_rejects_missing_keys():
         payload = {"equation": "heat", "metadata": {}, "entries": [partial]}
         with pytest.raises(ValueError, match=key):
             SymmetryTableDoc.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("equation", "nope", "unknown equation"),
+        ("equation", ["heat"], "unknown equation"),
+        ("metadata", [1], "metadata"),
+        ("family", 3, "family"),
+        ("k", "1", "k of a table entry"),
+        ("k", -1, "k of a table entry"),
+        ("l", True, "l of a table entry"),
+        ("l", 1.0, "l of a table entry"),
+    ],
+)
+def test_json_rejects_malformed_fields(key, value, message):
+    entry = {"family": "Q", "k": 0, "l": 0, "body": [_GOOD_TERM]}
+    payload = {"equation": "heat", "metadata": {}, "entries": [entry]}
+    if key in entry:
+        entry[key] = value
+    else:
+        payload[key] = value
+    with pytest.raises(ValueError, match=message):
+        SymmetryTableDoc.from_json(json.dumps(payload))
 
 
 def test_solve_exponent_over_the_field_exits_3(capsys):

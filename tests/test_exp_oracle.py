@@ -165,6 +165,13 @@ def test_frechet_rejects_parameters_in_burgers_ring():
         BURGERS.frechet(par_poly(0) * jet_poly(1), jet_poly(1))
 
 
+def test_frechet_rejects_parameters_in_the_burgers_direction():
+    # the refusal does not depend on whether F needs a D_x of eta
+    for F in (jet_poly(0), jet_poly(1)):
+        with pytest.raises(ValueError, match="parameter symbols"):
+            BURGERS.frechet(F, par_poly(0))
+
+
 def test_heat_to_potential_matches_sympy():
     # u_k pulls back to e^{-w} d^k/dx^k e^w through u = e^w
     for k in range(7):
