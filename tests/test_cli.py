@@ -141,6 +141,24 @@ def test_solve_order_three_json_bytes_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["solve", "--order", "4"],
+         "4f81a71d92b487edbdb39f921da39fc667562ad758c119c81b3047fd6166c154"),
+        (["solve", "--order", "5"],
+         "a779e01ad5db059bbf46939d3cfb6489aa0e45e33687b93ec3e0b5067789adc8"),
+        (["solve", "--order", "5", "--format", "json"],
+         "296a9e42f88d71b1af3941855014582d9b1f5573504cbc1dc5e93e56fc1eb6e8"),
+    ],
+)
+def test_solve_bytes_are_pinned_at_orders_4_and_5(argv, digest, capsys):
+    # orders at which elimination does real work: every pivot step shows in the basis
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
 
 
