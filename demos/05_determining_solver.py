@@ -13,12 +13,12 @@ from jetsym import BURGERS
 from jetsym.detsolve import build_system, Ansatz, solve_symmetries
 
 print("System sizes and kernel dimensions:")
-for n in (1, 2, 3):
+for n in (1, 2, 3, 4, 5):
     t0 = time.time()
     report = solve_symmetries(BURGERS, n)
     dt = time.time() - t0
     print(
-        f"  order {n}: ansatz {report.ansatz_size:4d} monomials, "
+        f"  order {n}: ansatz {report.ansatz_size:5d} monomials, "
         f"dimension {report.dimension:2d}, span matches family: "
         f"{report.family_span_matches}  ({dt:.2f}s)"
     )

@@ -715,6 +715,10 @@ def _order_too_large(request: str, cap: int) -> int:
 def _cmd_solve(args, parser) -> int:
     if args.order < 0:
         parser.error("--order must be nonnegative")
+    bounds = {"--jet-deg": args.jet_deg, "--x-deg": args.x_deg, "--t-deg": args.t_deg}
+    for flag, bound in bounds.items():
+        if bound < -1:
+            parser.error(f"{flag} must be nonnegative, or -1 for the default")
     try:
         report = solve_symmetries(
             BURGERS,

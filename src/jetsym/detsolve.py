@@ -3,18 +3,20 @@
 A polynomial ansatz eta = sum_a c_a m_a over monomials in t, x, z_0..z_n
 (with configurable degree bounds) turns the invariance condition
 D_t eta - L'[eta] = 0 into an exact linear system for the coefficients:
-the residual of each ansatz monomial is scattered into rows indexed by the
-monomials of the residual.  Residuals of t^a x^b J are expanded by the
-Leibniz rule from images computed once per jet part J.
+the residual of each ansatz monomial is one column, an integer vector keyed
+by the packed monomials of the residual.  Residuals of t^a x^b J are
+expanded by the Leibniz rule from images computed once per jet part J;
+the powers of t and x only shift the packed keys.
 
 The kernel is found on the image side: the columns' residual vectors are
-taken in column order, each reduced by its highest row label against the
-earlier ones while tracking the column combination.  A column whose
-residual reduces to zero is free, and the tracked combination is its kernel
-vector - the unique one with entry 1 at that column, 0 at the other free
-columns and support on columns up to it.  Kernel basis vectors are
-normalized to leading entry 1, so identical inputs always produce identical
-bases.
+taken in column order, each reduced fraction-free by its highest row key
+against the earlier ones while tracking the column combination.  A column
+whose residual reduces to zero is free, and the tracked combination is its
+kernel vector - up to scaling, the unique one with entry 1 at that column,
+0 at the other free columns and support on columns up to it.  Neither the
+free columns nor these vectors depend on how the rows are ordered.  Kernel
+basis vectors are normalized to leading entry 1, so identical inputs always
+produce identical bases.
 
 For the Burgers equation the solver reproduces the graded dimension count
 n + 1 at each order: the cumulative dimension through order n is
@@ -24,12 +26,23 @@ symmetry family members of order <= n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .diffring import DiffPoly, Monomial, T_VAR, X_VAR, jet, mono_key
+from .diffring import (
+    _FIELD_LIMIT,
+    DiffPoly,
+    ExponentOverflow,
+    Monomial,
+    T_VAR,
+    X_VAR,
+    _check_fields,
+    _decode,
+    jet,
+    unit,
+)
 from .jetflow import (
     BURGERS,
     Characteristic,
@@ -41,8 +54,18 @@ from .symfam import Family, index_range, q_char
 
 DEFAULT_MONOMIAL_CAP = 200_000
 
+# The zero entry of every kernel vector; nullspace fills with this one object.
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+_T_UNIT = unit(T_VAR)
+_X_UNIT = unit(X_VAR)
+
+_BOUNDS = ("jet_degree", "x_degree", "t_degree")
+
+# Sort-key digits of Ansatz._enumerate: 8 bits per variable, and the digit
+# of an absent variable, above every exponent a packed field holds.
+_DIGIT_BITS = 8
+_ABSENT = (1 << _DIGIT_BITS) - 1
 
 
 class AnsatzTooLarge(RuntimeError):
@@ -63,26 +86,47 @@ class Ansatz:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("ansatz order must be >= 0")
-        for name in ("jet_degree", "x_degree", "t_degree"):
-            if getattr(self, name) == -1:
+        for name in _BOUNDS:
+            bound = getattr(self, name)
+            if bound < -1:
+                raise ValueError(f"ansatz {name} must be >= 0, or -1 for the default")
+            if bound == -1:
                 object.__setattr__(self, name, max(self.order, 1))
 
-    def monomials(self) -> list[Monomial]:
-        """The ansatz basis, sorted in the global monomial order."""
-        jet_parts: list[Monomial] = []
+    def _enumerate(self) -> list[tuple[int, int, int, int]]:
+        """The ansatz basis t^a x^b J in the global monomial order.
 
-        def extend(idx: int, budget: int, acc: list):
-            if idx > self.order:
-                jet_parts.append(tuple(acc))
+        One (sort key, a, b, packed J) record per monomial, sorted.  The key
+        orders like mono_key: degree first, then, at the first variable in
+        the order t, x, z_0, z_1, ... where two monomials differ, the one
+        with the smaller exponent first, an absent variable counting as
+        above every exponent (the tuple form lists present variables only).
+        So the key holds the degree above one digit per variable, t the
+        most significant, with exponent e as e and 0 as _ABSENT.
+        """
+        for name in _BOUNDS:
+            bound = getattr(self, name)
+            # Packed monomials are composed by integer arithmetic below,
+            # where an exponent outside its field would carry silently.
+            if bound >= _FIELD_LIMIT:
+                raise ExponentOverflow(
+                    f"ansatz {name} {bound} leaves the packed exponent field "
+                    f"(at most {_FIELD_LIMIT - 1})"
+                )
+        n = self.order
+        jet_units = [unit(jet(k)) for k in range(n + 1)]
+        jet_parts: list[tuple[int, int, int]] = []  # (degree, digits, packed)
+
+        def extend(idx: int, budget: int, digits: int, packed: int):
+            if idx > n:
+                jet_parts.append((self.jet_degree - budget, digits, packed))
                 return
+            place = _DIGIT_BITS * (n - idx)
+            u = jet_units[idx]
             for e in range(budget + 1):
-                if e:
-                    acc.append((jet(idx), e))
-                extend(idx + 1, budget - e, acc)
-                if e:
-                    acc.pop()
+                extend(idx + 1, budget - e, digits + ((e or _ABSENT) << place), packed + e * u)
 
-        extend(0, self.jet_degree, [])
+        extend(0, self.jet_degree, 0, 0)
 
         count = len(jet_parts) * (self.x_degree + 1) * (self.t_degree + 1)
         if count > self.monomial_cap:
@@ -90,28 +134,65 @@ class Ansatz:
                 f"{count} ansatz monomials exceed the cap {self.monomial_cap}"
             )
 
-        monos = []
+        degree_place = _DIGIT_BITS * (n + 3)
+        records = []
         for a in range(self.t_degree + 1):
             for b in range(self.x_degree + 1):
-                prefix = []
-                if a:
-                    prefix.append((T_VAR, a))
-                if b:
-                    prefix.append((X_VAR, b))
-                prefix_t = tuple(prefix)
-                for jp in jet_parts:
-                    monos.append(prefix_t + jp)
-        monos.sort(key=mono_key)
-        return monos
+                prefix = (a or _ABSENT) << _DIGIT_BITS | (b or _ABSENT)
+                prefix <<= _DIGIT_BITS * (n + 1)
+                for degree, digits, packed in jet_parts:
+                    key = (a + b + degree) << degree_place | prefix | digits
+                    records.append((key, a, b, packed))
+        records.sort()
+        return records
+
+    def monomials(self) -> list[Monomial]:
+        """The ansatz basis, sorted in the global monomial order."""
+        return [_decode(a * _T_UNIT + b * _X_UNIT + J) for _, a, b, J in self._enumerate()]
 
 
-@dataclass
 class LinearSystem:
-    """Sparse exact linear system; rows are labelled, columns are indexed."""
+    """Sparse exact linear system; rows are labelled, columns are indexed.
 
-    ncols: int
-    rows: dict = field(default_factory=dict)  # label -> {col index: Fraction}
-    columns: tuple = ()  # optional column labels (ansatz monomials)
+    rows maps a row label to {column index: Fraction}; columns optionally
+    labels the columns (ansatz monomials).  A system made by build_system
+    holds instead one integer vector {packed row monomial: int} per column
+    and the packed column monomials; its rows and columns are decoded from
+    them on first read.
+    """
+
+    __slots__ = ("ncols", "_rows", "_columns", "_vectors", "_packed_columns")
+
+    def __init__(self, ncols: int, rows: Optional[dict] = None, columns: tuple = ()):
+        self.ncols = ncols
+        self._rows = {} if rows is None else rows
+        self._columns = tuple(columns)
+        self._vectors: Optional[list[dict[int, int]]] = None
+        self._packed_columns: Optional[list[int]] = None
+
+    @staticmethod
+    def _packed(vectors: list[dict[int, int]], packed_columns: list[int]) -> "LinearSystem":
+        system = LinearSystem(len(packed_columns))
+        system._rows = system._columns = None
+        system._vectors = vectors
+        system._packed_columns = packed_columns
+        return system
+
+    @property
+    def rows(self) -> dict:
+        if self._rows is None:
+            rows: dict[int, dict[int, Fraction]] = {}
+            for col, vec in enumerate(self._vectors):
+                for m, c in vec.items():
+                    rows.setdefault(m, {})[col] = Fraction(c)
+            self._rows = {_decode(m): entries for m, entries in rows.items()}
+        return self._rows
+
+    @property
+    def columns(self) -> tuple:
+        if self._columns is None:
+            self._columns = tuple(map(_decode, self._packed_columns))
+        return self._columns
 
     @staticmethod
     def from_dense(matrix: Sequence[Sequence]) -> "LinearSystem":
@@ -124,31 +205,17 @@ class LinearSystem:
         return LinearSystem(ncols=ncols, rows=rows)
 
 
-def _split_prefix(mono: Monomial) -> tuple[int, int, Monomial]:
-    """Split t^a x^b J into (a, b, J); t and x sort before every jet variable."""
-    a = b = i = 0
-    if mono and mono[0][0] == T_VAR:
-        a = mono[0][1]
-        i = 1
-    if i < len(mono) and mono[i][0] == X_VAR:
-        b = mono[i][1]
-        i += 1
-    return a, b, mono[i:]
-
-
-def _x_power(b: int) -> DiffPoly:
-    return DiffPoly.variable(X_VAR, b) if b else DiffPoly.const(1)
-
-
-def _jet_part_images(eq: EvolutionEquation, jet_part: Monomial):
-    """Res(J) and the Leibniz tails G_1(J) .. G_ord(J) of one jet part J.
+def _jet_part_images(eq: EvolutionEquation, jet_part: int):
+    """Res(J) and the Leibniz tails G_1(J) .. G_ord(J) of one packed jet part J.
 
     G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, so that G_0(J) is
-    the Frechet derivative L'[J] and Res(J) = D_t J - G_0(J).
+    the Frechet derivative L'[J] and Res(J) = D_t J - G_0(J).  All of them
+    have integer coefficients, since J has coefficient 1 and L has integer
+    coefficients.
     """
     top = eq.rhs.order()
     ord_l = int(top) if top >= 0 else 0
-    J = DiffPoly({jet_part: 1})
+    J = DiffPoly._make({jet_part: 1})
     dx_powers = [J]
     for _ in range(ord_l):
         dx_powers.append(x_derivative(dx_powers[-1]))
@@ -160,22 +227,39 @@ def _jet_part_images(eq: EvolutionEquation, jet_part: Monomial):
             if partials[k]:
                 g = g + partials[k] * dx_powers[k - i] * comb(k, i)
         tails.append(g)
-    return eq.dt(J) - tails[0], tails[1:]
+    images = [eq.dt(J) - tails[0], *tails[1:]]
+    if any(p._den != 1 for p in images):
+        raise RuntimeError("internal error: a residual image has a non-integer coefficient")
+    return images[0], images[1:]
 
 
-def _x_power_residual(b: int, part) -> dict[Monomial, Fraction]:
-    """Res(x^b J) = x^b Res(J) - sum_{i=1}^{min(b, ord L)} b!/(b-i)! x^(b-i) G_i(J)."""
+def _x_power_residual(b: int, part) -> dict[int, int]:
+    """Res(x^b J) = x^b Res(J) - sum_{i=1}^{min(b, ord L)} b!/(b-i)! x^(b-i) G_i(J).
+
+    The powers of x are key shifts of the packed images.
+    """
     residual, tails = part
-    out = _x_power(b) * residual
+    shift = b * _X_UNIT
+    out = {m + shift: c for m, c in residual._nums.items()}
+    get = out.get
     falling = 1
     for i, tail in enumerate(tails[:b], start=1):
         falling *= b - i + 1
-        out = out - _x_power(b - i) * tail * falling
-    return out.terms
+        shift -= _X_UNIT
+        for m, c in tail._nums.items():
+            k = m + shift
+            s = get(k, 0) - c * falling
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    # An equation whose right-hand side carries x can push x^b past its field.
+    _check_fields(out)
+    return out
 
 
 def build_system(ansatz: Ansatz) -> LinearSystem:
-    """Scatter the invariance residual of each ansatz monomial into rows.
+    """The invariance residual of each ansatz monomial, as one integer column.
 
     Residuals are expanded by the Leibniz rule from images cached once per
     jet part J (see _jet_part_images) and once per x-power (see
@@ -185,55 +269,84 @@ def build_system(ansatz: Ansatz) -> LinearSystem:
 
     where Res(x^b J) is free of t, so the two parts never share a monomial.
     """
-    columns = ansatz.monomials()
     eq = ansatz.equation
-    images: dict[Monomial, tuple] = {}
-    x_residuals: dict[tuple[int, Monomial], dict] = {}
-    rows: dict[Monomial, dict[int, Fraction]] = {}
-    for col, mono in enumerate(columns):
-        a, b, jet_part = _split_prefix(mono)
-        residual = x_residuals.get((b, jet_part))
+    images: dict[int, tuple] = {}
+    x_residuals: dict[int, dict[int, int]] = {}
+    vectors: list[dict[int, int]] = []
+    packed_columns: list[int] = []
+    for _, a, b, jet_part in ansatz._enumerate():
+        x_mono = b * _X_UNIT + jet_part
+        residual = x_residuals.get(x_mono)
         if residual is None:
             part = images.get(jet_part)
             if part is None:
                 part = images[jet_part] = _jet_part_images(eq, jet_part)
-            residual = x_residuals[(b, jet_part)] = _x_power_residual(b, part)
-        t_factor = ((T_VAR, a),) if a else ()
-        for rmono, coeff in residual.items():
-            rows.setdefault(t_factor + rmono, {})[col] = coeff
+            residual = x_residuals[x_mono] = _x_power_residual(b, part)
+        mono = a * _T_UNIT + x_mono
         if a:
-            lowered = mono[1:] if a == 1 else ((T_VAR, a - 1),) + mono[1:]
-            rows.setdefault(lowered, {})[col] = Fraction(a)
-    return LinearSystem(ncols=len(columns), rows=rows, columns=tuple(columns))
+            shift = a * _T_UNIT
+            vec = {m + shift: c for m, c in residual.items()}
+            vec[mono - _T_UNIT] = a
+        else:
+            vec = residual  # shared with the cache: the reducer never modifies its input
+        vectors.append(vec)
+        packed_columns.append(mono)
+    return LinearSystem._packed(vectors, packed_columns)
 
 
 # -- exact elimination ---------------------------------------------------------
 
 
-def _eliminate(vectors):
-    """Reduce each vector against its predecessors by its highest key.
+def _dependencies(vectors):
+    """Reduce each integer vector against its predecessors by its highest key.
 
-    Vectors are sparse {key: Fraction} dicts over totally ordered keys.  Each
-    one is reduced against a lead -> (reduced vector, combination) table,
-    always at its current highest key, while that key leads a stored vector.
+    Vectors are sparse {key: int} dicts over totally ordered keys; they are
+    not modified.  Each one is reduced against a lead -> (reduced vector,
+    combination) table, always at its current highest key, while that key
+    leads a stored vector: with p the pivot's lead entry, a the vector's and
+    g = gcd(p, a) signed like p,
+
+        vec <- (p/g) vec - (a/g) pivot,
+
+    and the same for the combinations; then both are divided by their common
+    content, so they stay primitive.  That content divides the vector's own
+    combination entry, which p/g > 0 keeps positive and which stays 1, so
+    that no content need be taken, while each pivot's lead divides a.
     Yields, per input vector in turn, None when it is independent of the
     vectors before it (its remainder joins the table), or else the exact
-    dependency {index: coeff}, with coefficient 1 at its own index and support
-    on earlier independent vectors, whose combination vanishes.
+    dependency {index: int}, with a positive entry at its own index and
+    support on earlier independent vectors, whose combination vanishes.
     """
     table: dict = {}
     for index, vec in enumerate(vectors):
-        vec = dict(vec)
-        combo = {index: _ONE}
+        combo = {index: 1}
+        owned = False
         while vec:
             lead = max(vec)
             entry = table.get(lead)
             if entry is None:
                 break
             pivot, pivot_combo = entry
-            factor = -Fraction(vec[lead]) / pivot[lead]
-            _axpy(vec, factor, pivot)
-            _axpy(combo, factor, pivot_combo)
+            p, a = pivot[lead], vec[lead]
+            g = gcd(p, a)
+            if p < 0:
+                g = -g
+            p //= g
+            a //= g
+            if p != 1:
+                vec = {k: p * v for k, v in vec.items()}
+                combo = {k: p * v for k, v in combo.items()}
+            elif not owned:
+                vec = dict(vec)
+            owned = True
+            _subtract(vec, a, pivot)
+            _subtract(combo, a, pivot_combo)
+            g = combo[index]
+            if g != 1:
+                g = gcd(g, *vec.values(), *combo.values())
+                if g != 1:
+                    vec = {k: v // g for k, v in vec.items()}
+                    combo = {k: v // g for k, v in combo.items()}
         if vec:
             table[lead] = (vec, combo)
             yield None
@@ -241,53 +354,66 @@ def _eliminate(vectors):
             yield combo
 
 
-def _axpy(target: dict, factor: Fraction, source: dict) -> None:
-    """target += factor * source, dropping cancelled entries."""
+def _subtract(target: dict, a: int, source: dict) -> None:
+    """target -= a * source, dropping cancelled entries."""
+    get = target.get
     for key, v in source.items():
-        s = target.get(key, 0) + factor * v
+        s = get(key, 0) - a * v
         if s:
             target[key] = s
         else:
-            target.pop(key, None)
+            del target[key]
 
 
-def _row_sort_key(label):
-    if isinstance(label, tuple):
-        return (0, mono_key(label))
-    return (1, label)
+def _integer_columns(system: LinearSystem) -> list[dict[int, int]]:
+    """A hand-built system's columns, each row scaled by the lcm of its denominators.
+
+    Rows are keyed by their position in insertion order.
+    """
+    columns: list[dict[int, int]] = [{} for _ in range(system.ncols)]
+    for pos, entries in enumerate(system.rows.values()):
+        entries = {col: Fraction(v) for col, v in entries.items() if v}
+        den = lcm(*(v.denominator for v in entries.values()))
+        for col, v in entries.items():
+            columns[col][pos] = v.numerator * (den // v.denominator)
+    return columns
 
 
 def nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:
     """Exact rational kernel basis, one vector per free column.
 
-    Each column's residual vector is reduced against the earlier columns'
-    (see _eliminate), keyed by its rows' positions in _row_sort_key order; a
-    column is free when its residual lies in the span of the earlier ones.
-    Vectors are returned in increasing free-column order, each normalized
-    so that its first nonzero entry equals 1.
+    Each column's integer residual vector is reduced against the earlier
+    columns' (see _dependencies); a column is free when its residual lies
+    in the span of the earlier ones.  A hand-built system's rows are first
+    scaled to integers (see _integer_columns).  Vectors are returned in increasing
+    free-column order, each normalized so that its first nonzero entry
+    equals 1.
     """
-    ordered = sorted(system.rows, key=_row_sort_key)
-    columns: list[dict[int, Fraction]] = [{} for _ in range(system.ncols)]
-    for pos, label in enumerate(ordered):
-        for col, coeff in system.rows[label].items():
-            if coeff:
-                columns[col][pos] = coeff
+    vectors = system._vectors
+    if vectors is None:
+        vectors = _integer_columns(system)
     basis = []
-    for combo in _eliminate(columns):
+    for combo in _dependencies(vectors):
         if combo is None:
             continue
         lead = combo[min(combo)]
-        if lead != 1:
-            combo = {c: v / lead for c, v in combo.items()}
-        basis.append(tuple(combo.get(c, _ZERO) for c in range(system.ncols)))
+        vec = [_ZERO] * system.ncols
+        for c, v in combo.items():
+            vec[c] = Fraction(v, lead)
+        basis.append(tuple(vec))
     return basis
 
 
+def _kernel_body(packed_columns: list[int], vec: tuple[Fraction, ...]) -> DiffPoly:
+    """sum_c vec[c] * column c, for a kernel vector returned by nullspace."""
+    terms = [(m, v) for m, v in zip(packed_columns, vec) if v is not _ZERO]
+    den = lcm(*(v.denominator for _, v in terms))
+    return DiffPoly._make({m: v.numerator * (den // v.denominator) for m, v in terms}, den)
+
+
 def _rank_of_bodies(bodies) -> int:
-    monos = sorted({m for b in bodies for m in b.terms}, key=mono_key)
-    index = {m: i for i, m in enumerate(monos)}
-    vectors = ({index[m]: c for m, c in b.terms.items()} for b in bodies)
-    return sum(1 for dep in _eliminate(vectors) if dep is None)
+    # each body's integer numerators: scaling a body does not change the rank
+    return sum(1 for dep in _dependencies(b._nums for b in bodies) if dep is None)
 
 
 def family_bodies(order: int) -> list[DiffPoly]:
@@ -332,10 +458,7 @@ def solve_symmetries(
     kernel = nullspace(system)
     basis = []
     for vec in kernel:
-        terms = {
-            mono: coeff for mono, coeff in zip(system.columns, vec) if coeff
-        }
-        body = DiffPoly(terms)
+        body = _kernel_body(system._packed_columns, vec)
         residual = invariance_residual(eq, body)
         if not residual.is_zero():
             raise RuntimeError("internal error: kernel vector fails the residual check")

@@ -484,3 +484,29 @@ def test_solve_exponent_over_the_field_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--order", "1", "--jet-deg", "128"],
+        ["solve", "--order", "0", "--x-deg", "0", "--t-deg", "128"],
+    ],
+)
+def test_solve_other_bounds_over_the_field_exit_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--jet-deg", "-5"), ("--x-deg", "-3"), ("--t-deg", "-2")]
+)
+def test_solve_rejects_negative_degree_bounds(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--order", "2", flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err

@@ -16,7 +16,7 @@ from jetsym.detsolve import (
     nullspace,
     solve_symmetries,
 )
-from jetsym.diffring import DiffPoly, T_VAR, X_VAR, jet, jet_poly
+from jetsym.diffring import DiffPoly, ExponentOverflow, T_VAR, X_VAR, jet, jet_poly, mono_key
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, invariance_residual
 from jetsym.symfam import Family, q_char
 
@@ -120,6 +120,54 @@ def test_nullspace_matches_sympy(case):
     assert nullspace(relabelled) == expected
 
 
+_BIG = 2**40
+
+_big_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 2**20)),
+)
+
+
+@st.composite
+def _big_matrices(draw):
+    """Matrices with entries up to 2^40 and denominators up to 2^20.
+
+    Some columns are combinations of earlier ones with large coefficients,
+    so the kernel is not trivial and the reduction meets large leads.
+    """
+    nrows = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        if columns and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(range(len(columns))), min_size=1, max_size=3))
+            col = [Fraction(0)] * nrows
+            for j in picks:
+                factor = draw(_big_entries)
+                col = [v + factor * w for v, w in zip(col, columns[j])]
+        else:
+            col = draw(st.lists(_big_entries, min_size=nrows, max_size=nrows))
+        columns.append(col)
+    return len(columns), [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_big_matrices())
+def test_nullspace_matches_sympy_on_large_entries(case):
+    ncols, matrix = case
+    assert nullspace(LinearSystem.from_dense(matrix)) == _sympy_nullspace(matrix, ncols)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_solver_kernel_does_not_depend_on_row_order(rng):
+    system = build_system(Ansatz(BURGERS, 3))
+    labels = list(system.rows)
+    rng.shuffle(labels)
+    shuffled = LinearSystem(ncols=system.ncols, rows={r: system.rows[r] for r in labels})
+    assert nullspace(shuffled) == nullspace(system)
+
+
 def _direct_system(ansatz):
     """build_system's rows computed naively, one invariance residual per column."""
     rows = {}
@@ -172,9 +220,38 @@ def test_ansatz_monomials_are_bounded_and_sorted():
     assert monos == sorted(monos, key=lambda m: (sum(e for _, e in m), m))
 
 
+@pytest.mark.parametrize("bounds", _LEIBNIZ_BOUNDS + [(0, 3, 2, 2), (2, 0, 0, 3), (3, 6, 1, 1)])
+def test_ansatz_monomials_follow_mono_key(bounds):
+    order, jet_degree, x_degree, t_degree = bounds
+    monos = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree).monomials()
+    assert monos == sorted(set(monos), key=mono_key)
+
+
 def test_ansatz_cap():
     with pytest.raises(AnsatzTooLarge):
         Ansatz(BURGERS, 4, monomial_cap=10).monomials()
+
+
+@pytest.mark.parametrize("bound", ["jet_degree", "x_degree", "t_degree"])
+def test_ansatz_rejects_negative_degree_bounds(bound):
+    with pytest.raises(ValueError, match=bound):
+        Ansatz(BURGERS, 2, **{bound: -2})
+    assert getattr(Ansatz(BURGERS, 2, **{bound: -1}), bound) == 2
+
+
+@pytest.mark.parametrize(
+    "order, bounds",
+    [
+        (1, {"jet_degree": 128}),
+        (0, {"jet_degree": 0, "x_degree": 128, "t_degree": 0}),
+        (0, {"jet_degree": 0, "x_degree": 0, "t_degree": 128}),
+    ],
+)
+def test_ansatz_bounds_over_the_packed_field(order, bounds):
+    # 127 is the largest exponent a packed field holds
+    (name,) = [k for k, v in bounds.items() if v == 128]
+    with pytest.raises(ExponentOverflow, match=name):
+        Ansatz(BURGERS, order, **bounds).monomials()
 
 
 def test_system_order_one_contains_translation():
@@ -211,6 +288,12 @@ def test_solver_dimensions_and_span():
         assert report.family_span_matches is True
         for c in report.basis:
             assert invariance_residual(BURGERS, c.body) == 0
+
+
+def test_solver_dimension_and_span_at_order_5():
+    report = solve_symmetries(BURGERS, 5)
+    assert report.dimension == 20
+    assert report.family_span_matches is True
 
 
 def test_family_contained_in_default_bounds():
