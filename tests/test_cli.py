@@ -191,6 +191,16 @@ _GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
          "1ede1b62f33c247ac3aec2b3beb07358a6df18954f1937b370459dba434f53b2"),
         (["gen", "--max-order", "12", "--eq", "burgers", "--format", "json"],
          "131692dc53f5eac3efce4f25323c5c032a987204e18ceea2cee43ea5b1810077"),
+        (["verify", "--suite", "invariance", "--max-order", "9"],
+         "9e5162e3be62c13654a1a16635f7bd9bee5ef8d9cdab29b1372c48ce5bc5eab2"),
+        (["verify", "--suite", "recursion", "--max-order", "7"],
+         "a23b6bda69bee2ba6e478c5acd94fc136b7d5d9512e5d473854b911bfa0d8805"),
+        (["verify", "--suite", "zeta", "--max-order", "18"],
+         "f3f5733492046eb0184c7c24d28afc258fe499040f029cf9c08766477d589ff9"),
+        (["verify", "--suite", "maps", "--max-order", "10"],
+         "bdc366748d94a107f7c720aec4ccc2cd40f90122b3111f745c30d371facd2647"),
+        (["verify", "--suite", "commutators", "--max-order", "5"],
+         "095ecaa95e1e63ebb6c6b833051963fd43280b8b2b81f827284a641949e3c302"),
     ],
 )
 def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
