@@ -254,10 +254,12 @@ class DiffPoly:
 
     _nums maps packed monomials to nonzero integer numerators over the
     positive denominator _den (see the module docstring); terms is the
-    decoded read-only view.  All arithmetic returns canonical values.
+    decoded read-only view.  _dx holds the total x-derivative once
+    jetflow.x_derivative has computed it, so each value is differentiated
+    once.  All arithmetic returns canonical values.
     """
 
-    __slots__ = ("_nums", "_den", "_view")
+    __slots__ = ("_nums", "_den", "_view", "_dx")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         coeffs: dict[int, Fraction] = {}
@@ -267,7 +269,7 @@ class DiffPoly:
         den = lcm(*(c.denominator for c in coeffs.values()))
         nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
         p = DiffPoly._make(nums, den)
-        self._nums, self._den, self._view = p._nums, p._den, None
+        self._nums, self._den, self._view, self._dx = p._nums, p._den, None, None
 
     @staticmethod
     def _make(nums: dict[int, int], den: int = 1) -> "DiffPoly":
@@ -284,6 +286,7 @@ class DiffPoly:
         p._nums = nums
         p._den = den
         p._view = None
+        p._dx = None
         return p
 
     @property

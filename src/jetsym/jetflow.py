@@ -67,8 +67,15 @@ def _dx_image(u: int) -> DiffPoly:
 
 
 def x_derivative(p: DiffPoly) -> DiffPoly:
-    """Equation-independent total x-derivative on the parametric jet ring."""
-    return derive(p, _DX_IMAGES, _dx_image)
+    """Equation-independent total x-derivative on the parametric jet ring.
+
+    The result is kept on p, which is immutable, so a value's tower
+    D_x^k(p) is derived once however many Frechet sums walk it.
+    """
+    dx = p._dx
+    if dx is None:
+        dx = p._dx = derive(p, _DX_IMAGES, _dx_image)
+    return dx
 
 
 # d/dz_0: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}), every other

@@ -34,6 +34,7 @@ from .diffring import (
     KIND_EXP,
     KIND_PAR,
     KIND_T,
+    KIND_X,
     T_VAR,
     X_VAR,
     jet,
@@ -284,8 +285,12 @@ def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
             raise fail()
 
     # Fix the t-only kernel branch via the potential defect
-    # D_t g - sum_{k>=1} (dL/dz_k) D_x^k g.
-    defect = invariance_residual(eq, g) + eq.rhs.partial(jet(0)) * g
+    # D_t g - sum_{k>=1} (dL/dz_k) D_x^k g.  When every term of L carries a
+    # jet, D_t and D_x map terms with a jet to terms with a jet, so only the
+    # jet-free part of g reaches the t-only part of the defect.
+    rhs_jet_free = eq.rhs.restrict_to_kinds((KIND_X, KIND_EXP))
+    part = g if rhs_jet_free else g.restrict_to_kinds((KIND_T, KIND_X))
+    defect = invariance_residual(eq, part) + eq.rhs.partial(jet(0)) * part
     sigma = defect.restrict_to_kinds((KIND_T,))
     if sigma:
         g = g - sigma.integrate(T_VAR)

@@ -24,7 +24,9 @@ Brackets of evolutionary vector fields are computed as
 the one prolongation sum zeta'[eta] = sum_k (dzeta/dz_k) D_x^k(eta); the
 parameter symbols are coefficients, and E = e^{z_0} enters through
 dE/dz_0 = E.  The closed-form structure constants of the families
-are binomial sums, checked exactly against the brute-force brackets.
+are binomial sums, checked exactly against the brute-force brackets;
+structure_sweep checks every ordered pair of a family with one bracket per
+unordered pair.
 """
 
 from __future__ import annotations
@@ -224,6 +226,28 @@ def structure_check(family: Family, idx1, idx2=None):
     (k, l), (kp, lp) = idx1, idx2
     brute = commutator(eq, q_char(family, k, l), q_char(family, kp, lp)).body
     return brute - closed_form_bracket(family, idx1, idx2)
+
+
+def structure_sweep(family: Family, indices) -> dict[tuple, DiffPoly]:
+    """structure_check of a Q family on every ordered pair of the indices.
+
+    Returns {(kl1, kl2): residual}.  One brute-force bracket is computed
+    per unordered pair: [Q_b, Q_a] is the exact negation of [Q_a, Q_b],
+    being the same two Frechet derivatives subtracted the other way, and
+    [Q_a, Q_a] is zero.  The closed form is compared on every ordered pair.
+    """
+    eq = FAMILY_EQUATION[family]
+    indices = list(indices)
+    chars = [q_char(family, k, l) for k, l in indices]
+    residuals = {}
+    for i, kl1 in enumerate(indices):
+        residuals[kl1, kl1] = -closed_form_bracket(family, kl1, kl1)
+        for j in range(i + 1, len(indices)):
+            kl2 = indices[j]
+            brute = commutator(eq, chars[i], chars[j]).body
+            residuals[kl1, kl2] = brute - closed_form_bracket(family, kl1, kl2)
+            residuals[kl2, kl1] = -brute - closed_form_bracket(family, kl2, kl1)
+    return residuals
 
 
 # -- point symmetries and their evolution forms ---------------------------------

@@ -266,6 +266,20 @@ def test_solve_resource_cap(monkeypatch, capsys):
     assert "ansatz too large" in err
 
 
+def test_map_order_cap(capsys):
+    from jetsym.cli import MAP_MAX_ORDER
+
+    assert MAP_MAX_ORDER == 16
+    for k, l in ((0, 16), (16, 0)):
+        code, out, _ = run(["map", "--k", str(k), "--l", str(l), "--to", "potburgers"], capsys)
+        assert code == 0 and out.startswith(f"heat: Q[{k},{l}] = ")
+    for k, l in ((0, 17), (9, 8), (0, 70), (70, 0)):
+        code, out, err = run(["map", "--k", str(k), "--l", str(l)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "order too large" in err and "cap 16" in err
+
+
 def test_map_chain(capsys):
     code, out, _ = run(["map", "--from", "heat", "--to", "burgers", "--k", "0", "--l", "1"], capsys)
     assert code == 0

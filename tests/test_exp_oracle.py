@@ -24,6 +24,7 @@ from jetsym.diffring import (
     DiffPoly,
     T_VAR,
     X_VAR,
+    derive,
     exp_poly,
     jet,
     jet_poly,
@@ -31,7 +32,15 @@ from jetsym.diffring import (
     par_poly,
 )
 from jetsym.colemap import heat_to_potential
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, x_derivative
+from jetsym.jetflow import (
+    _DX_IMAGES,
+    BURGERS,
+    HEAT,
+    POTBURGERS,
+    Characteristic,
+    _dx_image,
+    x_derivative,
+)
 
 _coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
@@ -74,6 +83,16 @@ def test_leibniz_rule_with_exp(data):
 @given(exp_polys())
 def test_potburgers_dt_commutes_with_dx(p):
     assert POTBURGERS.dt(POTBURGERS.dx(p)) == POTBURGERS.dx(POTBURGERS.dt(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_polys())
+def test_kept_dx_equals_the_derivation(p):
+    # x_derivative keeps its result on p; derive keeps nothing
+    fresh = derive(p, _DX_IMAGES, _dx_image)
+    assert x_derivative(p) == fresh
+    assert x_derivative(p) == fresh
+    assert x_derivative(x_derivative(p)) == derive(fresh, _DX_IMAGES, _dx_image)
 
 
 # -- sympy oracle ----------------------------------------------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_poly, random_poly_stream
-from jetsym.diffring import DiffPoly, exp_poly, jet_poly, t_poly, x_poly
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS
+from jetsym.diffring import KIND_T, T_VAR, DiffPoly, derive, exp_poly, jet, jet_poly, t_poly, x_poly
+from jetsym.jetflow import _DX_IMAGES, BURGERS, HEAT, POTBURGERS, EvolutionEquation, _dx_image
 from jetsym.opcalc import (
     Compose,
     Dx,
@@ -141,6 +141,32 @@ def test_preimage_keeps_no_kernel_constants(rng):
         g = make_random_poly(rng)
         back = dx_preimage(BURGERS, BURGERS.dx(g))
         assert back.constant_term() == 0
+
+
+def _branch_from_full_defect(eq, g):
+    """The canonical preimage of D_x g: the branch fixed from the potential
+    defect D_t g - sum_{k>=1} (dL/dz_k) D_x^k g of all of g."""
+    g = g - g.constant_term()
+    defect = eq.dt(g)
+    dk_g = g
+    for k in range(1, int(eq.rhs.order()) + 1):
+        dk_g = derive(dk_g, _DX_IMAGES, _dx_image)
+        defect = defect - eq.rhs.partial(jet(k)) * dk_g
+    return g - defect.restrict_to_kinds((KIND_T,)).integrate(T_VAR)
+
+
+@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS], ids=lambda eq: eq.name)
+def test_preimage_branch_matches_the_full_defect(eq):
+    for g in random_poly_stream(20240612, 25):
+        assert dx_preimage(eq, eq.dx(g)) == _branch_from_full_defect(eq, g), str(g)
+
+
+def test_preimage_branch_when_the_equation_has_a_jet_free_term():
+    # D_t z_0 = z_2 + 1: the jet part of g reaches the t-only part of the defect
+    forced = EvolutionEquation("forced", z(2) + 1)
+    assert dx_preimage(forced, z(1)) == z(0) - t
+    for g in random_poly_stream(20240613, 25):
+        assert dx_preimage(forced, forced.dx(g)) == _branch_from_full_defect(forced, g), str(g)
 
 
 def test_flow_operator_commutes_with_local_recursion_ops():

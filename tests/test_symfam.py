@@ -22,6 +22,7 @@ from jetsym.symfam import (
     lie_correspondence,
     q_char,
     structure_check,
+    structure_sweep,
 )
 
 t, x = t_poly(), x_poly()
@@ -138,6 +139,29 @@ def test_structure_sweep_small():
         for kl1 in pairs:
             for kl2 in pairs:
                 assert structure_check(family, kl1, kl2).is_zero(), (family, kl1, kl2)
+
+
+def test_sweep_residuals_match_structure_check(monkeypatch):
+    # every ordered pair, diagonal included, against the per-pair check; then
+    # again with a closed form made wrong by a term that is not antisymmetric,
+    # so that the residuals are nonzero and differ between (a, b) and (b, a)
+    indices = list(symfam.index_range(3))
+
+    def compare():
+        for family in (Family.HEAT_Q, Family.POT_Q, Family.BURGERS_Q):
+            residuals = structure_sweep(family, indices)
+            assert set(residuals) == {(a, b) for a in indices for b in indices}
+            for (a, b), residual in residuals.items():
+                assert residual == structure_check(family, a, b), (family, a, b)
+
+    compare()
+    true_form = symfam.closed_form_bracket
+
+    def skewed(family, kl1, kl2):
+        return true_form(family, kl1, kl2) + symfam._q_body(family, *kl1) * (kl2[0] + 1)
+
+    monkeypatch.setattr(symfam, "closed_form_bracket", skewed)
+    compare()
 
 
 def test_burgers_brackets_match_rescaled_binomial_form():
