@@ -20,8 +20,8 @@ import json
 import random
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .colemap import NotProjectable, heat_to_potential, potential_to_burgers
@@ -39,6 +39,8 @@ from .diffring import (
     T_VAR,
     X_VAR,
     JetLimitError,
+    ordered_terms,
+    ratio_text,
     render_terms,
 )
 from .jetflow import BURGERS, EQUATIONS, HEAT, POTBURGERS, invariance_residual
@@ -112,8 +114,7 @@ def _latex_var(v, dep: str) -> str:
     return f"{letter}_{{x^{{{idx}}}}}"
 
 
-def _latex_coeff(c: Fraction) -> str:
-    num, den = c.numerator, c.denominator
+def _latex_coeff(num: int, den: int) -> str:
     if den == 1:
         return str(num)
     sign = "-" if num < 0 else ""
@@ -193,7 +194,7 @@ def _body_json(p: DiffPoly, depth: int) -> Iterator[str]:
     i1, i2, i3, i4 = ("\n" + "  " * (depth + n) for n in (1, 2, 3, 4))
     factors: dict[tuple[tuple[int, int], int], str] = {}
     sep = "[" + i1
-    for mono, c in p.sorted_terms():
+    for mono, _, num, den in ordered_terms(p):
         names = []
         for f in mono:
             text = factors.get(f)
@@ -202,7 +203,7 @@ def _body_json(p: DiffPoly, depth: int) -> Iterator[str]:
                 text = factors[f] = f'[{i4}"{_KIND_LETTER[kind]}",{i4}{idx},{i4}{e}{i3}]'
             names.append(text)
         m = f"[{i3}" + f",{i3}".join(names) + f"{i2}]" if names else "[]"
-        yield f'{sep}[{i2}{m},{i2}"{c}"{i1}]'
+        yield f'{sep}[{i2}{m},{i2}"{ratio_text(num, den)}"{i1}]'
         sep = "," + i1
     yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
 
@@ -248,21 +249,42 @@ def _require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} lacks the keys {missing}")
 
 
-@dataclass
-class TableEntry:
+class TableEntry(NamedTuple):
     family: str
     k: int
     l: int
     body: DiffPoly
 
 
-@dataclass
 class SymmetryTableDoc:
-    """A family table that round-trips losslessly through JSON."""
+    """A family table that round-trips losslessly through JSON.
 
-    equation: str
-    entries: list
-    metadata: dict = field(default_factory=dict)
+    Each document gets its own metadata dict unless one is given.
+    """
+
+    __slots__ = ("equation", "entries", "metadata")
+
+    def __init__(self, equation: str, entries: list, metadata: dict | None = None):
+        self.equation = equation
+        self.entries = entries
+        self.metadata = {} if metadata is None else metadata
+
+    def __eq__(self, other):
+        if type(other) is not SymmetryTableDoc:
+            return NotImplemented
+        return (self.equation, self.entries, self.metadata) == (
+            other.equation,
+            other.entries,
+            other.metadata,
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"SymmetryTableDoc(equation={self.equation!r}, entries={self.entries!r}, "
+            f"metadata={self.metadata!r})"
+        )
 
     def to_json(self) -> str:
         """The document as JSON, written directly.
@@ -350,8 +372,7 @@ def render_table(doc: SymmetryTableDoc, fmt: str) -> str:
 # -- verification suites ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -26,10 +26,9 @@ symmetry family members of order <= n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diffring import (
     _FIELD_LIMIT,
@@ -72,26 +71,41 @@ class AnsatzTooLarge(RuntimeError):
     """The enumerated monomial basis exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
 class Ansatz:
-    """Monomial ansatz for an order-n symmetry with explicit degree bounds."""
+    """Monomial ansatz for an order-n symmetry with explicit degree bounds.
 
-    equation: EvolutionEquation
-    order: int
-    jet_degree: int = -1  # -1 means "default to order"
-    x_degree: int = -1
-    t_degree: int = -1
-    monomial_cap: int = DEFAULT_MONOMIAL_CAP
+    A bound of -1 means the default, max(order, 1).  Immutable.
+    """
 
-    def __post_init__(self):
-        if self.order < 0:
+    __slots__ = ("equation", "order", *_BOUNDS, "monomial_cap")
+
+    def __init__(
+        self,
+        equation: EvolutionEquation,
+        order: int,
+        jet_degree: int = -1,
+        x_degree: int = -1,
+        t_degree: int = -1,
+        monomial_cap: int = DEFAULT_MONOMIAL_CAP,
+    ):
+        if order < 0:
             raise ValueError("ansatz order must be >= 0")
-        for name in _BOUNDS:
-            bound = getattr(self, name)
+        fields = {"equation": equation, "order": order, "monomial_cap": monomial_cap}
+        for name, bound in zip(_BOUNDS, (jet_degree, x_degree, t_degree)):
             if bound < -1:
                 raise ValueError(f"ansatz {name} must be >= 0, or -1 for the default")
-            if bound == -1:
-                object.__setattr__(self, name, max(self.order, 1))
+            fields[name] = max(order, 1) if bound == -1 else bound
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ansatz is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"Ansatz({fields})"
 
     def _enumerate(self) -> list[tuple[int, int, int, int]]:
         """The ansatz basis t^a x^b J in the global monomial order.
@@ -424,8 +438,7 @@ def family_bodies(order: int) -> list[DiffPoly]:
     ]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     order: int
     dimension: int
     basis: tuple[Characteristic, ...]

@@ -25,12 +25,15 @@ are keyed by unit.
 
 At the edges monomials appear as tuples of ((kind, index), exponent) pairs
 sorted by variable, with no zero exponent, and coefficients as Fractions:
-the constructor takes {tuple monomial: coefficient}, and the terms view,
-sorted_terms and render_terms decode.  The variable order T < X < z_0 <
-z_1 < ... < h_0 < h_1 < ... < E of the tuples induces a graded monomial
-order (total degree first, ties broken by the exponent sequence) that makes
-all rendered output deterministic; a value carrying E is rendered grouped
-by its power of E.
+the constructor takes {tuple monomial: coefficient}, and the terms view
+decodes.  The variable order T < X < z_0 < z_1 < ... < h_0 < h_1 < ... < E
+of the tuples induces a graded monomial order, mono_key (total degree
+first, ties broken by the exponent sequence), that makes all rendered
+output deterministic.  ordered_terms decodes and sorts a polynomial in one
+pass: it orders the packed monomials by a byte key equivalent to mono_key
+and gives each coefficient as a reduced integer ratio; sorted_terms and
+render_terms read it.  A value carrying E is rendered grouped by its power
+of E.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable
@@ -256,10 +260,11 @@ class DiffPoly:
     positive denominator _den (see the module docstring); terms is the
     decoded read-only view.  _dx holds the total x-derivative once
     jetflow.x_derivative has computed it, so each value is differentiated
-    once.  All arithmetic returns canonical values.
+    once, and _partials the coefficients of its Frechet sum once
+    jetflow.jet_partials has.  All arithmetic returns canonical values.
     """
 
-    __slots__ = ("_nums", "_den", "_view", "_dx")
+    __slots__ = ("_nums", "_den", "_view", "_dx", "_partials")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         coeffs: dict[int, Fraction] = {}
@@ -269,7 +274,8 @@ class DiffPoly:
         den = lcm(*(c.denominator for c in coeffs.values()))
         nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
         p = DiffPoly._make(nums, den)
-        self._nums, self._den, self._view, self._dx = p._nums, p._den, None, None
+        self._nums, self._den = p._nums, p._den
+        self._view = self._dx = self._partials = None
 
     @staticmethod
     def _make(nums: dict[int, int], den: int = 1) -> "DiffPoly":
@@ -287,6 +293,7 @@ class DiffPoly:
         p._den = den
         p._view = None
         p._dx = None
+        p._partials = None
         return p
 
     @property
@@ -412,7 +419,11 @@ class DiffPoly:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._nums.items())))
+        nums = self._nums
+        if not nums or (len(nums) == 1 and 0 in nums):
+            # a constant equals its value (see __eq__), so it hashes as one
+            return hash(self.constant_term())
+        return hash((self._den, frozenset(nums.items())))
 
     def _fields_or(self) -> int:
         """The union of the fields of every monomial other than E."""
@@ -519,7 +530,8 @@ class DiffPoly:
 
     def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Fraction]]:
         """Terms in the global monomial order (leading term first by default)."""
-        return sorted(_decoded_items(self), key=lambda kv: mono_key(kv[0]), reverse=reverse)
+        out = [(mono, Fraction(num, den)) for mono, _, num, den in ordered_terms(self)]
+        return out if reverse else out[::-1]
 
     def __str__(self) -> str:
         return render_terms(self, var_name)
@@ -579,13 +591,47 @@ def _nonzero(nums: dict[int, int]) -> dict[int, int]:
     return nums
 
 
-def _decoded_items(p: DiffPoly):
-    """p's (tuple monomial, Fraction) pairs, without keeping the decoded form."""
-    view = p._view
-    if view is not None and view._dict is not None:
-        return view._dict.items()
+# Byte tables of the order key of ordered_terms: a zero field followed by a
+# nonzero one becomes _MASK, above every exponent; E's byte is its biased
+# digit, or none when E is absent.
+_MISSING_HIGH = bytes([_MASK]) + bytes(range(1, 1 << _BITS))
+_E_KEY = [bytes((d,)) for d in range(1 << _BITS)]
+_E_KEY[_E_DIGIT_BIAS] = b""
+
+
+def ordered_terms(p: DiffPoly) -> list[tuple[Monomial, int, int, int]]:
+    """p's terms as (tuple monomial, degree, numerator, denominator), leading term first.
+
+    The terms come in decreasing mono_key order and each coefficient as a
+    reduced ratio, from one pass over the packed form: no Fraction is made
+    and mono_key is not called.  The key of a monomial is its degree, then
+    its fields as bytes in the variable order t, x, z_0, z_1, ..., h_0,
+    h_1, ..., E, with its trailing zero fields dropped and its other zero
+    fields raised above every exponent.  These bytes compare as the tuple
+    monomials do: where two tuples first differ, the smaller factor or the
+    tuple that has ended is the smaller (x before x*z_0*E^{-1}).
+    """
+    nums = p._nums
+    if not nums:
+        return []
     den = p._den
-    return [(_decode(m), Fraction(c, den)) for m, c in p._nums.items()]
+    width = ((max(nums) + _DIGITS_BIAS).bit_length() + 7) >> 3
+    # the variables of the fields other than E, in the variable order
+    njets = (width - 2) // 2
+    order_vars = [T_VAR, X_VAR, *_JET_VARS[:njets], *_PAR_VARS[: width - 3 - njets]]
+    rows = []
+    for m, c in nums.items():
+        d = (m + _DIGITS_BIAS).to_bytes(width, "little")
+        fields = d[:2] + d[3::2] + d[4::2]
+        key = (fields + _E_KEY[d[2]]).rstrip(b"\0").translate(_MISSING_HIGH)
+        mono = tuple(zip(compress(order_vars, fields), compress(fields, fields)))
+        e = d[2] - _E_DIGIT_BIAS
+        if e:
+            mono += ((EXP_VAR, e),)
+        g = gcd(c, den)
+        rows.append((sum(d) - _E_DIGIT_BIAS, key, mono, c // g, den // g))
+    rows.sort(reverse=True)
+    return [(mono, degree, num, q) for degree, _, mono, num, q in rows]
 
 
 def _coerce(value) -> "DiffPoly":
@@ -615,44 +661,49 @@ def _exp_name(m: int) -> str:
     return f"e^{{{m}w}}"
 
 
-def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=str, sep: str = "*") -> str:
+def ratio_text(num: int, den: int) -> str:
+    """The reduced ratio num/den as str(Fraction(num, den)) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=ratio_text, sep: str = "*") -> str:
     """Render p term by term, leading monomial first.
 
-    name(v) names a variable, power formats (name, exponent), coeff(c)
-    renders a coefficient, and sep joins factors and a coefficient to its
-    monomial.  A value carrying E is rendered as a sum of groups
-    (...)*e^{mw} in increasing m, the E-free group bare.
+    name(v) names a variable, power formats (name, exponent), coeff(num,
+    den) renders a coefficient given as a reduced ratio, and sep joins
+    factors and a coefficient to its monomial.  A value carrying E is
+    rendered as a sum of groups (...)*e^{mw} in increasing m, the E-free
+    group bare.  The terms of one group share E^m, so they keep the order
+    of ordered_terms.
     """
     if not p:
         return "0"
-    groups: dict[int, list] = {}
-    for mono, c in _decoded_items(p):
+    groups: dict[int, list[str]] = {}
+    factors: dict[tuple[VarId, int], str] = {}
+    for mono, _, num, den in ordered_terms(p):
         m = 0
         if mono and mono[-1][0] == EXP_VAR:
             mono, m = mono[:-1], mono[-1][1]
-        groups.setdefault(m, []).append((mono, c))
-    factors: dict[tuple[VarId, int], str] = {}
+        names = []
+        for f in mono:
+            factor = factors.get(f)
+            if factor is None:
+                v, e = f
+                factor = factors[f] = name(v) if e == 1 else power.format(name(v), e)
+            names.append(factor)
+        body = sep.join(names)
+        if not body:
+            frag = coeff(num, den)
+        elif den == 1 and num == 1:
+            frag = body
+        elif den == 1 and num == -1:
+            frag = f"-{body}"
+        else:
+            frag = f"{coeff(num, den)}{sep}{body}"
+        groups.setdefault(m, []).append(frag)
     parts = []
     for m in sorted(groups):
-        frags = []
-        for mono, c in sorted(groups[m], key=lambda kv: mono_key(kv[0]), reverse=True):
-            names = []
-            for f in mono:
-                factor = factors.get(f)
-                if factor is None:
-                    v, e = f
-                    factor = factors[f] = name(v) if e == 1 else power.format(name(v), e)
-                names.append(factor)
-            body = sep.join(names)
-            if not body:
-                frags.append(coeff(c))
-            elif c == 1:
-                frags.append(body)
-            elif c == -1:
-                frags.append(f"-{body}")
-            else:
-                frags.append(f"{coeff(c)}{sep}{body}")
-        text = " + ".join(frags).replace("+ -", "- ")
+        text = " + ".join(groups[m]).replace("+ -", "- ")
         parts.append(f"({text})*{_exp_name(m)}" if m else text)
     return " + ".join(parts)
 

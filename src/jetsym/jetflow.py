@@ -23,7 +23,6 @@ the Frechet derivative of the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .diffring import (
@@ -86,6 +85,26 @@ _DZ0_IMAGES: Images = {unit(jet(0)): DiffPoly.const(1), _E_UNIT: exp_poly(1)}
 def _dz0_image(u: int) -> DiffPoly:
     image = _DZ0_IMAGES[u] = DiffPoly.zero()
     return image
+
+
+def jet_partials(F: DiffPoly) -> tuple[DiffPoly, ...]:
+    """(dF/dz_0, ..., dF/dz_top), the coefficients of the Frechet sum of F.
+
+    top is the order of F, at least 0 when F carries E, whose chain rule
+    dE/dz_0 = E enters dF/dz_0; the tuple is empty when F has neither.
+    Kept on F like its D_x (see x_derivative), so each value's
+    coefficients are computed once.
+    """
+    coeffs = F._partials
+    if coeffs is None:
+        top = F.order()
+        if F.has_kind(KIND_EXP):
+            top = max(top, 0)
+        coeffs = F._partials = tuple(
+            derive(F, _DZ0_IMAGES, _dz0_image) if k == 0 else F.partial(jet(k))
+            for k in range(int(top) + 1 if top >= 0 else 0)
+        )
+    return coeffs
 
 
 class EvolutionEquation:
@@ -152,35 +171,52 @@ class EvolutionEquation:
         """
         self._check_par(F)
         self._check_par(eta)
-        top = F.order()
-        if F.has_kind(KIND_EXP):
-            top = max(top, 0)
         result = DiffPoly.zero()
-        if top < 0:
-            return result
         dk_eta = eta
-        for k in range(int(top) + 1):
-            coeff = derive(F, _DZ0_IMAGES, _dz0_image) if k == 0 else F.partial(jet(k))
+        for k, coeff in enumerate(jet_partials(F)):
+            if k:
+                dk_eta = self.dx(dk_eta)
             if coeff:
                 result = result + coeff * dk_eta
-            if k < top:
-                dk_eta = self.dx(dk_eta)
         return result
 
 
-@dataclass(frozen=True)
 class Characteristic:
     """A reduced evolutionary-symmetry characteristic tied to one equation.
 
     The body depends only on t, x, jet variables, (for parameter families)
     the h_j symbols and (for the potential-Burgers parameter family) powers
     of E = e^w; bodies over the Burgers ring must be free of the h_j
-    symbols.
+    symbols.  Immutable; equality and hashing ignore the label.
     """
 
-    equation: EvolutionEquation
-    body: DiffPoly
-    label: Optional[object] = field(default=None, compare=False)
+    __slots__ = ("equation", "body", "label")
+
+    def __init__(
+        self, equation: EvolutionEquation, body: DiffPoly, label: Optional[object] = None
+    ):
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Characteristic is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Characteristic:
+            return NotImplemented
+        return self.equation == other.equation and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.equation, self.body))
+
+    def __repr__(self) -> str:
+        return (
+            f"Characteristic(equation={self.equation!r}, body={self.body!r}, "
+            f"label={self.label!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.body}"

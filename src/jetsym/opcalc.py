@@ -26,8 +26,8 @@ identities between the operator powers and the symmetry families exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diffring import (
     DiffPoly,
@@ -67,46 +67,77 @@ class NotATotalDerivative(ValueError):
 
 
 class OperatorExpr:
-    """Base class for operator AST nodes."""
+    """Base class for operator AST nodes.
+
+    A node is immutable and compares equal to a node of the same type with
+    equal fields (the names in __slots__); Dx() != Dt().
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Dx(OperatorExpr):
+    __slots__ = ()
+
+
+class Dt(OperatorExpr):
+    """Total t-derivative; admitted only for operator identity probing."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dx(OperatorExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class Dt(OperatorExpr):
-    """Total t-derivative; admitted only for operator identity probing."""
-
-
-@dataclass(frozen=True)
 class DxInv(OperatorExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class MulBy(OperatorExpr):
-    factor: DiffPoly
+    __slots__ = ("factor",)
+
+    def __init__(self, factor: DiffPoly):
+        object.__setattr__(self, "factor", factor)
 
 
-@dataclass(frozen=True)
 class Scale(OperatorExpr):
-    coeff: Fraction
+    __slots__ = ("coeff",)
+
+    def __init__(self, coeff: Fraction):
+        object.__setattr__(self, "coeff", coeff)
 
 
-@dataclass(frozen=True)
 class Sum(OperatorExpr):
-    ops: tuple
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: tuple):
+        object.__setattr__(self, "ops", ops)
 
 
-@dataclass(frozen=True)
 class Compose(OperatorExpr):
     """Composition, applied right to left; the empty composition is the identity."""
 
-    ops: tuple
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: tuple):
+        object.__setattr__(self, "ops", ops)
 
 
 def op_sum(*ops: OperatorExpr) -> OperatorExpr:
@@ -233,8 +264,7 @@ def euler_residual(p: DiffPoly) -> DiffPoly:
     return result
 
 
-@dataclass(frozen=True)
-class IntegrabilityCertificate:
+class IntegrabilityCertificate(NamedTuple):
     euler_residual: DiffPoly
     is_total_derivative: bool
 
@@ -294,6 +324,9 @@ def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
     sigma = defect.restrict_to_kinds((KIND_T,))
     if sigma:
         g = g - sigma.integrate(T_VAR)
+    # D_x g = p exactly, the t-only correction having zero D_x; g is a new
+    # value, so its D_x slot can hold p (see jetflow.x_derivative).
+    g._dx = p
     return g
 
 
@@ -333,8 +366,7 @@ def normalize_op(op: OperatorExpr) -> OperatorExpr:
 # -- identity probing ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     probe: DiffPoly
     residual: DiffPoly
 
@@ -343,9 +375,21 @@ class ProbeOutcome:
         return self.residual.is_zero()
 
 
-@dataclass(frozen=True)
 class ProbeReport:
-    outcomes: tuple[ProbeOutcome, ...]
+    """The outcomes of an identity probe, one per probe polynomial."""
+
+    __slots__ = ("outcomes",)
+
+    def __init__(self, outcomes: tuple[ProbeOutcome, ...]):
+        object.__setattr__(self, "outcomes", outcomes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProbeReport is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"ProbeReport(outcomes={self.outcomes!r})"
 
     @property
     def all_equal(self) -> bool:

@@ -31,12 +31,11 @@ unordered pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffring import DiffPoly, exp_poly, jet_poly, par_poly, t_poly, x_poly
 from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation
@@ -71,8 +70,7 @@ FAMILY_EQUATION = {
 _Q_OF_Z = {Family.HEAT_Z: Family.HEAT_Q, Family.POT_Z: Family.POT_Q}
 
 
-@dataclass(frozen=True)
-class FamilyIndex:
+class FamilyIndex(NamedTuple):
     family: Family
     k: int = 0
     l: int = 0
@@ -253,8 +251,7 @@ def structure_sweep(family: Family, indices) -> dict[tuple, DiffPoly]:
 # -- point symmetries and their evolution forms ---------------------------------
 
 
-@dataclass(frozen=True)
-class LieGenerator:
+class LieGenerator(NamedTuple):
     """A point-symmetry vector field xi_t d/dt + xi_x d/dx + phi d/dz."""
 
     xi_t: DiffPoly
@@ -289,8 +286,7 @@ def heat_point_symmetries() -> dict[str, LieGenerator]:
     }
 
 
-@dataclass(frozen=True)
-class LieMatch:
+class LieMatch(NamedTuple):
     name: str
     sign: Optional[int]  # +1 / -1 when matched up to sign, None otherwise
 

@@ -18,8 +18,8 @@ polynomials by accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diffring import DiffPoly, KIND_EXP, KIND_PAR, jet, jet_poly
 from .jetflow import BURGERS
@@ -30,17 +30,37 @@ class OrderExceeded(ValueError):
     """The polynomial involves jets beyond the built coordinate range."""
 
 
-@dataclass(frozen=True)
-class ZetaBasis:
+class ZetaBasis(NamedTuple):
     max_index: int
     zetas: tuple[DiffPoly, ...]  # zetas[k] = (D_x - v/2)^{k+1} 1
 
 
-@dataclass(frozen=True)
 class ZetaPoly:
-    """A polynomial in t, x and the zeta symbols (jet slots reinterpreted)."""
+    """A polynomial in t, x and the zeta symbols (jet slots reinterpreted).
 
-    poly: DiffPoly
+    Immutable; equal only to a ZetaPoly with an equal poly.
+    """
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: DiffPoly):
+        object.__setattr__(self, "poly", poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZetaPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not ZetaPoly:
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self):
+        return hash(self.poly)
+
+    def __repr__(self) -> str:
+        return f"ZetaPoly(poly={self.poly!r})"
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -55,8 +75,7 @@ def build_zetas(max_index: int) -> ZetaBasis:
     return ZetaBasis(max_index, zetas)
 
 
-@dataclass(frozen=True)
-class ZetaIdentityReport:
+class ZetaIdentityReport(NamedTuple):
     derivative_ok: tuple[bool, ...]  # D_x zeta_k = zeta_{k+1} - zeta_0 zeta_k
     flow_ok: tuple[bool, ...]  # (D_t + v D_x - D_x^2) zeta_k = 0
 
