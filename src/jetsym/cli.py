@@ -43,7 +43,7 @@ from .diffring import (
     ratio_text,
     render_terms,
 )
-from .jetflow import BURGERS, EQUATIONS, HEAT, POTBURGERS, invariance_residual
+from .jetflow import BURGERS, HEAT, invariance_residual
 from .opcalc import (
     Compose,
     Scale,
@@ -58,6 +58,9 @@ from .opcalc import (
     translation_op,
 )
 from .symfam import (
+    FAMILY_EQUATION,
+    Q_FAMILIES,
+    Z_FAMILIES,
     Family,
     commutator,
     family_seed_chain,
@@ -73,11 +76,7 @@ MONOMIAL_ORDER_ID = "graded:t<x<z<h"
 
 DEP_LETTER = {"heat": "u", "potburgers": "w", "burgers": "v"}
 
-_EQ_FAMILY = {
-    "heat": Family.HEAT_Q,
-    "potburgers": Family.POT_Q,
-    "burgers": Family.BURGERS_Q,
-}
+_EQ_FAMILY = {FAMILY_EQUATION[f].name: f for f in Q_FAMILIES}
 
 _KIND_LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h", KIND_EXP: "e"}
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
@@ -378,6 +377,17 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+def _failures(residuals: Iterable[tuple[object, DiffPoly]]) -> tuple[list, str]:
+    """The keys with a nonzero residual, and "; first residual r" for the first."""
+    bad, first = [], ""
+    for key, residual in residuals:
+        if residual:
+            if not bad:
+                first = f"; first residual {residual}"
+            bad.append(key)
+    return bad, first
+
+
 def _probe_detail(report) -> str:
     for outcome in report.outcomes:
         if not outcome.equal:
@@ -409,39 +419,27 @@ def _random_polys(rng: random.Random, count: int, with_par: bool = False):
 
 def suite_invariance(max_order: int) -> list[CheckResult]:
     out = []
-    for name, family in (
-        ("heat", Family.HEAT_Q),
-        ("potburgers", Family.POT_Q),
-        ("burgers", Family.BURGERS_Q),
-    ):
-        eq = EQUATIONS[name]
-        bad = []
-        first_residual = ""
-        for k, l in index_range(max_order):
-            residual = invariance_residual(eq, q_char(family, k, l))
-            if residual:
-                if not bad:
-                    first_residual = f"; first residual {residual}"
-                bad.append((k, l))
+    for family in Q_FAMILIES:
+        eq = FAMILY_EQUATION[family]
+        bad, first = _failures(
+            ((k, l), invariance_residual(eq, q_char(family, k, l)))
+            for k, l in index_range(max_order)
+        )
         out.append(
             CheckResult(
-                f"invariance {name} family k+l<={max_order}",
+                f"invariance {eq.name} family k+l<={max_order}",
                 not bad,
-                f"failing indices {bad}{first_residual}" if bad else "",
+                f"failing indices {bad}{first}" if bad else "",
             )
         )
-    out.append(
-        CheckResult(
-            "invariance heat parameter family",
-            invariance_residual(HEAT, q_char(Family.HEAT_Z)).is_zero(),
+    for family in Z_FAMILIES:
+        eq = FAMILY_EQUATION[family]
+        out.append(
+            CheckResult(
+                f"invariance {eq.name} parameter family",
+                invariance_residual(eq, q_char(family)).is_zero(),
+            )
         )
-    )
-    out.append(
-        CheckResult(
-            "invariance potburgers parameter family",
-            invariance_residual(POTBURGERS, q_char(Family.POT_Z)).is_zero(),
-        )
-    )
     matches = lie_correspondence()
     out.append(
         CheckResult(
@@ -455,45 +453,31 @@ def suite_invariance(max_order: int) -> list[CheckResult]:
 
 def suite_commutators(max_order: int) -> list[CheckResult]:
     out = []
-    for name, family in (
-        ("heat", Family.HEAT_Q),
-        ("potburgers", Family.POT_Q),
-        ("burgers", Family.BURGERS_Q),
-    ):
-        bad = []
-        first_residual = ""
-        pairs = list(index_range(max_order))
+    pairs = list(index_range(max_order))
+    for family in Q_FAMILIES:
         residuals = structure_sweep(family, pairs)
-        for kl1 in pairs:
-            for kl2 in pairs:
-                residual = residuals[kl1, kl2]
-                if residual:
-                    if not bad:
-                        first_residual = f"; first residual {residual}"
-                    bad.append((kl1, kl2))
+        bad, first = _failures(
+            ((kl1, kl2), residuals[kl1, kl2]) for kl1 in pairs for kl2 in pairs
+        )
         out.append(
             CheckResult(
-                f"structure constants {name} pairs k+l<={max_order}",
+                f"structure constants {FAMILY_EQUATION[family].name} pairs k+l<={max_order}",
                 not bad,
-                f"failing pairs {bad[:4]}{first_residual}" if bad else "",
+                f"failing pairs {bad[:4]}{first}" if bad else "",
             )
         )
-    for name, family in (("heat", Family.HEAT_Z), ("potburgers", Family.POT_Z)):
-        bad = [
-            kl
-            for kl in index_range(max_order + 1)
-            if structure_check(family, kl)
-        ]
+    for family in Z_FAMILIES:
+        bad = [kl for kl in index_range(max_order + 1) if structure_check(family, kl)]
         out.append(
             CheckResult(
-                f"parameter bracket [Z(h), Q] {name} k+l<={max_order + 1}",
+                f"parameter bracket [Z(h), Q] {FAMILY_EQUATION[family].name} "
+                f"k+l<={max_order + 1}",
                 not bad,
                 f"failing indices {bad}" if bad else "",
             )
         )
-    zz = commutator(HEAT, q_char(Family.HEAT_Z), q_char(Family.HEAT_Z)).body
-    zz2 = commutator(POTBURGERS, q_char(Family.POT_Z), q_char(Family.POT_Z)).body
-    out.append(CheckResult("parameter bracket [Z, Z] = 0", zz.is_zero() and zz2.is_zero()))
+    zz = [commutator(FAMILY_EQUATION[f], q_char(f), q_char(f)).body for f in Z_FAMILIES]
+    out.append(CheckResult("parameter bracket [Z, Z] = 0", not any(zz)))
     return out
 
 
@@ -717,8 +701,12 @@ def _cmd_gen(args, parser) -> int:
     doc = family_table(args.eq, args.max_order)
     text = render_table(doc, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

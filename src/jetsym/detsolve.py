@@ -47,6 +47,7 @@ from .jetflow import (
     Characteristic,
     EvolutionEquation,
     invariance_residual,
+    jet_partials,
     x_derivative,
 )
 from .symfam import Family, index_range, q_char
@@ -227,24 +228,23 @@ def _jet_part_images(eq: EvolutionEquation, jet_part: int):
     have integer coefficients, since J has coefficient 1 and L has integer
     coefficients.
     """
-    top = eq.rhs.order()
-    ord_l = int(top) if top >= 0 else 0
+    partials = jet_partials(eq.rhs)
     J = DiffPoly._make({jet_part: 1})
     dx_powers = [J]
-    for _ in range(ord_l):
+    for _ in partials[1:]:
         dx_powers.append(x_derivative(dx_powers[-1]))
-    partials = [eq.rhs.partial(jet(k)) for k in range(ord_l + 1)]
+    # L'[J] reads the powers of J from their D_x slots
+    residual = invariance_residual(eq, J)
     tails = []
-    for i in range(ord_l + 1):
+    for i in range(1, len(partials)):
         g = DiffPoly.zero()
-        for k in range(i, ord_l + 1):
+        for k in range(i, len(partials)):
             if partials[k]:
                 g = g + partials[k] * dx_powers[k - i] * comb(k, i)
         tails.append(g)
-    images = [eq.dt(J) - tails[0], *tails[1:]]
-    if any(p._den != 1 for p in images):
+    if any(p._den != 1 for p in (residual, *tails)):
         raise RuntimeError("internal error: a residual image has a non-integer coefficient")
-    return images[0], images[1:]
+    return residual, tails
 
 
 def _x_power_residual(b: int, part) -> dict[int, int]:

@@ -315,11 +315,8 @@ class DiffPoly:
         return DiffPoly._make({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
-    def variable(v: VarId, exp: int = 1, coeff: Fraction | int = 1) -> "DiffPoly":
-        c = Fraction(coeff)
-        if not c:
-            return DiffPoly.zero()
-        return DiffPoly._make({_encode(((v, exp),)): c.numerator}, c.denominator)
+    def variable(v: VarId, exp: int = 1) -> "DiffPoly":
+        return DiffPoly._make({_encode(((v, exp),)): 1})
 
     # -- ring arithmetic -----------------------------------------------------
 

@@ -108,10 +108,10 @@ def jet_partials(F: DiffPoly) -> tuple[DiffPoly, ...]:
 
 
 class EvolutionEquation:
-    """A named evolution equation z_t = rhs, with cached D_x powers of rhs.
+    """A named evolution equation z_t = rhs.
 
-    Instances are effectively immutable: the derivative caches only ever
-    extend, and every public operation is a pure function of its inputs.
+    Instances are effectively immutable: the table of D_t images only ever
+    extends, and every public operation is a pure function of its inputs.
     """
 
     def __init__(self, name: str, rhs: DiffPoly, allows_par: bool = True):
@@ -120,7 +120,6 @@ class EvolutionEquation:
         self.name = name
         self.rhs = rhs
         self.allows_par = allows_par
-        self._rhs_dx: list[DiffPoly] = [rhs]
         # D_t: t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2}, E -> rhs E.
         self._dt_images: Images = {
             unit(T_VAR): DiffPoly.const(1),
@@ -131,16 +130,13 @@ class EvolutionEquation:
     def __repr__(self) -> str:
         return f"EvolutionEquation({self.name}: z_t = {self.rhs})"
 
-    def prepare(self, max_order: int) -> None:
-        """Extend the D_x^k(rhs) cache up to k = max_order."""
-        while len(self._rhs_dx) <= max_order:
-            self._rhs_dx.append(x_derivative(self._rhs_dx[-1]))
-
     def _dt_image(self, u: int) -> DiffPoly:
         kind, idx = unit_var(u)
         if kind == KIND_JET:
-            self.prepare(idx)
-            image = self._rhs_dx[idx]
+            # D_x^idx(rhs): each power is kept on the one before it
+            image = self.rhs
+            for _ in range(idx):
+                image = x_derivative(image)
         else:
             image = DiffPoly.variable(par(idx + 2))
         self._dt_images[u] = image

@@ -48,6 +48,7 @@ from .jetflow import (
     POTBURGERS,
     EvolutionEquation,
     invariance_residual,
+    jet_partials,
     x_derivative,
 )
 
@@ -148,11 +149,8 @@ def op_compose(*ops: OperatorExpr) -> OperatorExpr:
     return Compose(tuple(ops))
 
 
-def op_scale(c: Fraction | int, op: OperatorExpr | None = None) -> OperatorExpr:
-    node = Scale(Fraction(c))
-    if op is None:
-        return node
-    return Compose((node, op))
+def op_scale(c: Fraction | int) -> OperatorExpr:
+    return Scale(Fraction(c))
 
 
 def op_power(op: OperatorExpr, n: int) -> OperatorExpr:
@@ -210,10 +208,8 @@ def potential_defect_op(eq: EvolutionEquation) -> OperatorExpr:
     commutes with both local recursion operators.
     """
     ops: list[OperatorExpr] = [Dt()]
-    top = eq.rhs.order()
-    for k in range(1, int(top) + 1):
-        c = eq.rhs.partial(jet(k))
-        if c:
+    for k, c in enumerate(jet_partials(eq.rhs)):
+        if k and c:
             ops.append(Compose((Scale(Fraction(-1)), MulBy(c), op_power(Dx(), k))))
     return Sum(tuple(ops))
 
@@ -404,17 +400,15 @@ def operator_identity_probe(
     rhs: OperatorExpr,
     eq: EvolutionEquation,
     probes,
-    normalize: bool = True,
 ) -> ProbeReport:
     """Evaluate lhs - rhs on each probe and report exact equality per probe.
 
-    Both sides are normalized (see normalize_op) before evaluation unless
-    normalize=False, so identities stated in the formal D_x^{-1} calculus
-    are probed in that calculus.
+    Both sides are normalized (see normalize_op) before evaluation, so
+    identities stated in the formal D_x^{-1} calculus are probed in that
+    calculus.
     """
-    if normalize:
-        lhs = normalize_op(lhs)
-        rhs = normalize_op(rhs)
+    lhs = normalize_op(lhs)
+    rhs = normalize_op(rhs)
     outcomes = []
     for probe in probes:
         residual = apply(lhs, eq, probe) - apply(rhs, eq, probe)

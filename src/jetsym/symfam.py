@@ -10,10 +10,11 @@ built from its recursion operators applied to a seed:
 (the Burgers (0,0) entry is the zero characteristic).  Each entry
 boost^k translation^l (seed) is built by one operator step from a cached
 predecessor: a boost from (k-1, l) when k > 0, otherwise a translation
-from (0, l-1).  A Burgers step reads the predecessor's D_x, which is the
-cached member Q[k,l] itself, so each entry costs one D_x.  The heat
-operators on h_0 build the right sides of the parameter brackets in the
-same chain.
+from (0, l-1).  Every chain steps through its equation's recursion
+operators; an operator's D_x of an entry is kept on the entry (see
+jetflow.x_derivative), where the Burgers member D_x(entry) reads it.  The
+heat operators on h_0 build the right sides of the parameter brackets in
+the same chain.
 
 The heat and potential-Burgers equations additionally admit the parameter
 families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
@@ -38,14 +39,8 @@ from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from .diffring import DiffPoly, exp_poly, jet_poly, par_poly, t_poly, x_poly
-from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation
-from .opcalc import (
-    BURGERS_BOOST_SHIFT,
-    BURGERS_TRANSLATION_SHIFT,
-    apply,
-    boost_op,
-    translation_op,
-)
+from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation, x_derivative
+from .opcalc import apply, boost_op, translation_op
 
 
 class Family(Enum):
@@ -104,26 +99,16 @@ def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
     eq, seed = _CHAIN_SEEDS[family]
     translation, boost = translation_op(eq), boost_op(eq)
     path = [(0, j) for j in range(l + 1)] + [(i, l) for i in range(1, k + 1)]
-    prev = None
     for i, j in path:
         cached = _CHAINS.get((family, i, j))
         if cached is None:
-            if prev is None:
+            if (i, j) == (0, 0):
                 step = seed
-            elif family is Family.BURGERS_Q:
-                step = _burgers_step(i > 0, body, _q_body(family, *prev))
             else:
                 step = apply(boost if i else translation, eq, body)
             cached = _CHAINS[(family, i, j)] = step
-        body, prev = cached, (i, j)
+        body = cached
     return body
-
-
-def _burgers_step(is_boost: bool, entry: DiffPoly, dx_entry: DiffPoly) -> DiffPoly:
-    """The Burgers boost or translation of a chain entry, given its D_x (the member Q[k,l])."""
-    if is_boost:
-        return t_poly() * dx_entry + BURGERS_BOOST_SHIFT * entry
-    return dx_entry + BURGERS_TRANSLATION_SHIFT * entry
 
 
 @lru_cache(maxsize=None)
@@ -134,14 +119,14 @@ def _q_body(family: Family, k: int, l: int) -> DiffPoly:
         return par_poly(0) * exp_poly(-1)
     body = family_seed_chain(family, k, l)
     if family is Family.BURGERS_Q:
-        return BURGERS.dx(body)
+        # the chain is free of h_j by construction, so BURGERS.dx's check
+        # would only rescan what the step from this entry already checked
+        return x_derivative(body)
     return body
 
 
-def q_char(family: Family | FamilyIndex, k: int = 0, l: int = 0) -> Characteristic:
+def q_char(family: Family, k: int = 0, l: int = 0) -> Characteristic:
     """The (k, l) member of a symmetry family, as a Characteristic."""
-    if isinstance(family, FamilyIndex):
-        family, k, l = family.family, family.k, family.l
     if k < 0 or l < 0:
         raise ValueError("family indices must be nonnegative")
     if family in Z_FAMILIES and (k or l):

@@ -103,6 +103,15 @@ def test_gen_out_file(tmp_path, capsys):
     assert len(doc.entries) == 3
 
 
+@pytest.mark.parametrize("target", ["missing_dir/table.txt", "."])
+def test_gen_out_unwritable_is_a_usage_error(target, tmp_path, capsys):
+    # a missing parent directory, and a directory in place of a file
+    path = tmp_path / target
+    code, out, err = run(["gen", "--eq", "heat", "--max-order", "1", "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_verify_suite_exit_zero(capsys):
     code, out, _ = run(["verify", "--suite", "maps", "--max-order", "2"], capsys)
     assert code == 0

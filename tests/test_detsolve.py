@@ -17,7 +17,7 @@ from jetsym.detsolve import (
     solve_symmetries,
 )
 from jetsym.diffring import DiffPoly, ExponentOverflow, T_VAR, X_VAR, jet, jet_poly, mono_key
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, invariance_residual
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, invariance_residual
 from jetsym.symfam import Family, q_char
 
 
@@ -332,3 +332,9 @@ def test_family_rank_matches_count():
     bodies = family_bodies(3)
     assert len(bodies) == 9
     assert _rank_of_bodies(bodies) == 9
+
+
+def test_solver_on_a_jet_free_rhs():
+    # ord L = 0: the residual images carry no Leibniz tails
+    eq = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
+    assert solve_symmetries(eq, 1, experimental=True).dimension == 5

@@ -113,7 +113,7 @@ def test_equation_rhs_validation():
         EvolutionEquation("bad", t * z(1))
 
 
-def test_prepare_extends_cache():
+def test_dt_derives_the_rhs_tower_on_demand():
+    # the first call on a fresh equation needs D_x^3(rhs), which nothing has derived yet
     eq = EvolutionEquation("heat_copy", z(2))
-    eq.prepare(4)
     assert eq.dt(z(3)) == z(5)

@@ -9,6 +9,7 @@ from jetsym.diffring import KIND_T, T_VAR, DiffPoly, derive, exp_poly, jet, jet_
 from jetsym.jetflow import _DX_IMAGES, BURGERS, HEAT, POTBURGERS, EvolutionEquation, _dx_image
 from jetsym.opcalc import (
     Compose,
+    Dt,
     Dx,
     DxInv,
     MulBy,
@@ -297,3 +298,11 @@ def test_dx_preimage_rejects_exp():
         with pytest.raises(ValueError) as exc:
             dx_preimage(POTBURGERS, p)
         assert not isinstance(exc.value, NotATotalDerivative)
+
+
+def test_potential_defect_of_a_jet_free_rhs():
+    # L = x has no Frechet coefficients, so only D_t remains
+    eq = EvolutionEquation("lin", x)
+    op = potential_defect_op(eq)
+    assert op == Sum((Dt(),))
+    assert apply(op, eq, z(1)) == 1

@@ -288,18 +288,25 @@ def test_deep_family_index_stops_at_the_jet_cap():
 
 
 def test_burgers_chain_takes_one_dx_per_entry(monkeypatch):
-    # a Burgers step reuses Q[k,l] = D_x(entry) instead of differentiating again
+    # the operator step from an entry keeps D_x(entry) on it, and Q[k,l] reads it there
     from jetsym import jetflow
 
     symfam._q_body.cache_clear()
     symfam._CHAINS.clear()
-    calls = []
-    real = jetflow.x_derivative
-    monkeypatch.setattr(jetflow, "x_derivative", lambda p: calls.append(1) or real(p))
+    # a fresh seed: the module's own may already hold its D_x
+    monkeypatch.setitem(symfam._CHAIN_SEEDS, Family.BURGERS_Q, (BURGERS, DiffPoly.const(1)))
+    derivations = []
+    real = jetflow.derive
+    monkeypatch.setattr(
+        jetflow,
+        "derive",
+        lambda p, images, *rest: derivations.append(images is jetflow._DX_IMAGES)
+        or real(p, images, *rest),
+    )
     entries = [(k, total - k) for total in range(7) for k in range(total + 1)]
     for k, l in entries:
         q_char(Family.BURGERS_Q, k, l)
-    assert len(calls) == len(entries)
+    assert sum(derivations) == len(entries)
     monkeypatch.undo()
     for k, l in entries:
         assert q_char(Family.BURGERS_Q, k, l).body == _from_scratch(Family.BURGERS_Q, k, l)
