@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +38,8 @@ from jetsym.diffring import (
 )
 from jetsym.jetflow import BURGERS
 from jetsym.symfam import q_char
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -217,6 +223,48 @@ def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Runs argv[1:] as a child, hashing its stdout as it streams, and prints the
+# exit code, the sha256 and the child's peak resident set (KiB), read from
+# os.wait4 on the child's pid.  Linux carries a process's peak resident set
+# across fork and exec, so the child is started from this small process
+# rather than from the test process.
+_MEASURE = """
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(chunk)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, digest.hexdigest(), usage.ru_maxrss)
+"""
+
+
+def run_child(argv):
+    """jetsym argv in a fresh process: exit code, stdout sha256, peak RSS in MB."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, "-m", "jetsym.cli", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, digest, rss_kib = out.stdout.split()
+    return int(code), digest, int(rss_kib) / 1024
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "d78f2978252b5c7dcd8f89d8169193bc12071436a9b68b02a1a39dc191304340"),
+        ("text", "4ac5284ba8947bcbdf1bbc12f7536eab29a987dc8e3f452c4a326b6c79dc16a9"),
+    ],
+)
+def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
+    # the largest table gen writes: 40.8 MB of JSON, 2.7 MB of text
+    code, got, _ = run_child(["gen", "--eq", "burgers", "--max-order", "16", "--format", fmt])
+    assert code == 0
+    assert got == digest
 
 
 def test_gen_order_cap(capsys):
