@@ -9,14 +9,16 @@ Subcommands:
 
 All output is byte-deterministic for fixed flags: terms are rendered in the
 global monomial order, coefficients as exact num/den strings, and suite
-results in a fixed order.  Exit codes: 0 success, 1 check or verdict
-failure, 2 usage error, 3 resource cap exceeded.
+results in a fixed order.  gen streams its table as it renders it.  Exit
+codes: 0 success, 1 check or verdict failure, 2 usage error or output that
+cannot be written (gen --out, or a closed stdout), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from collections.abc import Iterable, Iterator
@@ -39,9 +41,10 @@ from .diffring import (
     T_VAR,
     X_VAR,
     JetLimitError,
-    ordered_terms,
+    jet_rows,
     ratio_text,
     render_terms,
+    tx_factors,
 )
 from .jetflow import BURGERS, HEAT, invariance_residual
 from .opcalc import (
@@ -95,8 +98,9 @@ def _text_var(v, dep: str) -> str:
     return letter if idx == 0 else f"{letter}{idx}"
 
 
-def render_text(p: DiffPoly, dep: str) -> str:
-    return render_terms(p, lambda v: _text_var(v, dep))
+def render_text(p: DiffPoly, dep: str, parts: dict | None = None) -> str:
+    """p in plain text, dep naming the jet variables; parts as in render_terms."""
+    return render_terms(p, lambda v: _text_var(v, dep), parts=parts, fmt=("text", dep))
 
 
 def _latex_var(v, dep: str) -> str:
@@ -120,8 +124,11 @@ def _latex_coeff(num: int, den: int) -> str:
     return f"{sign}\\tfrac{{{abs(num)}}}{{{den}}}"
 
 
-def render_latex(p: DiffPoly, dep: str) -> str:
-    return render_terms(p, lambda v: _latex_var(v, dep), "{}^{{{}}}", _latex_coeff, " ")
+def render_latex(p: DiffPoly, dep: str, parts: dict | None = None) -> str:
+    """p in LaTeX, dep naming the jet variables; parts as in render_terms."""
+    return render_terms(
+        p, lambda v: _latex_var(v, dep), "{}^{{{}}}", _latex_coeff, " ", parts, ("latex", dep)
+    )
 
 
 _FAMILY_TEX = {
@@ -183,25 +190,35 @@ def _json_object(fields: dict[str, str | Iterable[str]], depth: int) -> Iterator
     yield "\n" + "  " * depth + "}"
 
 
-def _body_json(p: DiffPoly, depth: int) -> Iterator[str]:
+def _body_json(p: DiffPoly, depth: int, parts: dict | None = None) -> Iterator[str]:
     """The text of p as a JSON array at depth, one fragment per term: each
     term is [monomial, "coefficient"], each factor [letter, index, exponent].
 
-    A coefficient is str(c) (digits, "-" and "/" need no escaping).  Each
-    factor's text is built once per call.
+    A coefficient is str(c) (digits, "-" and "/" need no escaping).  parts
+    is the table of diffring.jet_rows; under ("json", depth) it also keeps
+    the factor text of each jet part and each t and x part, so that the
+    bodies of one document name each of them once.
     """
     i1, i2, i3, i4 = ("\n" + "  " * (depth + n) for n in (1, 2, 3, 4))
-    factors: dict[tuple[tuple[int, int], int], str] = {}
+    parts = {} if parts is None else parts
+    part_texts, tx_texts = parts.setdefault(("json", depth), ({}, {}))
+
+    def text_of(factors):
+        return f",{i3}".join(
+            f'[{i4}"{_KIND_LETTER[kind]}",{i4}{idx},{i4}{e}{i3}]' for (kind, idx), e in factors
+        )
+
     sep = "[" + i1
-    for mono, _, num, den in ordered_terms(p):
-        names = []
-        for f in mono:
-            text = factors.get(f)
-            if text is None:
-                (kind, idx), e = f
-                text = factors[f] = f'[{i4}"{_KIND_LETTER[kind]}",{i4}{idx},{i4}{e}{i3}]'
-            names.append(text)
-        m = f"[{i3}" + f",{i3}".join(names) + f"{i2}]" if names else "[]"
+    for _, _, tx, j, num, den in jet_rows(p, parts):
+        body = part_texts.get(j)
+        if body is None:
+            body = part_texts[j] = text_of(parts[j][2])
+        if tx:
+            tx_text = tx_texts.get(tx)
+            if tx_text is None:
+                tx_text = tx_texts[tx] = text_of(tx_factors(tx))
+            body = f"{tx_text},{i3}{body}" if body else tx_text
+        m = f"[{i3}{body}{i2}]" if body else "[]"
         yield f'{sep}[{i2}{m},{i2}"{ratio_text(num, den)}"{i1}]'
         sep = "," + i1
     yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
@@ -293,10 +310,16 @@ class SymmetryTableDoc:
         documents); the standard library's indenting encoder is pure Python
         and several times slower on large tables.
         """
+        return "".join(self._json_fragments())
+
+    def _json_fragments(self) -> Iterator[str]:
+        """The text of to_json in term-sized fragments; the bodies share one
+        jet-part table."""
+        parts: dict = {}
         entries = (
             _json_object(
                 {
-                    "body": _body_json(e.body, 3),
+                    "body": _body_json(e.body, 3, parts),
                     "family": json.dumps(e.family),
                     "k": json.dumps(e.k),
                     "l": json.dumps(e.l),
@@ -311,9 +334,8 @@ class SymmetryTableDoc:
             "equation": json.dumps(self.equation),
             "metadata": metadata,
         }
-        # one join of term-sized fragments: the 6.7 MB order-12 Burgers
-        # table is copied once, not once per nesting level
-        return "".join([*_json_object(fields, 0), "\n"])
+        yield from _json_object(fields, 0)
+        yield "\n"
 
     @staticmethod
     def from_json(text: str) -> "SymmetryTableDoc":
@@ -353,19 +375,50 @@ def family_table(equation: str, max_order: int) -> SymmetryTableDoc:
     return SymmetryTableDoc(equation, entries, metadata)
 
 
-def render_table(doc: SymmetryTableDoc, fmt: str) -> str:
-    dep = DEP_LETTER[doc.equation]
+def _table_fragments(doc: SymmetryTableDoc, fmt: str) -> Iterator[str]:
+    """The table in fmt, in order: JSON in term-sized fragments, text and
+    LaTeX one line per entry.  The bodies share one jet-part table."""
     if fmt == "json":
-        return doc.to_json()
-    lines = []
+        yield from doc._json_fragments()
+        return
+    if not doc.entries:
+        yield "\n"
+    dep = DEP_LETTER[doc.equation]
+    parts: dict = {}
     if fmt == "text":
         for e in doc.entries:
-            lines.append(f"Q[{e.k},{e.l}] = {render_text(e.body, dep)}")
+            yield f"Q[{e.k},{e.l}] = {render_text(e.body, dep, parts)}\n"
     else:
         sym = _FAMILY_TEX[doc.equation]
         for e in doc.entries:
-            lines.append(f"{sym}^{{{e.k},{e.l}}} = {render_latex(e.body, dep)}")
-    return "\n".join(lines) + "\n"
+            yield f"{sym}^{{{e.k},{e.l}}} = {render_latex(e.body, dep, parts)}\n"
+
+
+def render_table(doc: SymmetryTableDoc, fmt: str) -> str:
+    """The whole table in fmt (json, text or latex), as write_table writes it."""
+    return "".join(_table_fragments(doc, fmt))
+
+
+# write_table joins fragments into pieces of about this many characters.
+# Written one by one, the fragments leave a text stream in 8 KiB system
+# calls, each of which wakes the reader of a pipe: the order-12 Burgers JSON
+# table then took about 10 % more process time through a pipe.
+_WRITE_CHUNK = 1 << 18
+
+
+def write_table(doc: SymmetryTableDoc, fmt: str, stream) -> None:
+    """Write the table in fmt to stream as it is rendered, in pieces of
+    about _WRITE_CHUNK characters, so that the whole document is never
+    held in memory."""
+    batch: list[str] = []
+    size = 0
+    for fragment in _table_fragments(doc, fmt):
+        batch.append(fragment)
+        size += len(fragment)
+        if size >= _WRITE_CHUNK:
+            stream.write("".join(batch))
+            batch, size = [], 0
+    stream.write("".join(batch))
 
 
 # -- verification suites ----------------------------------------------------------
@@ -699,16 +752,15 @@ def _cmd_gen(args, parser) -> int:
     if args.max_order > GEN_MAX_ORDER:
         return _order_too_large(f"gen --max-order {args.max_order}", GEN_MAX_ORDER)
     doc = family_table(args.eq, args.max_order)
-    text = render_table(doc, args.format)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        write_table(doc, args.format, sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w") as fh:
+            write_table(doc, args.format, fh)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -859,19 +911,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"gen": _cmd_gen, "verify": _cmd_verify, "solve": _cmd_solve, "map": _cmd_map}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "solve":
-        return _cmd_solve(args, parser)
-    if args.command == "map":
-        return _cmd_map(args, parser)
-    parser.error(f"unknown command {args.command}")
-    return 2
+    try:
+        code = _COMMANDS[args.command](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone (as with | head).  Point stdout at
+        # os.devnull, so that the interpreter's final flush of what is still
+        # buffered stays quiet, and report a write failure as gen --out does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

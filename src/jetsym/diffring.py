@@ -29,11 +29,20 @@ the constructor takes {tuple monomial: coefficient}, and the terms view
 decodes.  The variable order T < X < z_0 < z_1 < ... < h_0 < h_1 < ... < E
 of the tuples induces a graded monomial order, mono_key (total degree
 first, ties broken by the exponent sequence), that makes all rendered
-output deterministic.  ordered_terms decodes and sorts a polynomial in one
-pass: it orders the packed monomials by a byte key equivalent to mono_key
-and gives each coefficient as a reduced integer ratio; sorted_terms and
-render_terms read it.  A value carrying E is rendered grouped by its power
-of E.
+output deterministic.
+
+jet_rows decodes and sorts a polynomial in one pass, and ordered_terms,
+sorted_terms and render_terms (so str, and the CLI's renderers) read its
+rows.  A row splits a packed monomial b = m + _DIGITS_BIAS into its t byte,
+its x byte and its jet part b >> 16 (E, the z_k and the h_j).  A table
+that the caller passes in holds, per jet part, its sort-key suffix, degree,
+factors and E exponent, computed on first sight, and the renderers keep
+each jet part's factor text there per format; the order-12 Burgers family
+table has 18 332 terms but only 371 distinct jet parts.  Since one suffix
+serves polynomials of every width, its layout is fixed: the z block is
+padded to all _INDEX_LIMIT + 1 fields whenever an h field or E follows it,
+and the h block too whenever E follows it; otherwise trailing zero fields
+are dropped.  A value carrying E is rendered grouped by its power of E.
 """
 
 from __future__ import annotations
@@ -169,22 +178,7 @@ def _encode(mono: Monomial) -> int:
 def _decode(m: int) -> Monomial:
     """The sorted ((kind, index), exponent) tuple of a packed monomial."""
     b = m + _DIGITS_BIAS
-    digits = b.to_bytes((b.bit_length() + 7) >> 3, "little")
-    out = []
-    if digits[0]:
-        out.append((T_VAR, digits[0]))
-    if digits[1]:
-        out.append((X_VAR, digits[1]))
-    for k, e in enumerate(digits[3::2]):
-        if e:
-            out.append((_JET_VARS[k], e))
-    for j, e in enumerate(digits[4::2]):
-        if e:
-            out.append((_PAR_VARS[j], e))
-    e = digits[2] - _E_DIGIT_BIAS
-    if e:
-        out.append((EXP_VAR, e))
-    return tuple(out)
+    return tx_factors(b & _TX_MASK) + _jet_part(b >> _E_SHIFT)[2]
 
 
 def jet(k: int) -> VarId:
@@ -588,47 +582,119 @@ def _nonzero(nums: dict[int, int]) -> dict[int, int]:
     return nums
 
 
-# Byte tables of the order key of ordered_terms: a zero field followed by a
-# nonzero one becomes _MASK, above every exponent; E's byte is its biased
-# digit, or none when E is absent.
+# -- jet parts: decoded once per table -----------------------------------------
+
+# Of b = m + _DIGITS_BIAS, b & _TX_MASK holds the t and x fields and b >> _E_SHIFT
+# is the jet part: E's biased digit, then z_0, h_0, z_1, h_1, ...
+_TX_MASK = (1 << _E_SHIFT) - 1
+_NO_JET_PART = _E_DIGIT_BIAS  # the jet part of a monomial in t and x alone
+# A zero field followed by a nonzero one becomes _MASK in an order key, above
+# every exponent.
 _MISSING_HIGH = bytes([_MASK]) + bytes(range(1, 1 << _BITS))
-_E_KEY = [bytes((d,)) for d in range(1 << _BITS)]
-_E_KEY[_E_DIGIT_BIAS] = b""
+_BLOCK = _INDEX_LIMIT + 1  # fields in the z block and in the h block
 
 
-def ordered_terms(p: DiffPoly) -> list[tuple[Monomial, int, int, int]]:
+def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
+    """The key suffix, degree, factors and E exponent of the jet part j.
+
+    The factors are the z_k, then the h_j, then E, as in a tuple monomial.
+    The key suffix holds the fields in the same order, with a zero field
+    that a nonzero one follows raised to _MASK and the trailing zero fields
+    dropped.  Its layout does not depend on the width of any polynomial:
+    the z block has all _BLOCK fields whenever an h field or E follows it,
+    and the h block too whenever E follows it.
+    """
+    d = j.to_bytes((j.bit_length() + 7) >> 3, "little")
+    z, h = d[1::2], d[2::2]
+    factors = (
+        *zip(compress(_JET_VARS, z), compress(z, z)),
+        *zip(compress(_PAR_VARS, h), compress(h, h)),
+    )
+    e = d[0] - _E_DIGIT_BIAS
+    if e:
+        suffix = z.ljust(_BLOCK, b"\0") + h.ljust(_BLOCK, b"\0") + d[:1]
+        factors += ((EXP_VAR, e),)
+    elif h.strip(b"\0"):
+        suffix = z.ljust(_BLOCK, b"\0") + h.rstrip(b"\0")
+    else:
+        suffix = z.rstrip(b"\0")
+    return suffix.translate(_MISSING_HIGH), sum(d) - _E_DIGIT_BIAS, factors, e
+
+
+def _tx_key(tx: int, followed: bool) -> tuple[bytes, int]:
+    """The order-key prefix and the degree of the t and x fields tx.
+
+    followed: a jet part follows them in the key.
+    """
+    t, x = tx & _MASK, tx >> _BITS
+    if followed:
+        key = bytes((t or _MASK, x or _MASK))
+    elif x:
+        key = bytes((t or _MASK, x))
+    else:
+        key = bytes((t,)) if t else b""
+    return key, t + x
+
+
+def jet_rows(p: DiffPoly, parts: dict) -> list[tuple[int, bytes, int, int, int, int]]:
+    """p's terms as rows (degree, key, tx, jet part, numerator, denominator), leading term first.
+
+    This is the one decode-and-sort pass over packed monomials.  A term's
+    monomial m splits into its t and x fields tx and its jet part j (see
+    _jet_part); parts maps each jet part to its decoded fields and is
+    filled on first sight, so a table that shares it among its polynomials
+    decodes each jet part once.  The rows come in decreasing mono_key
+    order, sorted by degree and then by a byte key: the t and x fields and
+    the jet part's key suffix, with a zero field that a nonzero one follows
+    raised above every exponent and the trailing zero fields dropped.
+    These bytes compare as the tuple monomials do: where two tuples first
+    differ, the smaller factor or the tuple that has ended is the smaller
+    (x before x*z_0*E^{-1}).  Each coefficient is a reduced ratio; no
+    Fraction is made.
+    """
+    den = p._den
+    get = parts.get
+    tx_keys: dict[int, tuple[bytes, int]] = {}
+    tx_get = tx_keys.get
+    bias, shift, tx_mask, no_jet = _DIGITS_BIAS, _E_SHIFT, _TX_MASK, _NO_JET_PART
+    rows = []
+    append = rows.append
+    for m, c in p._nums.items():
+        b = m + bias
+        j = b >> shift
+        part = get(j)
+        if part is None:
+            part = parts[j] = _jet_part(j)
+        tx = b & tx_mask
+        if j == no_jet:
+            prefix, degree = _tx_key(tx, False)
+        else:
+            tx_key = tx_get(tx)
+            if tx_key is None:
+                tx_key = tx_keys[tx] = _tx_key(tx, True)
+            prefix, degree = tx_key
+        g = gcd(c, den)
+        append((degree + part[1], prefix + part[0], tx, j, c // g, den // g))
+    rows.sort(reverse=True)
+    return rows
+
+
+def tx_factors(tx: int) -> Monomial:
+    """The factors of a row's t and x fields tx, as in a tuple monomial."""
+    t, x = tx & _MASK, tx >> _BITS
+    return ((T_VAR, t),) * bool(t) + ((X_VAR, x),) * bool(x)
+
+
+def ordered_terms(p: DiffPoly, parts: dict | None = None) -> list[tuple[Monomial, int, int, int]]:
     """p's terms as (tuple monomial, degree, numerator, denominator), leading term first.
 
-    The terms come in decreasing mono_key order and each coefficient as a
-    reduced ratio, from one pass over the packed form: no Fraction is made
-    and mono_key is not called.  The key of a monomial is its degree, then
-    its fields as bytes in the variable order t, x, z_0, z_1, ..., h_0,
-    h_1, ..., E, with its trailing zero fields dropped and its other zero
-    fields raised above every exponent.  These bytes compare as the tuple
-    monomials do: where two tuples first differ, the smaller factor or the
-    tuple that has ended is the smaller (x before x*z_0*E^{-1}).
+    Read from jet_rows; parts is its jet-part table, fresh when not given.
     """
-    nums = p._nums
-    if not nums:
-        return []
-    den = p._den
-    width = ((max(nums) + _DIGITS_BIAS).bit_length() + 7) >> 3
-    # the variables of the fields other than E, in the variable order
-    njets = (width - 2) // 2
-    order_vars = [T_VAR, X_VAR, *_JET_VARS[:njets], *_PAR_VARS[: width - 3 - njets]]
-    rows = []
-    for m, c in nums.items():
-        d = (m + _DIGITS_BIAS).to_bytes(width, "little")
-        fields = d[:2] + d[3::2] + d[4::2]
-        key = (fields + _E_KEY[d[2]]).rstrip(b"\0").translate(_MISSING_HIGH)
-        mono = tuple(zip(compress(order_vars, fields), compress(fields, fields)))
-        e = d[2] - _E_DIGIT_BIAS
-        if e:
-            mono += ((EXP_VAR, e),)
-        g = gcd(c, den)
-        rows.append((sum(d) - _E_DIGIT_BIAS, key, mono, c // g, den // g))
-    rows.sort(reverse=True)
-    return [(mono, degree, num, q) for degree, _, mono, num, q in rows]
+    parts = {} if parts is None else parts
+    return [
+        (tx_factors(tx) + parts[j][2], degree, num, den)
+        for degree, _, tx, j, num, den in jet_rows(p, parts)
+    ]
 
 
 def _coerce(value) -> "DiffPoly":
@@ -663,7 +729,15 @@ def ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=ratio_text, sep: str = "*") -> str:
+def render_terms(
+    p: DiffPoly,
+    name,
+    power: str = "{}^{}",
+    coeff=ratio_text,
+    sep: str = "*",
+    parts: dict | None = None,
+    fmt=None,
+) -> str:
     """Render p term by term, leading monomial first.
 
     name(v) names a variable, power formats (name, exponent), coeff(num,
@@ -671,24 +745,32 @@ def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=ratio_text, sep:
     factors and a coefficient to its monomial.  A value carrying E is
     rendered as a sum of groups (...)*e^{mw} in increasing m, the E-free
     group bare.  The terms of one group share E^m, so they keep the order
-    of ordered_terms.
+    of jet_rows.  parts is jet_rows' table; under the key fmt, which names
+    this format, it also keeps the factor text of each jet part and of each
+    t and x part, so that rendering every polynomial of a table with one
+    parts and fmt names each of them once.  Without fmt the texts are kept
+    for this call only.
     """
     if not p:
         return "0"
+    parts = {} if parts is None else parts
+    part_texts, tx_texts = ({}, {}) if fmt is None else parts.setdefault(fmt, ({}, {}))
+
+    def text_of(factors):
+        return sep.join(name(v) if e == 1 else power.format(name(v), e) for v, e in factors)
+
     groups: dict[int, list[str]] = {}
-    factors: dict[tuple[VarId, int], str] = {}
-    for mono, _, num, den in ordered_terms(p):
-        m = 0
-        if mono and mono[-1][0] == EXP_VAR:
-            mono, m = mono[:-1], mono[-1][1]
-        names = []
-        for f in mono:
-            factor = factors.get(f)
-            if factor is None:
-                v, e = f
-                factor = factors[f] = name(v) if e == 1 else power.format(name(v), e)
-            names.append(factor)
-        body = sep.join(names)
+    for _, _, tx, j, num, den in jet_rows(p, parts):
+        jet_text = part_texts.get(j)
+        if jet_text is None:
+            _, _, factors, m = parts[j]
+            jet_text = part_texts[j] = (text_of(factors[:-1] if m else factors), m)
+        body, m = jet_text
+        if tx:
+            tx_text = tx_texts.get(tx)
+            if tx_text is None:
+                tx_text = tx_texts[tx] = text_of(tx_factors(tx))
+            body = f"{tx_text}{sep}{body}" if body else tx_text
         if not body:
             frag = coeff(num, den)
         elif den == 1 and num == 1:
@@ -697,12 +779,15 @@ def render_terms(p: DiffPoly, name, power: str = "{}^{}", coeff=ratio_text, sep:
             frag = f"-{body}"
         else:
             frag = f"{coeff(num, den)}{sep}{body}"
-        groups.setdefault(m, []).append(frag)
-    parts = []
+        group = groups.get(m)
+        if group is None:
+            group = groups[m] = []
+        group.append(frag)
+    out = []
     for m in sorted(groups):
         text = " + ".join(groups[m]).replace("+ -", "- ")
-        parts.append(f"({text})*{_exp_name(m)}" if m else text)
-    return " + ".join(parts)
+        out.append(f"({text})*{_exp_name(m)}" if m else text)
+    return " + ".join(out)
 
 
 # Convenience constructors used throughout the package and the tests.

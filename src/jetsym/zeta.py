@@ -19,6 +19,7 @@ polynomials by accident.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .diffring import DiffPoly, KIND_EXP, KIND_PAR, jet, jet_poly
@@ -100,11 +101,13 @@ def verify_zeta_identities(max_index: int) -> ZetaIdentityReport:
     return ZetaIdentityReport(tuple(derivative_ok), tuple(flow_ok))
 
 
-def _jet_images_in_zeta(basis: ZetaBasis) -> list[DiffPoly]:
+@lru_cache(maxsize=8)
+def _jet_images_in_zeta(basis: ZetaBasis) -> tuple[DiffPoly, ...]:
     """v_k written as a polynomial in the zeta symbols, by triangularity.
 
     zeta_k = -v_k/2 + r_k(v_0..v_{k-1}) inverts to
     v_k = -2 (Z_k - r_k(V_0..V_{k-1})) with the lower images substituted.
+    Built once per basis: a basis is hashable and its polynomials immutable.
     """
     images: list[DiffPoly] = []
     half = Fraction(1, 2)
@@ -113,7 +116,7 @@ def _jet_images_in_zeta(basis: ZetaBasis) -> list[DiffPoly]:
         rules = {jet(j): images[j] for j in range(k)}
         in_zeta = remainder.substitute(rules) if rules else remainder
         images.append(-2 * jet_poly(k) + 2 * in_zeta)
-    return images
+    return tuple(images)
 
 
 def to_zeta_coordinates(p: DiffPoly, basis: ZetaBasis) -> ZetaPoly:

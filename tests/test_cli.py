@@ -18,7 +18,9 @@ from jetsym.cli import (
     family_table,
     main,
     render_latex,
+    render_table,
     render_text,
+    write_table,
 )
 from jetsym.detsolve import solve_symmetries
 from jetsym.diffring import (
@@ -262,9 +264,70 @@ def run_child(argv):
 )
 def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
     # the largest table gen writes: 40.8 MB of JSON, 2.7 MB of text
-    code, got, _ = run_child(["gen", "--eq", "burgers", "--max-order", "16", "--format", fmt])
+    code, got, peak_mb = run_child(
+        ["gen", "--eq", "burgers", "--max-order", "16", "--format", fmt]
+    )
     assert code == 0
     assert got == digest
+    # gen streams the document; holding the 40.8 MB JSON text in memory
+    # takes the process past 150 MB
+    assert peak_mb < 60
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--eq", "burgers", "--max-order", "4"],
+        ["verify", "--suite", "maps", "--max-order", "1"],
+        ["solve", "--order", "1"],
+    ],
+)
+def test_closed_stdout_is_a_write_failure(argv):
+    # as with `jetsym ... | head -1`: the reader closes the pipe before the
+    # child writes, so every write fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetsym.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_gen_out_and_stdout_write_the_same_bytes(fmt, tmp_path, capsys):
+    path = tmp_path / f"table.{fmt}"
+    argv = ["gen", "--eq", "potburgers", "--max-order", "3", "--format", fmt]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    code, quiet, _ = run(argv + ["--out", str(path)], capsys)
+    assert code == 0 and quiet == ""
+    assert path.read_text() == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+@pytest.mark.parametrize("eq, order", [("heat", 0), ("potburgers", 3), ("burgers", 8)])
+def test_render_table_is_what_write_table_streams(eq, order, fmt):
+    from jetsym.cli import _WRITE_CHUNK
+
+    doc = family_table(eq, order)
+    writes = []
+
+    class Sink:
+        write = writes.append
+
+    write_table(doc, fmt, Sink())
+    text = render_table(doc, fmt)
+    assert "".join(writes) == text
+    if fmt == "json":
+        assert text == doc.to_json()
+    # pieces of about _WRITE_CHUNK characters (the Burgers JSON table is
+    # 0.73 MB at order 8), never the whole of a larger document at once
+    assert all(len(w) >= _WRITE_CHUNK for w in writes[:-1])
+    assert all(len(w) < 2 * _WRITE_CHUNK for w in writes)
 
 
 def test_gen_order_cap(capsys):

@@ -1,10 +1,12 @@
 """The packed decode-and-sort pass against the tuple order it replaces.
 
-diffring.ordered_terms sorts packed monomials by a byte key instead of
+diffring.jet_rows sorts packed monomials by a byte key instead of
 mono_key.  The references here decode each term, make its Fraction and sort
 by mono_key, as the renderers did before the pass; every rendered format
-must agree with them byte for byte.  Also here: a constant polynomial hashes
-as its value, since it compares equal to it.
+must agree with them byte for byte, whether each polynomial gets its own
+jet-part table or one table serves polynomials of several widths.  Also
+here: a constant polynomial hashes as its value, since it compares equal
+to it.
 """
 
 import json
@@ -147,15 +149,57 @@ def test_renderers_match_the_fraction_reference(p, dep):
     assert str(p) == reference_render(p, var_name)
 
 
-@settings(max_examples=200, deadline=None)
-@given(bodies(), st.integers(0, 3))
-def test_body_json_matches_the_fraction_reference(p, depth):
+def reference_json(p, depth):
     payload = [
         [[[_LETTER[kind], idx, e] for (kind, idx), e in mono], str(c)]
         for mono, c in reference_terms(p)
     ]
-    text = json.dumps(payload, indent=2).replace("\n", "\n" + "  " * depth)
-    assert "".join(_body_json(p, depth)) == text
+    return json.dumps(payload, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bodies(), st.integers(0, 3))
+def test_body_json_matches_the_fraction_reference(p, depth):
+    assert "".join(_body_json(p, depth)) == reference_json(p, depth)
+
+
+def _poly(*monos):
+    return DiffPoly({mono: 1 for mono in monos})
+
+
+_T_E = ((T_VAR, 1), (EXP_VAR, -1))
+_T_H_E = ((T_VAR, 1), (par(0), 1), (EXP_VAR, -2))
+_Z_H_E = ((jet(2), 1), (jet(9), 1), (par(0), 1), (par(1), 1), (EXP_VAR, -1))
+_H_E = ((par(0), 1), (EXP_VAR, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(bodies(), min_size=2, max_size=4), st.sampled_from("uvw"))
+@example([_poly(_T_E), _poly(_T_E, _T_H_E)], "v")
+@example([_poly(_T_H_E), _poly(_T_E, _T_H_E)], "v")
+@example([_poly(_H_E), _poly(_Z_H_E, _H_E)], "w")
+@example([_poly(_Z_H_E), _poly(_Z_H_E, _H_E)], "w")
+def test_one_jet_part_table_serves_every_width(polys, dep):
+    # a jet part first decoded inside one polynomial must sort and render
+    # the same inside a wider or narrower one: the table is shared by every
+    # polynomial and every format, as in one gen document
+    shared: dict = {}
+    for p in polys:
+        reference = [(mono, mono_key(mono)[0], c) for mono, c in reference_terms(p)]
+        for parts in (shared, None):
+            got = [
+                (mono, degree, Fraction(num, den))
+                for mono, degree, num, den in ordered_terms(p, parts)
+            ]
+            assert got == reference
+            assert render_text(p, dep, parts) == reference_render(
+                p, lambda v: _text_var(v, dep)
+            )
+            assert render_latex(p, dep, parts) == reference_render(
+                p, lambda v: _latex_var(v, dep), "{}^{{{}}}", reference_latex_coeff, " "
+            )
+            for depth in (2, 3):
+                assert "".join(_body_json(p, depth, parts)) == reference_json(p, depth)
 
 
 _values = st.one_of(

@@ -10,6 +10,7 @@ from jetsym.jetflow import BURGERS
 from jetsym.symfam import Family, q_char
 from jetsym.zeta import (
     OrderExceeded,
+    ZetaBasis,
     ZetaPoly,
     build_zetas,
     from_zeta_coordinates,
@@ -75,6 +76,28 @@ def test_round_trip_random(rng):
         p = make_random_poly(rng, max_jet=6)
         zp = to_zeta_coordinates(p, basis)
         assert from_zeta_coordinates(zp, basis) == p
+
+
+def test_hand_built_basis_round_trips(rng):
+    # a triangular basis other than build_zetas' (leading part -v_k/2, other
+    # lower terms), used after and between canonical bases of the same size:
+    # the inverse images are cached per basis, never per size
+    canonical = build_zetas(3)
+    hand = ZetaBasis(
+        3,
+        (
+            -half * z(0) + 5,
+            -half * z(1) + z(0) ** 2,
+            -half * z(2) - 3 * z(0) * z(1),
+            -half * z(3) + z(2) * z(0) + Fraction(1, 3) * z(1) ** 2,
+        ),
+    )
+    assert to_zeta_coordinates(z(1), hand) != to_zeta_coordinates(z(1), canonical)
+    for _ in range(6):
+        p = make_random_poly(rng, max_jet=3)
+        for basis in (canonical, hand, build_zetas(3)):
+            zp = to_zeta_coordinates(p, basis)
+            assert from_zeta_coordinates(zp, basis) == p
 
 
 def test_forward_trip_random(rng):
