@@ -274,6 +274,13 @@ def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
     assert peak_mb < 60
 
 
+def test_solve_bytes_are_pinned_at_order_6():
+    # the kernel basis depends on the column order, which is the monomial order
+    code, got, _ = run_child(["solve", "--order", "6", "--format", "json"])
+    assert code == 0
+    assert got == "6d86cf151b3dc6c35ad27b496463b32c69868e95ddd1865d63cb0e2b1800aa1b"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
