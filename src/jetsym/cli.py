@@ -162,14 +162,17 @@ def _mono_from_json(data) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _json_array(items: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
+def _json_array(items: Iterable[str | Iterable[str]], depth: int) -> Iterator[str]:
     """The text of a JSON array, laid out as json.dumps(indent=2) at depth,
-    in fragments; each item is given as its own fragments."""
+    in fragments; each item is given as its text or its fragments."""
     inner = "\n" + "  " * (depth + 1)
     sep = "[" + inner
     for item in items:
-        yield sep
-        yield from item
+        if isinstance(item, str):
+            yield sep + item
+        else:
+            yield sep
+            yield from item
         sep = "," + inner
     yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
 
@@ -208,7 +211,7 @@ def _body_json(p: DiffPoly, depth: int, parts: dict | None = None) -> Iterator[s
             f'[{i4}"{_KIND_LETTER[kind]}",{i4}{idx},{i4}{e}{i3}]' for (kind, idx), e in factors
         )
 
-    sep = "[" + i1
+    texts = []
     for _, _, tx, j, num, den in jet_rows(p, parts):
         body = part_texts.get(j)
         if body is None:
@@ -219,9 +222,8 @@ def _body_json(p: DiffPoly, depth: int, parts: dict | None = None) -> Iterator[s
                 tx_text = tx_texts[tx] = text_of(tx_factors(tx))
             body = f"{tx_text},{i3}{body}" if body else tx_text
         m = f"[{i3}{body}{i2}]" if body else "[]"
-        yield f'{sep}[{i2}{m},{i2}"{ratio_text(num, den)}"{i1}]'
-        sep = "," + i1
-    yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
+        texts.append(f'[{i2}{m},{i2}"{ratio_text(num, den)}"{i1}]')
+    return _json_array(texts, depth)
 
 
 def _body_to_json(p: DiffPoly) -> list:

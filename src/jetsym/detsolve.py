@@ -27,10 +27,12 @@ symmetry family members of order <= n.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .diffring import (
+    _BITS,
     _FIELD_LIMIT,
     DiffPoly,
     ExponentOverflow,
@@ -40,6 +42,7 @@ from .diffring import (
     _check_fields,
     _decode,
     jet,
+    order_key,
     unit,
 )
 from .jetflow import (
@@ -61,11 +64,6 @@ _T_UNIT = unit(T_VAR)
 _X_UNIT = unit(X_VAR)
 
 _BOUNDS = ("jet_degree", "x_degree", "t_degree")
-
-# Sort-key digits of Ansatz._enumerate: 8 bits per variable, and the digit
-# of an absent variable, above every exponent a packed field holds.
-_DIGIT_BITS = 8
-_ABSENT = (1 << _DIGIT_BITS) - 1
 
 
 class AnsatzTooLarge(RuntimeError):
@@ -111,13 +109,13 @@ class Ansatz:
     def _enumerate(self) -> list[tuple[int, int, int, int]]:
         """The ansatz basis t^a x^b J in the global monomial order.
 
-        One (sort key, a, b, packed J) record per monomial, sorted.  The key
-        orders like mono_key: degree first, then, at the first variable in
-        the order t, x, z_0, z_1, ... where two monomials differ, the one
-        with the smaller exponent first, an absent variable counting as
-        above every exponent (the tuple form lists present variables only).
-        So the key holds the degree above one digit per variable, t the
-        most significant, with exponent e as e and 0 as _ABSENT.
+        One (sort key, a, b, packed J) record per monomial, sorted.  The jet
+        parts J are ranked once by order_key.  The key holds the degree,
+        then a, then b, then the rank of J, with an absent t or x counting
+        as _FIELD_LIMIT, above every exponent: the tuple form lists present
+        variables only, so t^a x^b J sorts after every monomial with a t.
+        Within one degree and one a and b, the jet parts all have the same
+        degree, so their rank orders them as mono_key does.
         """
         for name in _BOUNDS:
             bound = getattr(self, name)
@@ -129,35 +127,31 @@ class Ansatz:
                     f"(at most {_FIELD_LIMIT - 1})"
                 )
         n = self.order
-        jet_units = [unit(jet(k)) for k in range(n + 1)]
-        jet_parts: list[tuple[int, int, int]] = []  # (degree, digits, packed)
-
-        def extend(idx: int, budget: int, digits: int, packed: int):
-            if idx > n:
-                jet_parts.append((self.jet_degree - budget, digits, packed))
-                return
-            place = _DIGIT_BITS * (n - idx)
-            u = jet_units[idx]
-            for e in range(budget + 1):
-                extend(idx + 1, budget - e, digits + ((e or _ABSENT) << place), packed + e * u)
-
-        extend(0, self.jet_degree, 0, 0)
-
-        count = len(jet_parts) * (self.x_degree + 1) * (self.t_degree + 1)
+        # the monomials of degree <= jet_degree in z_0 .. z_n, times the t and x powers
+        count = comb(self.jet_degree + n + 1, n + 1) * (self.x_degree + 1) * (self.t_degree + 1)
         if count > self.monomial_cap:
             raise AnsatzTooLarge(
                 f"{count} ansatz monomials exceed the cap {self.monomial_cap}"
             )
 
-        degree_place = _DIGIT_BITS * (n + 3)
+        jet_units = [unit(jet(k)) for k in range(n + 1)]
+        jet_parts = sorted(
+            (order_key(J), J)
+            for d in range(self.jet_degree + 1)
+            for J in map(sum, combinations_with_replacement(jet_units, d))
+        )
+        rank_bits = len(jet_parts).bit_length()
+        degree_place = 2 * _BITS + rank_bits
+        keyed = [
+            (degree << degree_place | rank, J)
+            for rank, ((degree, _), J) in enumerate(jet_parts)
+        ]
         records = []
         for a in range(self.t_degree + 1):
             for b in range(self.x_degree + 1):
-                prefix = (a or _ABSENT) << _DIGIT_BITS | (b or _ABSENT)
-                prefix <<= _DIGIT_BITS * (n + 1)
-                for degree, digits, packed in jet_parts:
-                    key = (a + b + degree) << degree_place | prefix | digits
-                    records.append((key, a, b, packed))
+                tx = (a or _FIELD_LIMIT) << _BITS | (b or _FIELD_LIMIT)
+                prefix = (a + b) << degree_place | tx << rank_bits
+                records += [(prefix + key, a, b, J) for key, J in keyed]
         records.sort()
         return records
 

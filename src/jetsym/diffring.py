@@ -35,14 +35,16 @@ jet_rows decodes and sorts a polynomial in one pass, and ordered_terms,
 sorted_terms and render_terms (so str, and the CLI's renderers) read its
 rows.  A row splits a packed monomial b = m + _DIGITS_BIAS into its t byte,
 its x byte and its jet part b >> 16 (E, the z_k and the h_j).  A table
-that the caller passes in holds, per jet part, its sort-key suffix, degree,
+that the caller passes in holds, per jet part, its order-key bytes, degree,
 factors and E exponent, computed on first sight, and the renderers keep
 each jet part's factor text there per format; the order-12 Burgers family
-table has 18 332 terms but only 371 distinct jet parts.  Since one suffix
-serves polynomials of every width, its layout is fixed: the z block is
-padded to all _INDEX_LIMIT + 1 fields whenever an h field or E follows it,
-and the h block too whenever E follows it; otherwise trailing zero fields
-are dropped.  A value carrying E is rendered grouped by its power of E.
+table has 18 332 terms but only 371 distinct jet parts.  The order key of
+a monomial is its degree and the bytes of its factors, two per factor v^e:
+the rank of v in the order t < x < z_0 < ... < z_64 < h_0 < ... < h_64 < E,
+then e, E's raised by 64.  Byte strings compare as the tuples do, a string
+that ends first being the smaller, so the key is mono_key at any width;
+order_key gives it for one packed monomial.  A value carrying E is
+rendered grouped by its power of E.
 """
 
 from __future__ import annotations
@@ -204,7 +206,11 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_key(m: Monomial):
-    """Deterministic graded sort key (refines total degree)."""
+    """Deterministic graded sort key (refines total degree).
+
+    The tuple reference for the packed order: order_key must sort every
+    packed monomial as this sorts its decoded form.
+    """
     return (mono_degree(m), m)
 
 
@@ -387,9 +393,6 @@ class DiffPoly:
                 base = base * base
             n = base_needed
         return result
-
-    def scale(self, c: Fraction | int) -> "DiffPoly":
-        return self * Fraction(c)
 
     # -- queries ---------------------------------------------------------
 
@@ -587,22 +590,21 @@ def _nonzero(nums: dict[int, int]) -> dict[int, int]:
 # Of b = m + _DIGITS_BIAS, b & _TX_MASK holds the t and x fields and b >> _E_SHIFT
 # is the jet part: E's biased digit, then z_0, h_0, z_1, h_1, ...
 _TX_MASK = (1 << _E_SHIFT) - 1
-_NO_JET_PART = _E_DIGIT_BIAS  # the jet part of a monomial in t and x alone
-# A zero field followed by a nonzero one becomes _MASK in an order key, above
-# every exponent.
-_MISSING_HIGH = bytes([_MASK]) + bytes(range(1, 1 << _BITS))
-_BLOCK = _INDEX_LIMIT + 1  # fields in the z block and in the h block
+# The order-key rank of each variable, as the variables sort in tuple monomials.
+_RANK = {v: r for r, v in enumerate([T_VAR, X_VAR, *_JET_VARS, *_PAR_VARS, EXP_VAR])}
+
+
+def _key_bytes(factors: Monomial) -> bytes:
+    """The order-key bytes of the factors of a tuple monomial (see the
+    module docstring): per factor v^e, the rank of v, then e, E's raised by
+    _E_LIMIT into [0, 128)."""
+    return bytes([b for v, e in factors for b in (_RANK[v], e + _E_LIMIT if v == EXP_VAR else e)])
 
 
 def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
-    """The key suffix, degree, factors and E exponent of the jet part j.
+    """The order-key bytes, degree, factors and E exponent of the jet part j.
 
     The factors are the z_k, then the h_j, then E, as in a tuple monomial.
-    The key suffix holds the fields in the same order, with a zero field
-    that a nonzero one follows raised to _MASK and the trailing zero fields
-    dropped.  Its layout does not depend on the width of any polynomial:
-    the z block has all _BLOCK fields whenever an h field or E follows it,
-    and the h block too whenever E follows it.
     """
     d = j.to_bytes((j.bit_length() + 7) >> 3, "little")
     z, h = d[1::2], d[2::2]
@@ -612,28 +614,23 @@ def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
     )
     e = d[0] - _E_DIGIT_BIAS
     if e:
-        suffix = z.ljust(_BLOCK, b"\0") + h.ljust(_BLOCK, b"\0") + d[:1]
         factors += ((EXP_VAR, e),)
-    elif h.strip(b"\0"):
-        suffix = z.ljust(_BLOCK, b"\0") + h.rstrip(b"\0")
-    else:
-        suffix = z.rstrip(b"\0")
-    return suffix.translate(_MISSING_HIGH), sum(d) - _E_DIGIT_BIAS, factors, e
+    return _key_bytes(factors), sum(d) - _E_DIGIT_BIAS, factors, e
 
 
-def _tx_key(tx: int, followed: bool) -> tuple[bytes, int]:
-    """The order-key prefix and the degree of the t and x fields tx.
+def order_key(m: int) -> tuple[int, bytes]:
+    """The order key (degree, bytes) of the packed monomial m.
 
-    followed: a jet part follows them in the key.
+    Sorting packed monomials by it sorts them as mono_key sorts their
+    decoded forms (see _key_bytes).
     """
-    t, x = tx & _MASK, tx >> _BITS
-    if followed:
-        key = bytes((t or _MASK, x or _MASK))
-    elif x:
-        key = bytes((t or _MASK, x))
-    else:
-        key = bytes((t,)) if t else b""
-    return key, t + x
+    factors = _decode(m)
+    return mono_degree(factors), _key_bytes(factors)
+
+
+# The order-key bytes and degree of each t and x part met so far; there are
+# at most 128 x 128.
+_TX_KEYS: dict[int, tuple[bytes, int]] = {}
 
 
 def jet_rows(p: DiffPoly, parts: dict) -> list[tuple[int, bytes, int, int, int, int]]:
@@ -644,19 +641,14 @@ def jet_rows(p: DiffPoly, parts: dict) -> list[tuple[int, bytes, int, int, int, 
     _jet_part); parts maps each jet part to its decoded fields and is
     filled on first sight, so a table that shares it among its polynomials
     decodes each jet part once.  The rows come in decreasing mono_key
-    order, sorted by degree and then by a byte key: the t and x fields and
-    the jet part's key suffix, with a zero field that a nonzero one follows
-    raised above every exponent and the trailing zero fields dropped.
-    These bytes compare as the tuple monomials do: where two tuples first
-    differ, the smaller factor or the tuple that has ended is the smaller
-    (x before x*z_0*E^{-1}).  Each coefficient is a reduced ratio; no
-    Fraction is made.
+    order, sorted by the order key: the degree, then the key bytes of tx
+    followed by those of j (see _key_bytes).  Each coefficient is a reduced
+    ratio; no Fraction is made.
     """
     den = p._den
     get = parts.get
-    tx_keys: dict[int, tuple[bytes, int]] = {}
-    tx_get = tx_keys.get
-    bias, shift, tx_mask, no_jet = _DIGITS_BIAS, _E_SHIFT, _TX_MASK, _NO_JET_PART
+    tx_get = _TX_KEYS.get
+    bias, shift, tx_mask = _DIGITS_BIAS, _E_SHIFT, _TX_MASK
     rows = []
     append = rows.append
     for m, c in p._nums.items():
@@ -666,15 +658,12 @@ def jet_rows(p: DiffPoly, parts: dict) -> list[tuple[int, bytes, int, int, int, 
         if part is None:
             part = parts[j] = _jet_part(j)
         tx = b & tx_mask
-        if j == no_jet:
-            prefix, degree = _tx_key(tx, False)
-        else:
-            tx_key = tx_get(tx)
-            if tx_key is None:
-                tx_key = tx_keys[tx] = _tx_key(tx, True)
-            prefix, degree = tx_key
+        tx_key = tx_get(tx)
+        if tx_key is None:
+            factors = tx_factors(tx)
+            tx_key = _TX_KEYS[tx] = (_key_bytes(factors), mono_degree(factors))
         g = gcd(c, den)
-        append((degree + part[1], prefix + part[0], tx, j, c // g, den // g))
+        append((tx_key[1] + part[1], tx_key[0] + part[0], tx, j, c // g, den // g))
     rows.sort(reverse=True)
     return rows
 

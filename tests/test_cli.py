@@ -244,12 +244,12 @@ print(proc.returncode, digest.hexdigest(), usage.ru_maxrss)
 """
 
 
-def run_child(argv):
+def run_child(argv, timeout=None):
     """jetsym argv in a fresh process: exit code, stdout sha256, peak RSS in MB."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", _MEASURE, sys.executable, "-m", "jetsym.cli", *argv],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True, check=True, timeout=timeout,
     )
     code, digest, rss_kib = out.stdout.split()
     return int(code), digest, int(rss_kib) / 1024
@@ -272,6 +272,15 @@ def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
     # gen streams the document; holding the 40.8 MB JSON text in memory
     # takes the process past 150 MB
     assert peak_mb < 60
+
+
+def test_solve_refuses_an_over_cap_ansatz_before_building_it():
+    # order 12 has 878 850 700 ansatz monomials; enumerating the 5 200 300
+    # jet parts before checking the cap took 9 s and 931 MB
+    code, got, peak_mb = run_child(["solve", "--order", "12"], timeout=30)
+    assert code == 3
+    assert got == hashlib.sha256(b"").hexdigest()
+    assert peak_mb < 40
 
 
 def test_solve_bytes_are_pinned_at_order_6():

@@ -16,7 +16,17 @@ from jetsym.detsolve import (
     nullspace,
     solve_symmetries,
 )
-from jetsym.diffring import DiffPoly, ExponentOverflow, T_VAR, X_VAR, jet, jet_poly, mono_key
+from jetsym.diffring import (
+    DiffPoly,
+    ExponentOverflow,
+    T_VAR,
+    X_VAR,
+    jet,
+    jet_poly,
+    mono_key,
+    order_key,
+    unit,
+)
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, invariance_residual
 from jetsym.symfam import Family, q_char
 
@@ -220,16 +230,34 @@ def test_ansatz_monomials_are_bounded_and_sorted():
     assert monos == sorted(monos, key=lambda m: (sum(e for _, e in m), m))
 
 
-@pytest.mark.parametrize("bounds", _LEIBNIZ_BOUNDS + [(0, 3, 2, 2), (2, 0, 0, 3), (3, 6, 1, 1)])
+_ENUMERATE_BOUNDS = _LEIBNIZ_BOUNDS + [(0, 3, 2, 2), (2, 0, 0, 3), (3, 6, 1, 1)]
+
+
+@pytest.mark.parametrize("bounds", _ENUMERATE_BOUNDS)
 def test_ansatz_monomials_follow_mono_key(bounds):
     order, jet_degree, x_degree, t_degree = bounds
-    monos = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree).monomials()
+    ansatz = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)
+    monos = ansatz.monomials()
     assert monos == sorted(set(monos), key=mono_key)
+    packed = [a * unit(T_VAR) + b * unit(X_VAR) + J for _, a, b, J in ansatz._enumerate()]
+    assert packed == sorted(packed, key=order_key)
 
 
 def test_ansatz_cap():
     with pytest.raises(AnsatzTooLarge):
         Ansatz(BURGERS, 4, monomial_cap=10).monomials()
+
+
+@pytest.mark.parametrize("bounds", _ENUMERATE_BOUNDS)
+def test_ansatz_cap_counts_the_monomials_before_enumerating(bounds):
+    # the cap is checked on a count formed from the bounds alone
+    order, jet_degree, x_degree, t_degree = bounds
+    count = len(Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)._enumerate())
+    Ansatz(BURGERS, order, jet_degree, x_degree, t_degree, monomial_cap=count)._enumerate()
+    over = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree, monomial_cap=count - 1)
+    message = f"^{count} ansatz monomials exceed the cap {count - 1}$"
+    with pytest.raises(AnsatzTooLarge, match=message):
+        over._enumerate()
 
 
 @pytest.mark.parametrize("bound", ["jet_degree", "x_degree", "t_degree"])

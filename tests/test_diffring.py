@@ -38,8 +38,8 @@ def test_product_rule_base_case():
     assert p.partial(jet(0)) == z1
 
 
-def test_scale():
-    assert (z0 * z0).scale(Fraction(1, 2)) == Fraction(1, 2) * z0 * z0
+def test_scalar_product_commutes():
+    assert (z0 * z0) * Fraction(1, 2) == Fraction(1, 2) * z0 * z0
 
 
 def test_partial_examples():

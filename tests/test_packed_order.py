@@ -1,7 +1,7 @@
 """The packed decode-and-sort pass against the tuple order it replaces.
 
-diffring.jet_rows sorts packed monomials by a byte key instead of
-mono_key.  The references here decode each term, make its Fraction and sort
+diffring.order_key, and jet_rows which sorts packed monomials by the same
+byte key, must order every monomial as mono_key orders its tuple form.  The references here decode each term, make its Fraction and sort
 by mono_key, as the renderers did before the pass; every rendered format
 must agree with them byte for byte, whether each polynomial gets its own
 jet-part table or one table serves polynomials of several widths.  Also
@@ -27,9 +27,11 @@ from jetsym.diffring import (
     X_VAR,
     DiffPoly,
     _decode,
+    _encode,
     const,
     jet,
     mono_key,
+    order_key,
     ordered_terms,
     par,
     var_name,
@@ -200,6 +202,49 @@ def test_one_jet_part_table_serves_every_width(polys, dep):
             )
             for depth in (2, 3):
                 assert "".join(_body_json(p, depth, parts)) == reference_json(p, depth)
+
+
+# every packed slot but E's, each field's exponents, and E's
+_SLOTS = [T_VAR, X_VAR, *map(jet, range(65)), *map(par, range(65))]
+_EXPONENTS = st.integers(1, 127)
+_E_EXPONENTS = st.integers(-64, 63)
+
+
+@st.composite
+def packed_monomials(draw):
+    """A packed monomial over every slot, with exponents up to each field's limit."""
+    chosen = draw(st.lists(st.sampled_from(_SLOTS), unique=True, max_size=5))
+    mono = sorted((v, draw(_EXPONENTS)) for v in chosen)
+    m = draw(_E_EXPONENTS)
+    if m:
+        mono.append((EXP_VAR, m))
+    return _encode(tuple(mono))
+
+
+_EXTREMES = [
+    (),
+    ((T_VAR, 127),),
+    ((X_VAR, 127),),
+    ((jet(64), 127),),
+    ((par(64), 127),),
+    ((EXP_VAR, -64),),
+    ((EXP_VAR, 63),),
+    ((T_VAR, 127), (X_VAR, 127), (jet(0), 1), (par(64), 127), (EXP_VAR, -64)),
+    ((jet(0), 1), (jet(64), 1), (par(0), 1), (EXP_VAR, 63)),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(packed_monomials(), unique=True, min_size=2, max_size=8))
+@example([_encode(_T_E), _encode(_T_H_E)])
+@example([_encode(_Z_H_E), _encode(_H_E)])
+@example([_encode(mono) for mono in _EXTREMES])
+def test_order_key_sorts_as_mono_key(monos):
+    assert sorted(monos, key=order_key) == sorted(monos, key=lambda m: mono_key(_decode(m)))
+    # the bytes alone sort as the tuples alone, so the keys agree within any degree
+    assert sorted(monos, key=lambda m: order_key(m)[1]) == sorted(monos, key=_decode)
+    for m in monos:
+        assert order_key(m)[0] == mono_key(_decode(m))[0]
 
 
 _values = st.one_of(
