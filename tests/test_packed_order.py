@@ -1,10 +1,11 @@
 """The packed decode-and-sort pass against the tuple order it replaces.
 
-diffring.order_key, and jet_rows which sorts packed monomials by the same
-byte key, must order every monomial as mono_key orders its tuple form.  The references here decode each term, make its Fraction and sort
-by mono_key, as the renderers did before the pass; every rendered format
-must agree with them byte for byte, whether each polynomial gets its own
-jet-part table or one table serves polynomials of several widths.  Also
+diffring.order_key, and jet_rows, which sorts packed monomials by the same
+byte key, must order every monomial as mono_key orders its tuple form.  The
+references here decode each term, make its Fraction and sort by mono_key,
+as the renderers did before the pass; every rendered format must agree
+with them byte for byte, whether each polynomial gets its own jet-part
+table or one table serves polynomials of several widths.  Also
 here: a constant polynomial hashes as its value, since it compares equal
 to it.
 """
@@ -204,7 +205,7 @@ def test_one_jet_part_table_serves_every_width(polys, dep):
                 assert "".join(_body_json(p, depth, parts)) == reference_json(p, depth)
 
 
-# every packed slot but E's, each field's exponents, and E's
+# the slots other than E's, and the exponents that each field holds
 _SLOTS = [T_VAR, X_VAR, *map(jet, range(65)), *map(par, range(65))]
 _EXPONENTS = st.integers(1, 127)
 _E_EXPONENTS = st.integers(-64, 63)
@@ -234,7 +235,7 @@ _EXTREMES = [
 ]
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(packed_monomials(), unique=True, min_size=2, max_size=8))
 @example([_encode(_T_E), _encode(_T_H_E)])
 @example([_encode(_Z_H_E), _encode(_H_E)])
