@@ -227,6 +227,22 @@ def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "165d73f006236c4ca71d54423f25e666a921e90c56c2fa6fc7085131e9e18617"),
+        (["verify", "--help"], "76f5680d25e0cd3966e3c441f50ebc1a17a31aaf2287b2e686267c5e05c45276"),
+    ],
+)
+def test_help_bytes_are_pinned(argv, digest, monkeypatch, capsys):
+    # the help text names every cap; argparse wraps it at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # Runs argv[1:] as a child, hashing its stdout as it streams, and prints the
 # exit code, the sha256 and the child's peak resident set (KiB), read from
 # os.wait4 on the child's pid.  Linux carries a process's peak resident set
