@@ -180,7 +180,7 @@ def _encode(mono: Monomial) -> int:
 def _decode(m: int) -> Monomial:
     """The sorted ((kind, index), exponent) tuple of a packed monomial."""
     b = m + _DIGITS_BIAS
-    return tx_factors(b & _TX_MASK) + _jet_part(b >> _E_SHIFT)[2]
+    return tx_factors(b & _TX_MASK) + _jet_factors(b >> _E_SHIFT)
 
 
 def jet(k: int) -> VarId:
@@ -601,11 +601,9 @@ def _key_bytes(factors: Monomial) -> bytes:
     return bytes([b for v, e in factors for b in (_RANK[v], e + _E_LIMIT if v == EXP_VAR else e)])
 
 
-def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
-    """The order-key bytes, degree, factors and E exponent of the jet part j.
-
-    The factors are the z_k, then the h_j, then E, as in a tuple monomial.
-    """
+def _jet_factors(j: int) -> Monomial:
+    """The factors of the jet part j: the z_k, then the h_j, then E, as in a
+    tuple monomial."""
     d = j.to_bytes((j.bit_length() + 7) >> 3, "little")
     z, h = d[1::2], d[2::2]
     factors = (
@@ -615,7 +613,13 @@ def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
     e = d[0] - _E_DIGIT_BIAS
     if e:
         factors += ((EXP_VAR, e),)
-    return _key_bytes(factors), sum(d) - _E_DIGIT_BIAS, factors, e
+    return factors
+
+
+def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
+    """The order-key bytes, degree, factors and E exponent of the jet part j."""
+    factors = _jet_factors(j)
+    return _key_bytes(factors), mono_degree(factors), factors, (j & _MASK) - _E_DIGIT_BIAS
 
 
 def order_key(m: int) -> tuple[int, bytes]:

@@ -381,9 +381,9 @@ def test_gen_order_cap(capsys):
     [("invariance", 9), ("commutators", 4), ("recursion", 7), ("zeta", 18), ("maps", 10)],
 )
 def test_verify_order_caps(suite, bound, capsys):
-    from jetsym.cli import _SUITES
+    from jetsym.cli import _SUITE_ORDERS
 
-    cap = _SUITES[suite][2]
+    cap = _SUITE_ORDERS[suite][1]
     assert cap >= bound
     code, out, err = run(["verify", "--suite", suite, "--max-order", str(cap + 1)], capsys)
     assert code == 3
@@ -405,14 +405,15 @@ def test_verify_all_checks_every_cap_before_running(capsys):
 
 
 def test_solve_resource_cap(monkeypatch, capsys):
-    import jetsym.cli as cli_mod
+    import jetsym.detsolve as detsolve_mod
 
     def tiny_solve(eq, order, **kw):
         from jetsym.detsolve import AnsatzTooLarge
 
         raise AnsatzTooLarge("forced")
 
-    monkeypatch.setattr(cli_mod, "solve_symmetries", tiny_solve)
+    # the solve handler imports solve_symmetries from detsolve when it runs
+    monkeypatch.setattr(detsolve_mod, "solve_symmetries", tiny_solve)
     code, out, err = run(["solve", "--order", "4"], capsys)
     assert code == 3
     assert "ansatz too large" in err

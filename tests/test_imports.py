@@ -1,0 +1,130 @@
+"""What each process imports: lazy package exports, and the modules a CLI
+command loads.
+
+Every jetsym command runs in a fresh interpreter, so the modules it imports
+are compiled and executed on every call; a command loads only those it runs.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import jetsym
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The public names of the package, by the module that defines each.
+EXPORTS = {
+    "colemap": [
+        "BareDependentVariable", "NotProjectable", "heat_to_potential", "hopf_cole_chain",
+        "potential_to_burgers", "w_jet_substitution",
+    ],
+    "detsolve": [
+        "Ansatz", "AnsatzTooLarge", "LinearSystem", "SolveReport", "build_system",
+        "nullspace", "solve_symmetries",
+    ],
+    "diffring": [
+        "DiffPoly", "JetLimitError", "const", "exp_poly", "jet", "jet_poly", "par",
+        "par_poly", "t_poly", "x_poly",
+    ],
+    "jetflow": [
+        "BURGERS", "EQUATIONS", "HEAT", "POTBURGERS", "Characteristic",
+        "EvolutionEquation", "invariance_residual",
+    ],
+    "opcalc": [
+        "IntegrabilityCertificate", "NotATotalDerivative", "OperatorExpr", "apply",
+        "boost_op", "commutator_op", "dx_preimage", "euler_residual", "identity_op",
+        "integrability_certificate", "op_compose", "op_power", "op_scale", "op_sum",
+        "operator_identity_probe", "potential_defect_op", "recursion_ops",
+        "translation_op",
+    ],
+    "symfam": [
+        "Family", "FamilyIndex", "LieGenerator", "LieMatch", "commutator",
+        "evolution_form", "family_seed_chain", "heat_point_symmetries",
+        "lie_correspondence", "q_char", "structure_check",
+    ],
+    "zeta": [
+        "OrderExceeded", "ZetaBasis", "ZetaPoly", "build_zetas", "from_zeta_coordinates",
+        "to_zeta_coordinates", "verify_zeta_identities",
+    ],
+}
+
+# Runs the code in argv[1] with the command line argv[2:], then prints the
+# jetsym modules loaded.
+_LOADED = """
+import sys
+try:
+    exec(sys.argv.pop(1))
+finally:
+    print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "jetsym")), file=sys.stderr)
+"""
+
+# Runs jetsym.cli as python -m does, with the command line argv[1:].
+_RUN_CLI = 'import runpy; runpy.run_module("jetsym.cli", run_name="__main__", alter_sys=True)'
+
+
+def loaded_modules(code, *argv):
+    """The jetsym modules a fresh interpreter has loaded after running code."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED, code, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return set(out.stderr.splitlines()[-1].split())
+
+
+def test_every_export_resolves_to_its_module_attribute():
+    assert sorted(jetsym.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module(f"jetsym.{module}")
+        for name in names:
+            assert getattr(jetsym, name) is getattr(defining, name), name
+
+
+def test_star_import_dir_version_and_unknown_names():
+    namespace = {}
+    exec("from jetsym import *", namespace)
+    assert set(jetsym.__all__) <= namespace.keys()
+    assert all(namespace[name] is getattr(jetsym, name) for name in jetsym.__all__)
+    assert {*jetsym.__all__, *EXPORTS} <= set(dir(jetsym))
+    assert jetsym.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        jetsym.no_such_name
+    with pytest.raises(ImportError):
+        exec("from jetsym import no_such_name", {})
+
+
+def test_import_jetsym_loads_no_module():
+    assert loaded_modules("import jetsym") == {"jetsym"}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_an_export_loads_only_its_module(module):
+    # resolving the names of one module, or the module as an attribute of
+    # the package, loads what importing that module does
+    names = [module, *EXPORTS[module]]
+    resolved = loaded_modules(f"import jetsym; [getattr(jetsym, n) for n in {names!r}]")
+    assert resolved == loaded_modules(f"import jetsym.{module}")
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (["gen", "--eq", "heat", "--max-order", "2"], [], ["detsolve", "zeta", "colemap", "checks"]),
+        (["solve", "--order", "2"], ["detsolve"], ["checks", "zeta", "colemap"]),
+        (["map", "--k", "0", "--l", "1"], ["colemap"], ["checks", "zeta", "detsolve"]),
+        (["verify", "--suite", "maps", "--max-order", "1"], ["checks"], ["detsolve"]),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, loads, skips):
+    # under python -m, cli runs as __main__: a jetsym.cli entry would be a
+    # second copy of it, compiled and executed again
+    loaded = loaded_modules(_RUN_CLI, *argv)
+    assert "jetsym.cli" not in loaded
+    assert {f"jetsym.{m}" for m in loads} <= loaded
+    assert not {f"jetsym.{m}" for m in skips} & loaded

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from jetsym.cli import CheckResult, SymmetryTableDoc, TableEntry
+from jetsym.checks import CheckResult
+from jetsym.cli import SymmetryTableDoc, TableEntry
 from jetsym.detsolve import Ansatz, SolveReport, solve_symmetries
 from jetsym.diffring import DiffPoly, jet_poly, t_poly, x_poly
 from jetsym.jetflow import BURGERS, HEAT, Characteristic
@@ -129,7 +130,8 @@ def test_value_records_keep_their_fields():
     assert ZetaPoly(jet_poly(0)) == ZetaPoly(jet_poly(0)) != jet_poly(0)
 
 
-@pytest.mark.parametrize("module", ["jetsym", "jetsym.cli"])
+# import jetsym loads no module, so the modules a process may load are named
+@pytest.mark.parametrize("module", ["jetsym", "jetsym.cli", "jetsym.checks", "jetsym.detsolve"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
