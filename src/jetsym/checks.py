@@ -6,6 +6,8 @@ given bounds and prints one PASS or FAIL line per check and a summary.  The
 default bound and the cap of each suite belong to the command line and live
 in jetsym.cli, which this module does not import: python -m jetsym.cli runs
 cli as __main__, and an import of jetsym.cli here would execute it again.
+Only the maps suite calls colemap and only the zeta suite calls zeta, so
+each imports its module itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
-from .colemap import NotProjectable, heat_to_potential, potential_to_burgers
 from .diffring import DiffPoly, T_VAR, X_VAR, jet, par
 from .jetflow import BURGERS, HEAT, invariance_residual
 from .opcalc import (
@@ -45,7 +46,6 @@ from .symfam import (
     structure_check,
     structure_sweep,
 )
-from .zeta import build_zetas, from_zeta_coordinates, to_zeta_coordinates, verify_zeta_identities
 
 
 class CheckResult(NamedTuple):
@@ -251,6 +251,13 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
 
 
 def suite_zeta(max_order: int) -> list[CheckResult]:
+    from .zeta import (
+        build_zetas,
+        from_zeta_coordinates,
+        to_zeta_coordinates,
+        verify_zeta_identities,
+    )
+
     out = []
     basis = build_zetas(max(max_order, 1))
     v = DiffPoly.variable(jet(0))
@@ -290,6 +297,8 @@ def suite_zeta(max_order: int) -> list[CheckResult]:
 
 
 def suite_maps(max_order: int) -> list[CheckResult]:
+    from .colemap import NotProjectable, heat_to_potential, potential_to_burgers
+
     out = []
     ok_hp = True
     ok_pb = True

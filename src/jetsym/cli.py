@@ -16,13 +16,13 @@ cannot be written (gen --out, or a closed stdout), 3 resource cap exceeded.
 The verify suites live in jetsym.checks; this module keeps their default
 bounds and caps.  A module that only one command uses is imported in that
 command's handler (detsolve for solve, colemap for map, checks for verify),
-so each process compiles no more of the package than its command runs.
+so each process compiles no more of the package than its command runs;
+the json module is likewise imported only where JSON is written or read.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -294,6 +294,8 @@ class SymmetryTableDoc:
     def _json_fragments(self) -> Iterator[str]:
         """The text of to_json in term-sized fragments; the bodies share one
         jet-part table."""
+        import json
+
         parts: dict = {}
         entries = (
             _json_object(
@@ -318,6 +320,8 @@ class SymmetryTableDoc:
 
     @staticmethod
     def from_json(text: str) -> "SymmetryTableDoc":
+        import json
+
         payload = json.loads(text)
         _require_keys(payload, ("equation", "metadata", "entries"), "a table document")
         equation = payload["equation"]
@@ -489,6 +493,8 @@ def _cmd_solve(args, parser) -> int:
         print(f"ansatz too large: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
+        import json
+
         fields = {
             "ansatz_size": json.dumps(report.ansatz_size),
             "basis": _json_array((_body_json(c.body, 2) for c in report.basis), 1),

@@ -21,7 +21,10 @@ each operation so that gcd(denominator, *numerators) = 1; the zero
 polynomial has no terms and denominator 1.  Values are therefore canonical
 and compared by their packed form.  derive, the one loop behind every total
 derivative, reads the packed form directly; its tables of variable images
-are keyed by unit.
+are keyed by unit.  substitute shares factor products within a call: the
+image of every target part and of each of its prefixes, taken in
+increasing unit order, is built once, keyed by its packed monomial, and
+freed when the call returns.
 
 At the edges monomials appear as tuples of ((kind, index), exponent) pairs
 sorted by variable, with no zero exponent, and coefficients as Fractions:
@@ -383,16 +386,17 @@ class DiffPoly:
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("negative powers are not defined in the ring")
-        result = DiffPoly.const(1)
+        if n == 0:
+            return DiffPoly.const(1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     # -- queries ---------------------------------------------------------
 
@@ -485,36 +489,52 @@ class DiffPoly:
     def substitute(self, rules: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of polynomials for variables.
 
-        Variables not mentioned in the rules pass through unchanged.
+        Variables not mentioned in the rules pass through unchanged.  Within
+        one call each product of factor images is built once: a term's
+        factors that have a rule are taken in increasing unit order, and the
+        image of each prefix, keyed by its packed monomial, is the image of
+        the prefix one factor shorter times the power of the new factor's
+        image.  Terms that share lower factors share their products.
         """
         if not rules:
             return self
-        targets = [(_UNIT[v], image) for v, image in rules.items() if v in _UNIT]
-        targets = [(u, u.bit_length() - 1, image) for u, image in targets]
-        pow_cache: dict[tuple[int, int], DiffPoly] = {}
+        targets = [
+            (u, u.bit_length() - 1, image)
+            for u, v, image in sorted(
+                (_UNIT[v], v, image) for v, image in rules.items() if v in _UNIT
+            )
+        ]
+        # The image of every target part and prefix built in this call, by
+        # packed monomial; a one-factor part e*u holds image**e.
+        products: dict[int, DiffPoly] = {}
         out: dict[int, int] = {}
         get = out.get
         den = 1  # common denominator of the factor products so far
         for m, c in self._nums.items():
-            rest = m
-            image_product = None
+            part = 0
+            product = None
             for u, shift, image in targets:
                 e = _field(m, shift)
                 if e:
-                    rest -= e * u
-                    power = pow_cache.get((u, e))
-                    if power is None:
-                        power = pow_cache[(u, e)] = image**e
-                    image_product = power if image_product is None else image_product * power
-            if image_product is None:
+                    eu = e * u
+                    part += eu
+                    known = products.get(part)
+                    if known is None:
+                        power = products.get(eu)
+                        if power is None:
+                            power = products[eu] = image**e
+                        known = products[part] = power if product is None else product * power
+                    product = known
+            rest = m - part
+            if product is None:
                 out[rest] = get(rest, 0) + c * den
                 continue
-            d = image_product._den
+            d = product._den
             if den % d:
                 out, den = _widened(out, den, d)
                 get = out.get
             c *= den // d
-            for pm, pc in image_product._nums.items():
+            for pm, pc in product._nums.items():
                 k = rest + pm
                 out[k] = get(k, 0) + c * pc
         _check_fields(out)

@@ -54,21 +54,21 @@ EXPORTS = {
 }
 
 # Runs the code in argv[1] with the command line argv[2:], then prints the
-# jetsym modules loaded.
+# modules loaded.
 _LOADED = """
 import sys
 try:
     exec(sys.argv.pop(1))
 finally:
-    print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "jetsym")), file=sys.stderr)
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
 """
 
 # Runs jetsym.cli as python -m does, with the command line argv[1:].
 _RUN_CLI = 'import runpy; runpy.run_module("jetsym.cli", run_name="__main__", alter_sys=True)'
 
 
-def loaded_modules(code, *argv):
-    """The jetsym modules a fresh interpreter has loaded after running code."""
+def all_loaded_modules(code, *argv):
+    """Every module a fresh interpreter has loaded after running code."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", _LOADED, code, *argv],
@@ -76,6 +76,11 @@ def loaded_modules(code, *argv):
     )
     assert out.returncode == 0, out.stderr
     return set(out.stderr.splitlines()[-1].split())
+
+
+def loaded_modules(code, *argv):
+    """The jetsym modules a fresh interpreter has loaded after running code."""
+    return {m for m in all_loaded_modules(code, *argv) if m.split(".")[0] == "jetsym"}
 
 
 def test_every_export_resolves_to_its_module_attribute():
@@ -118,7 +123,13 @@ def test_an_export_loads_only_its_module(module):
         (["gen", "--eq", "heat", "--max-order", "2"], [], ["detsolve", "zeta", "colemap", "checks"]),
         (["solve", "--order", "2"], ["detsolve"], ["checks", "zeta", "colemap"]),
         (["map", "--k", "0", "--l", "1"], ["colemap"], ["checks", "zeta", "detsolve"]),
-        (["verify", "--suite", "maps", "--max-order", "1"], ["checks"], ["detsolve"]),
+        (["verify", "--suite", "maps", "--max-order", "1"], ["checks", "colemap"], ["detsolve"]),
+        (["verify", "--suite", "zeta", "--max-order", "1"], ["checks", "zeta"], ["detsolve"]),
+        (
+            ["verify", "--suite", "commutators", "--max-order", "1"],
+            ["checks"],
+            ["detsolve", "colemap", "zeta"],
+        ),
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, loads, skips):
@@ -128,3 +139,12 @@ def test_a_command_loads_only_the_modules_it_runs(argv, loads, skips):
     assert "jetsym.cli" not in loaded
     assert {f"jetsym.{m}" for m in loads} <= loaded
     assert not {f"jetsym.{m}" for m in skips} & loaded
+
+
+def test_only_json_output_loads_json():
+    # a bare interpreter does not load json, so a text or LaTeX table need not
+    gen = ["gen", "--eq", "heat", "--max-order", "2", "--format"]
+    assert "json" not in all_loaded_modules("pass")
+    assert "json" not in all_loaded_modules(_RUN_CLI, *gen, "text")
+    assert "json" not in all_loaded_modules(_RUN_CLI, *gen, "latex")
+    assert "json" in all_loaded_modules(_RUN_CLI, *gen, "json")

@@ -27,6 +27,7 @@ from jetsym.diffring import (
     jet,
     jet_poly,
     par,
+    t_poly,
     x_poly,
 )
 from jetsym.jetflow import HEAT, EvolutionEquation, x_derivative
@@ -69,19 +70,102 @@ def test_partial_is_a_derivation(a, b, v):
     assert (a * Fraction(5, 3)).partial(v) == a.partial(v) * Fraction(5, 3)
 
 
+def _term_by_term(p, rules):
+    """p with rules applied one factor at a time, each power by repeated products."""
+    total = DiffPoly.zero()
+    for mono, coeff in p.terms.items():
+        term = DiffPoly.const(coeff)
+        for v, e in mono:
+            if v not in rules:
+                term = term * DiffPoly.variable(v, e)
+                continue
+            for _ in range(e):
+                term = term * rules[v]
+        total = total + term
+    return total
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_substitute_matches_term_by_term_products(data):
     p = data.draw(polys())
     targets = data.draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
     rules = {v: data.draw(polys(max_terms=3)) for v in targets}
-    expected = DiffPoly.zero()
-    for mono, coeff in p.terms.items():
-        term = DiffPoly.const(coeff)
-        for v, e in mono:
-            term = term * (rules[v] ** e if v in rules else DiffPoly.variable(v, e))
-        expected = expected + term
-    assert p.substitute(rules) == expected
+    assert p.substitute(rules) == _term_by_term(p, rules)
+
+
+# The variables whose rules the shared-product tests draw.
+_SHARED_TARGETS = [jet(0), par(0), jet(1), jet(3)]
+
+
+@st.composite
+def shared_part_polys(draw, targets):
+    """q (1 + t + x + t x) for a q over the targets: every target part recurs
+    with four rests, and parts that share lower factors recur in q."""
+    base = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        extra = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True))
+        exps = {v: draw(st.integers(1, 2)) for v in base}
+        for v in extra:
+            exps[v] = exps.get(v, 0) + draw(st.integers(1, 2))
+        terms[tuple(sorted(exps.items()))] = draw(_coeffs)
+    rests = DiffPoly.const(1) + t_poly() + x_poly() + t_poly() * x_poly()
+    return DiffPoly(terms) * rests
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_shares_products_across_recurring_parts(data):
+    targets = data.draw(
+        st.lists(st.sampled_from(_SHARED_TARGETS), min_size=1, max_size=4, unique=True)
+    )
+    p = data.draw(shared_part_polys(targets))
+    rules = {v: data.draw(polys(max_terms=3)) for v in targets}
+    assert p.substitute(rules) == _term_by_term(p, rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_with_an_exp_rule_and_fraction_images(data):
+    others = data.draw(st.lists(st.sampled_from(_SHARED_TARGETS), max_size=2, unique=True))
+    targets = [EXP_VAR, *others]
+    p = data.draw(shared_part_polys(targets))
+    rules = {
+        v: data.draw(polys(max_terms=2))
+        + data.draw(_coeffs) * jet_poly(2)
+        + Fraction(1, data.draw(st.sampled_from((2, 5, 7))))
+        for v in targets
+    }
+    assert p.substitute(rules) == _term_by_term(p, rules)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_substitute_rejects_a_negative_power_under_an_exp_rule(shared):
+    # E^{-1} has no image under a rule for E, also after earlier terms have
+    # built the products of E and z_1
+    p = exp_poly(-1) * jet_poly(1)
+    if shared:
+        p = exp_poly(1) * jet_poly(1) + exp_poly(2) + p
+    rules = {EXP_VAR: jet_poly(0) + 1, jet(1): jet_poly(2) * Fraction(1, 3)}
+    with pytest.raises(ValueError, match="negative powers are not defined in the ring"):
+        p.substitute(rules)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_terms=3), st.integers(0, 6))
+def test_power_is_a_repeated_product(p, n):
+    expected = DiffPoly.const(1)
+    for _ in range(n):
+        expected = expected * p
+    assert p**n == expected
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="negative powers"):
+        jet_poly(0) ** -1
+    assert jet_poly(0) ** 0 == DiffPoly.const(1)
+    assert DiffPoly.zero() ** 0 == DiffPoly.const(1)
 
 
 @settings(max_examples=60, deadline=None)

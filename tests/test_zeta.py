@@ -1,11 +1,12 @@
 """The triangular nonlinear coordinates and their identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_random_poly
-from jetsym.diffring import DiffPoly, exp_poly, jet, jet_poly
+from jetsym.diffring import T_VAR, X_VAR, DiffPoly, exp_poly, jet, jet_poly
 from jetsym.jetflow import BURGERS
 from jetsym.symfam import Family, q_char
 from jetsym.zeta import (
@@ -98,6 +99,38 @@ def test_hand_built_basis_round_trips(rng):
         for basis in (canonical, hand, build_zetas(3)):
             zp = to_zeta_coordinates(p, basis)
             assert from_zeta_coordinates(zp, basis) == p
+
+
+def _fixed_weight_poly(rng, weight=16, factors=4, terms=4, top=6):
+    """terms terms whose jet parts have factors jets of total scaling weight
+    weight (v_k weighs k + 1, k <= top), each with or without t and x."""
+    out = {}
+    while len(out) < terms:
+        cuts = sorted(rng.sample(range(1, weight), factors - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
+        if max(parts) > top + 1:
+            continue
+        exps = {}
+        for part in parts:
+            exps[jet(part - 1)] = exps.get(jet(part - 1), 0) + 1
+        for v in (T_VAR, X_VAR):
+            if rng.random() < 0.5:
+                exps[v] = 1
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        out[tuple(sorted(exps.items()))] = coeff
+    return DiffPoly(out)
+
+
+def test_round_trip_at_the_benchmark_shape():
+    # the inputs of the coords benchmark: large substitutions whose terms
+    # share most of their factor products
+    basis = build_zetas(6)
+    rng = random.Random(16)
+    for _ in range(3):
+        p = _fixed_weight_poly(rng)
+        assert p.order() <= 6 and len(p.terms) == 4
+        zp = to_zeta_coordinates(p, basis)
+        assert from_zeta_coordinates(zp, basis) == p
 
 
 def test_forward_trip_random(rng):
