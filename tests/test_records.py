@@ -83,6 +83,27 @@ def test_operator_equality_depends_on_the_type():
     )
 
 
+def test_record_reprs_list_every_field():
+    v = jet_poly(1)
+    assert repr(Ansatz(BURGERS, 2, x_degree=1)) == (
+        "Ansatz(equation=EvolutionEquation(burgers: z_t = -z0*z1 + z2), order=2, "
+        "jet_degree=2, x_degree=1, t_degree=2, monomial_cap=200000)"
+    )
+    assert repr(Characteristic(HEAT, v, "label")) == (
+        "Characteristic(equation=EvolutionEquation(heat: z_t = z2), "
+        "body=DiffPoly(z1), label='label')"
+    )
+    assert repr(ZetaPoly(v)) == "ZetaPoly(poly=DiffPoly(z1))"
+    assert repr(ProbeReport((ProbeOutcome(v, v - v),))) == (
+        "ProbeReport(outcomes=(ProbeOutcome(probe=DiffPoly(z1), residual=DiffPoly(0)),))"
+    )
+    doc = SymmetryTableDoc("heat", [TableEntry("Q", 0, 1, v)], {"engine": "x"})
+    assert repr(doc) == (
+        "SymmetryTableDoc(equation='heat', entries=[TableEntry(family='Q', k=0, l=1, "
+        "body=DiffPoly(z1))], metadata={'engine': 'x'})"
+    )
+
+
 def test_characteristic_equality_ignores_the_label():
     body = q_char(Family.HEAT_Q, 1, 0).body
     labelled = Characteristic(HEAT, body, FamilyIndex(Family.HEAT_Q, 1, 0))
