@@ -13,7 +13,6 @@ each imports its module itself.
 from __future__ import annotations
 
 import random
-import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
@@ -342,11 +341,9 @@ SUITES = {
 }
 
 
-def run_suites(orders: Iterable[tuple[str, int]], stream=None) -> int:
+def run_suites(orders: Iterable[tuple[str, int]]) -> int:
     """Run each (suite name, sweep bound) of orders in turn, print a line
-    per check and a summary to stream (stdout by default), and return 0 iff
-    every check passed, else 1."""
-    stream = stream or sys.stdout
+    per check and a summary, and return 0 iff every check passed, else 1."""
     passed = failed = 0
     for name, order in orders:
         for result in SUITES[name](order):
@@ -360,6 +357,6 @@ def run_suites(orders: Iterable[tuple[str, int]], stream=None) -> int:
                 line = f"FAIL  {name}: {result.name}"
                 if result.detail:
                     line += f"  ({result.detail})"
-            print(line, file=stream)
-    print(f"{passed + failed} checks: {passed} passed, {failed} failed", file=stream)
+            print(line)
+    print(f"{passed + failed} checks: {passed} passed, {failed} failed")
     return 0 if failed == 0 else 1

@@ -39,6 +39,7 @@ from .diffring import (
     KIND_X,
     Monomial,
     JetLimitError,
+    Record,
     jet_rows,
     ratio_text,
     render_terms,
@@ -203,14 +204,6 @@ def _body_json(p: DiffPoly, depth: int, parts: dict | None = None) -> Iterator[s
     return _json_array(texts, depth)
 
 
-def _body_to_json(p: DiffPoly) -> list:
-    """p as the list that _body_json writes, for json.dumps to compare with."""
-    return [
-        [[[_KIND_LETTER[kind], idx, e] for (kind, idx), e in m], str(c)]
-        for m, c in p.sorted_terms()
-    ]
-
-
 def _body_from_json(data) -> DiffPoly:
     """Parse a body written by _body_json; malformed input raises ValueError."""
     if not isinstance(data, list):
@@ -251,35 +244,17 @@ class TableEntry(NamedTuple):
     body: DiffPoly
 
 
-class SymmetryTableDoc:
+class SymmetryTableDoc(Record):
     """A family table that round-trips losslessly through JSON.
 
-    Each document gets its own metadata dict unless one is given.
+    A Record whose fields are read-only; each document gets its own
+    metadata dict unless one is given.
     """
 
     __slots__ = ("equation", "entries", "metadata")
 
     def __init__(self, equation: str, entries: list, metadata: dict | None = None):
-        self.equation = equation
-        self.entries = entries
-        self.metadata = {} if metadata is None else metadata
-
-    def __eq__(self, other):
-        if type(other) is not SymmetryTableDoc:
-            return NotImplemented
-        return (self.equation, self.entries, self.metadata) == (
-            other.equation,
-            other.entries,
-            other.metadata,
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"SymmetryTableDoc(equation={self.equation!r}, entries={self.entries!r}, "
-            f"metadata={self.metadata!r})"
-        )
+        super().__init__(equation, entries, {} if metadata is None else metadata)
 
     def to_json(self) -> str:
         """The document as JSON, written directly.

@@ -37,6 +37,7 @@ from .diffring import (
     DiffPoly,
     ExponentOverflow,
     Monomial,
+    Record,
     T_VAR,
     X_VAR,
     _check_fields,
@@ -70,10 +71,10 @@ class AnsatzTooLarge(RuntimeError):
     """The enumerated monomial basis exceeds the configured cap."""
 
 
-class Ansatz:
+class Ansatz(Record):
     """Monomial ansatz for an order-n symmetry with explicit degree bounds.
 
-    A bound of -1 means the default, max(order, 1).  Immutable.
+    A bound of -1 means the default, max(order, 1).  A Record.
     """
 
     __slots__ = ("equation", "order", *_BOUNDS, "monomial_cap")
@@ -89,22 +90,12 @@ class Ansatz:
     ):
         if order < 0:
             raise ValueError("ansatz order must be >= 0")
-        fields = {"equation": equation, "order": order, "monomial_cap": monomial_cap}
+        bounds = []
         for name, bound in zip(_BOUNDS, (jet_degree, x_degree, t_degree)):
             if bound < -1:
                 raise ValueError(f"ansatz {name} must be >= 0, or -1 for the default")
-            fields[name] = max(order, 1) if bound == -1 else bound
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ansatz is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"Ansatz({fields})"
+            bounds.append(max(order, 1) if bound == -1 else bound)
+        super().__init__(equation, order, *bounds, monomial_cap)
 
     def _enumerate(self) -> list[tuple[int, int, int, int]]:
         """The ansatz basis t^a x^b J in the global monomial order.
@@ -446,7 +437,6 @@ def solve_symmetries(
     jet_degree: int = -1,
     x_degree: int = -1,
     t_degree: int = -1,
-    monomial_cap: int = DEFAULT_MONOMIAL_CAP,
     experimental: bool = False,
 ) -> SolveReport:
     """Solve the determining equation over a bounded polynomial ansatz.
@@ -460,7 +450,7 @@ def solve_symmetries(
             "solve_symmetries supports the Burgers equation; "
             "pass experimental=True to run other equations anyway"
         )
-    ansatz = Ansatz(eq, order, jet_degree, x_degree, t_degree, monomial_cap)
+    ansatz = Ansatz(eq, order, jet_degree, x_degree, t_degree)
     system = build_system(ansatz)
     kernel = nullspace(system)
     basis = []

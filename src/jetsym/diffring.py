@@ -48,6 +48,9 @@ then e, E's raised by 64.  Byte strings compare as the tuples do, a string
 that ends first being the smaller, so the key is mono_key at any width;
 order_key gives it for one packed monomial.  A value carrying E is
 rendered grouped by its power of E.
+
+Record, the base of the package's slotted immutable records, lives here
+because every module that defines one already imports this one.
 """
 
 from __future__ import annotations
@@ -86,6 +89,48 @@ class JetLimitError(RuntimeError):
 
 class ExponentOverflow(JetLimitError):
     """Raised when an exponent leaves its packed field."""
+
+
+class Record:
+    """Base of the package's immutable records that are not NamedTuples.
+
+    A subclass names its fields in __slots__, and the constructor takes
+    their values in that order.  A record equals only a record of the same
+    type with an equal _key() (every field, unless the subclass narrows
+    it), hashes by its type and that key, and shows every field in its repr.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} fields, got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 # -- packed monomials ----------------------------------------------------------

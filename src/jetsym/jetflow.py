@@ -34,6 +34,7 @@ from .diffring import (
     KIND_T,
     T_VAR,
     X_VAR,
+    Record,
     derive,
     exp_poly,
     jet,
@@ -177,13 +178,13 @@ class EvolutionEquation:
         return result
 
 
-class Characteristic:
+class Characteristic(Record):
     """A reduced evolutionary-symmetry characteristic tied to one equation.
 
     The body depends only on t, x, jet variables, (for parameter families)
     the h_j symbols and (for the potential-Burgers parameter family) powers
     of E = e^w; bodies over the Burgers ring must be free of the h_j
-    symbols.  Immutable; equality and hashing ignore the label.
+    symbols.  A Record whose equality and hashing ignore the label.
     """
 
     __slots__ = ("equation", "body", "label")
@@ -191,28 +192,10 @@ class Characteristic:
     def __init__(
         self, equation: EvolutionEquation, body: DiffPoly, label: Optional[object] = None
     ):
-        object.__setattr__(self, "equation", equation)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "label", label)
+        super().__init__(equation, body, label)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Characteristic is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not Characteristic:
-            return NotImplemented
-        return self.equation == other.equation and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.equation, self.body))
-
-    def __repr__(self) -> str:
-        return (
-            f"Characteristic(equation={self.equation!r}, body={self.body!r}, "
-            f"label={self.label!r})"
-        )
+    def _key(self) -> tuple:
+        return (self.equation, self.body)
 
     def __str__(self) -> str:
         return f"{self.body}"

@@ -37,6 +37,7 @@ from .diffring import (
     KIND_X,
     T_VAR,
     X_VAR,
+    Record,
     jet,
     jet_poly,
     t_poly,
@@ -67,34 +68,14 @@ class NotATotalDerivative(ValueError):
 # -- operator AST ------------------------------------------------------------
 
 
-class OperatorExpr:
+class OperatorExpr(Record):
     """Base class for operator AST nodes.
 
-    A node is immutable and compares equal to a node of the same type with
-    equal fields (the names in __slots__); Dx() != Dt().
+    A node is a Record: immutable, and equal only to a node of the same type
+    with equal fields (the names in __slots__); Dx() != Dt().
     """
 
     __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash((type(self), self._values()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class Dx(OperatorExpr):
@@ -114,31 +95,19 @@ class DxInv(OperatorExpr):
 class MulBy(OperatorExpr):
     __slots__ = ("factor",)
 
-    def __init__(self, factor: DiffPoly):
-        object.__setattr__(self, "factor", factor)
-
 
 class Scale(OperatorExpr):
     __slots__ = ("coeff",)
 
-    def __init__(self, coeff: Fraction):
-        object.__setattr__(self, "coeff", coeff)
-
 
 class Sum(OperatorExpr):
     __slots__ = ("ops",)
-
-    def __init__(self, ops: tuple):
-        object.__setattr__(self, "ops", ops)
 
 
 class Compose(OperatorExpr):
     """Composition, applied right to left; the empty composition is the identity."""
 
     __slots__ = ("ops",)
-
-    def __init__(self, ops: tuple):
-        object.__setattr__(self, "ops", ops)
 
 
 def op_sum(*ops: OperatorExpr) -> OperatorExpr:
@@ -371,21 +340,10 @@ class ProbeOutcome(NamedTuple):
         return self.residual.is_zero()
 
 
-class ProbeReport:
+class ProbeReport(Record):
     """The outcomes of an identity probe, one per probe polynomial."""
 
     __slots__ = ("outcomes",)
-
-    def __init__(self, outcomes: tuple[ProbeOutcome, ...]):
-        object.__setattr__(self, "outcomes", outcomes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbeReport is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"ProbeReport(outcomes={self.outcomes!r})"
 
     @property
     def all_equal(self) -> bool:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diffring import DiffPoly, KIND_EXP, KIND_PAR, jet, jet_poly
+from .diffring import DiffPoly, KIND_EXP, KIND_PAR, Record, jet, jet_poly
 from .jetflow import BURGERS
 from .symfam import Family, family_seed_chain
 
@@ -36,32 +36,13 @@ class ZetaBasis(NamedTuple):
     zetas: tuple[DiffPoly, ...]  # zetas[k] = (D_x - v/2)^{k+1} 1
 
 
-class ZetaPoly:
+class ZetaPoly(Record):
     """A polynomial in t, x and the zeta symbols (jet slots reinterpreted).
 
-    Immutable; equal only to a ZetaPoly with an equal poly.
+    A Record: equal only to a ZetaPoly with an equal poly.
     """
 
     __slots__ = ("poly",)
-
-    def __init__(self, poly: DiffPoly):
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZetaPoly is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not ZetaPoly:
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def __repr__(self) -> str:
-        return f"ZetaPoly(poly={self.poly!r})"
 
     def __str__(self) -> str:
         return str(self.poly)

@@ -1,9 +1,13 @@
 """Record classes: read-only fields, typed equality, hashing and defaults.
 
-The package defines its records as NamedTuples or as plain classes with
-__slots__, so importing it does not load dataclasses (and with it inspect).
+The package defines its records as NamedTuples or as subclasses of
+diffring.Record, a slotted base that sets the fields in __slots__ order,
+makes them read-only, compares and hashes by type and fields, and shows
+every field in its repr.  So importing it does not load dataclasses (and
+with it inspect), and the record protocol is written once.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,7 +19,7 @@ import pytest
 from jetsym.checks import CheckResult
 from jetsym.cli import SymmetryTableDoc, TableEntry
 from jetsym.detsolve import Ansatz, SolveReport, solve_symmetries
-from jetsym.diffring import DiffPoly, jet_poly, t_poly, x_poly
+from jetsym.diffring import DiffPoly, Record, jet_poly, t_poly, x_poly
 from jetsym.jetflow import BURGERS, HEAT, Characteristic
 from jetsym.opcalc import (
     Compose,
@@ -58,15 +62,99 @@ def _records():
         (SolveReport(1, 0, (), None, 0), "dimension"),
         (CheckResult("check", True), "ok"),
         (TableEntry("Q", 0, 0, v), "body"),
+        (SymmetryTableDoc("heat", []), "entries"),
     ]
 
 
-@pytest.mark.parametrize(
-    "record, field", _records(), ids=[type(r).__name__ for r, _ in _records()]
-)
+_IDS = [type(r).__name__ for r, _ in _records()]
+
+
+@pytest.mark.parametrize("record, field", _records(), ids=_IDS)
 def test_assignment_raises(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+
+
+@pytest.mark.parametrize("record, field", _records(), ids=_IDS)
+def test_deletion_raises(record, field):
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def _copy(record):
+    return type(record)(*(getattr(record, name) for name in record.__slots__))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [r for r, _ in _records() if isinstance(r, Record)],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_with_equal_fields_are_equal_and_hash_alike(record):
+    twin = _copy(record)
+    assert twin is not record and twin == record and not twin != record
+    if isinstance(record, SymmetryTableDoc):
+        with pytest.raises(TypeError):  # its entries are a list
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+
+
+def test_record_types_with_equal_fields_are_unequal():
+    class Left(Record):
+        __slots__ = ("a", "b")
+
+    class Right(Record):
+        __slots__ = ("a", "b")
+
+    assert Left(1, 2) == Left(1, 2) != Right(1, 2)
+    assert Left(1, 2) != Left(2, 1) and Left(1, 2) != (1, 2)
+    assert len({Left(1, 2), Right(1, 2)}) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Dx(v),
+        lambda v: MulBy(),
+        lambda v: MulBy(v, v),
+        lambda v: ZetaPoly(v, v),
+        lambda v: ProbeReport(),
+    ],
+)
+def test_a_wrong_number_of_fields_raises_type_error(make):
+    with pytest.raises(TypeError):
+        make(jet_poly(0))
+
+
+def test_ansatz_and_probe_report_compare_by_value():
+    a = Ansatz(BURGERS, 2, x_degree=1)
+    assert a == Ansatz(BURGERS, 2, 2, 1, 2)
+    assert a != Ansatz(BURGERS, 2) and a != Ansatz(HEAT, 2, x_degree=1)
+    assert a != Ansatz(BURGERS, 2, x_degree=1, monomial_cap=10)
+    v = jet_poly(1)
+    report = ProbeReport((ProbeOutcome(v, v - v),))
+    assert report == ProbeReport((ProbeOutcome(v, DiffPoly()),))
+    assert report != ProbeReport((ProbeOutcome(v, v),)) and report != ProbeReport(())
+
+
+def test_only_record_defines_setattr_or_delattr():
+    owners = []
+    for path in sorted((SRC / "jetsym").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names = [stmt.name]
+                elif isinstance(stmt, ast.Assign):
+                    names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if {"__setattr__", "__delattr__"} & set(names):
+                    owners.append(f"{path.name}:{node.name}")
+    assert sorted(set(owners)) == ["diffring.py:Record"]
 
 
 def test_operator_equality_depends_on_the_type():
