@@ -5,8 +5,10 @@ A polynomial ansatz eta = sum_a c_a m_a over monomials in t, x, z_0..z_n
 D_t eta - L'[eta] = 0 into an exact linear system for the coefficients:
 the residual of each ansatz monomial is one column, an integer vector keyed
 by the packed monomials of the residual.  Residuals of t^a x^b J are
-expanded by the Leibniz rule from images computed once per jet part J;
-the powers of t and x only shift the packed keys.
+expanded by the Leibniz rule from the images Res(J), G_i(J) that the
+equation keeps per jet part J (jetflow.EvolutionEquation.jet_part_images);
+the powers of t and x only shift the packed keys.  The same expansion is
+invariance_residual, which checks each kernel vector.
 
 The kernel is found on the image side: the columns' residual vectors are
 taken in column order, each reduced fraction-free by its highest row key
@@ -40,7 +42,6 @@ from .diffring import (
     Record,
     T_VAR,
     X_VAR,
-    _check_fields,
     _decode,
     jet,
     order_key,
@@ -51,8 +52,6 @@ from .jetflow import (
     Characteristic,
     EvolutionEquation,
     invariance_residual,
-    jet_partials,
-    x_derivative,
 )
 from .symfam import Family, index_range, q_char
 
@@ -205,71 +204,21 @@ class LinearSystem:
         return LinearSystem(ncols=ncols, rows=rows)
 
 
-def _jet_part_images(eq: EvolutionEquation, jet_part: int):
-    """Res(J) and the Leibniz tails G_1(J) .. G_ord(J) of one packed jet part J.
-
-    G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, so that G_0(J) is
-    the Frechet derivative L'[J] and Res(J) = D_t J - G_0(J).  All of them
-    have integer coefficients, since J has coefficient 1 and L has integer
-    coefficients.
-    """
-    partials = jet_partials(eq.rhs)
-    J = DiffPoly._make({jet_part: 1})
-    dx_powers = [J]
-    for _ in partials[1:]:
-        dx_powers.append(x_derivative(dx_powers[-1]))
-    # L'[J] reads the powers of J from their D_x slots
-    residual = invariance_residual(eq, J)
-    tails = []
-    for i in range(1, len(partials)):
-        g = DiffPoly.zero()
-        for k in range(i, len(partials)):
-            if partials[k]:
-                g = g + partials[k] * dx_powers[k - i] * comb(k, i)
-        tails.append(g)
-    if any(p._den != 1 for p in (residual, *tails)):
-        raise RuntimeError("internal error: a residual image has a non-integer coefficient")
-    return residual, tails
-
-
-def _x_power_residual(b: int, part) -> dict[int, int]:
-    """Res(x^b J) = x^b Res(J) - sum_{i=1}^{min(b, ord L)} b!/(b-i)! x^(b-i) G_i(J).
-
-    The powers of x are key shifts of the packed images.
-    """
-    residual, tails = part
-    shift = b * _X_UNIT
-    out = {m + shift: c for m, c in residual._nums.items()}
-    get = out.get
-    falling = 1
-    for i, tail in enumerate(tails[:b], start=1):
-        falling *= b - i + 1
-        shift -= _X_UNIT
-        for m, c in tail._nums.items():
-            k = m + shift
-            s = get(k, 0) - c * falling
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    # An equation whose right-hand side carries x can push x^b past its field.
-    _check_fields(out)
-    return out
-
-
 def build_system(ansatz: Ansatz) -> LinearSystem:
     """The invariance residual of each ansatz monomial, as one integer column.
 
-    Residuals are expanded by the Leibniz rule from images cached once per
-    jet part J (see _jet_part_images) and once per x-power (see
-    _x_power_residual).  Since the right-hand side L is free of t,
+    The residual of each x^b J is the Leibniz expansion that
+    invariance_residual runs, read from the equation's images of the jet
+    part J (see jetflow.EvolutionEquation.jet_part_images), and is made
+    once per x^b J.  Since the right-hand side L is free of t,
 
         Res(t^a x^b J) = t^a Res(x^b J) + a t^(a-1) x^b J,
 
     where Res(x^b J) is free of t, so the two parts never share a monomial.
+    The images stay on the equation, so a later residual of a body over
+    these jet parts builds none.
     """
     eq = ansatz.equation
-    images: dict[int, tuple] = {}
     x_residuals: dict[int, dict[int, int]] = {}
     vectors: list[dict[int, int]] = []
     packed_columns: list[int] = []
@@ -277,10 +226,10 @@ def build_system(ansatz: Ansatz) -> LinearSystem:
         x_mono = b * _X_UNIT + jet_part
         residual = x_residuals.get(x_mono)
         if residual is None:
-            part = images.get(jet_part)
-            if part is None:
-                part = images[jet_part] = _jet_part_images(eq, jet_part)
-            residual = x_residuals[x_mono] = _x_power_residual(b, part)
+            residual, den = eq._leibniz_residual({x_mono: 1})
+            if den != 1:
+                raise RuntimeError("internal error: a residual image has a non-integer coefficient")
+            x_residuals[x_mono] = residual
         mono = a * _T_UNIT + x_mono
         if a:
             shift = a * _T_UNIT

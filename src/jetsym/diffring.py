@@ -543,12 +543,12 @@ class DiffPoly:
         """
         if not rules:
             return self
-        targets = [
-            (u, u.bit_length() - 1, image)
-            for u, v, image in sorted(
-                (_UNIT[v], v, image) for v, image in rules.items() if v in _UNIT
-            )
-        ]
+        # Each term's fields are read from m + _DIGITS_BIAS, where E's digit
+        # is raised by _E_DIGIT_BIAS.
+        targets = []
+        for u, image in sorted((_UNIT[v], image) for v, image in rules.items() if v in _UNIT):
+            shift = u.bit_length() - 1
+            targets.append((u, shift, _E_DIGIT_BIAS if shift == _E_SHIFT else 0, image))
         # The image of every target part and prefix built in this call, by
         # packed monomial; a one-factor part e*u holds image**e.
         products: dict[int, DiffPoly] = {}
@@ -556,10 +556,11 @@ class DiffPoly:
         get = out.get
         den = 1  # common denominator of the factor products so far
         for m, c in self._nums.items():
+            b = m + _DIGITS_BIAS
             part = 0
             product = None
-            for u, shift, image in targets:
-                e = _field(m, shift)
+            for u, shift, bias, image in targets:
+                e = ((b >> shift) & _MASK) - bias
                 if e:
                     eu = e * u
                     part += eu
@@ -605,32 +606,39 @@ def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
     A factor v^e of a monomial m contributes e (m - unit(v)) D(v), each
     term of D(v) by one integer addition; e may be negative (E^{-1}).  A
     variable missing from images gets fill(unit), which is expected to
-    store the image in the table for the next call.
+    store the image in the table for the next call.  Each slot's image is
+    looked up once per call, and only the nonzero fields of a term are
+    visited.
     """
     out: dict[int, int] = {}
     get = out.get
     image_den = 1  # common denominator of the images used so far
+    # per slot: (unit, image items, image den), () for a zero image, None unread
+    slots: list = [None] * _NSLOTS
     for m, c in p._nums.items():
         b = m + _DIGITS_BIAS
-        for slot, e in enumerate(b.to_bytes((b.bit_length() + 7) >> 3, "little")):
+        fields = b.to_bytes((b.bit_length() + 7) >> 3, "little")
+        for slot, e in compress(enumerate(fields), fields):
             if slot == _E_SLOT:
                 e -= _E_DIGIT_BIAS
-            if not e:
-                continue
-            u = 1 << (_BITS * slot)
-            image = images.get(u)
+                if not e:
+                    continue
+            image = slots[slot]
             if image is None:
-                image = fill(u)
-            terms = image._nums
-            if not terms:
+                u = 1 << (_BITS * slot)
+                poly = images.get(u)
+                if poly is None:
+                    poly = fill(u)
+                image = slots[slot] = (u, poly._nums.items(), poly._den) if poly._nums else ()
+            if not image:
                 continue
-            d = image._den
+            u, terms, d = image
             if image_den % d:
                 out, image_den = _widened(out, image_den, d)
                 get = out.get
             cc = c * e * (image_den // d)
             base = m - u
-            for im, ic in terms.items():
+            for im, ic in terms:
                 k = base + im
                 out[k] = get(k, 0) + cc * ic
     _check_fields(out)

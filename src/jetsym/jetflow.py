@@ -18,14 +18,30 @@ kept here.  Three equations are built in:
 
 A characteristic eta attached to an equation is a generalized symmetry
 exactly when its invariance residual D_t(eta) - L'[eta] vanishes, L' being
-the Frechet derivative of the right-hand side.
+the Frechet derivative of the right-hand side.  The residual is expanded
+term by term by the Leibniz rule: since L is free of t, the residual of
+t^a x^b J, J a jet part (a packed monomial free of t and x), is
+
+    t^a x^b Res(J) - sum_{i=1}^{min(b, top)} b!/(b-i)! t^a x^(b-i) G_i(J)
+        + a t^(a-1) x^b J,
+
+with Res(J) = D_t J - L'[J] and the tails
+G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
+Each equation keeps Res(J) and its tails per jet part, computed once by
+D_t and the Frechet derivative; the powers of t and x only shift packed
+keys.  The solver's columns (detsolve.build_system) read the same
+expansion.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
 from .diffring import (
+    _BITS,
+    _MASK,
+    _TX_MASK,
     DiffPoly,
     EXP_VAR,
     KIND_EXP,
@@ -35,6 +51,9 @@ from .diffring import (
     T_VAR,
     X_VAR,
     Record,
+    _check_fields,
+    _nonzero,
+    _widened,
     derive,
     exp_poly,
     jet,
@@ -49,6 +68,8 @@ from .diffring import (
 Images = dict[int, DiffPoly]
 
 _E_UNIT = unit(EXP_VAR)
+_T_UNIT = unit(T_VAR)
+_X_UNIT = unit(X_VAR)
 
 
 # D_x: x -> 1, t -> 0, z_k -> z_{k+1}, h_j -> h_{j+1}, E -> z_1 E.
@@ -111,8 +132,9 @@ def jet_partials(F: DiffPoly) -> tuple[DiffPoly, ...]:
 class EvolutionEquation:
     """A named evolution equation z_t = rhs.
 
-    Instances are effectively immutable: the table of D_t images only ever
-    extends, and every public operation is a pure function of its inputs.
+    Instances are effectively immutable: the tables of D_t images and of
+    jet-part residual images only ever extend, and every public operation
+    is a pure function of its inputs.
     """
 
     def __init__(self, name: str, rhs: DiffPoly, allows_par: bool = True):
@@ -127,6 +149,8 @@ class EvolutionEquation:
             unit(X_VAR): DiffPoly.zero(),
             _E_UNIT: rhs * exp_poly(1),
         }
+        # Res(J) and its Leibniz tails (G_1(J), ...) by packed jet part J
+        self._jet_images: dict[int, tuple[DiffPoly, tuple[DiffPoly, ...]]] = {}
 
     def __repr__(self) -> str:
         return f"EvolutionEquation({self.name}: z_t = {self.rhs})"
@@ -177,6 +201,76 @@ class EvolutionEquation:
                 result = result + coeff * dk_eta
         return result
 
+    def jet_part_images(self, jet_part: int) -> tuple[DiffPoly, tuple[DiffPoly, ...]]:
+        """Res(J) and the Leibniz tails (G_1(J), ..., G_top(J)) of a packed jet part J.
+
+        Res(J) = D_t J - L'[J] and G_i(J) = sum_{k >= i} C(k, i) dL/dz_k *
+        D_x^{k-i} J, so that G_0(J) would be L'[J]; top is the order of L.
+        Computed on first request and kept, so each jet part's images are
+        built once however many residuals and solver columns read them.
+        """
+        images = self._jet_images.get(jet_part)
+        if images is None:
+            J = DiffPoly._make({jet_part: 1})
+            # D_t first: it refuses an h_j outside a ring that allows them
+            residual = self.dt(J) - self.frechet(self.rhs, J)
+            partials = jet_partials(self.rhs)
+            # frechet left each D_x^k J on D_x^(k-1) J
+            dx_powers = [J]
+            for _ in partials[2:]:
+                dx_powers.append(x_derivative(dx_powers[-1]))
+            tails = []
+            for i in range(1, len(partials)):
+                g = DiffPoly.zero()
+                for k in range(i, len(partials)):
+                    if partials[k]:
+                        g = g + partials[k] * dx_powers[k - i] * comb(k, i)
+                tails.append(g)
+            images = self._jet_images[jet_part] = (residual, tuple(tails))
+        return images
+
+    def _leibniz_residual(self, nums: dict[int, int]) -> tuple[dict[int, int], int]:
+        """The invariance residual of sum_m nums[m] m, as (numerators, denominator).
+
+        Each term c t^a x^b J adds c times the Leibniz expansion of the
+        module docstring, read from jet_part_images(J); the images'
+        denominators are widened into one as derive does.  The result's
+        numerators are nonzero and its fields checked; the caller divides
+        by the input's own denominator.
+        """
+        table = self._jet_images
+        out: dict[int, int] = {}
+        get = out.get
+        den = 1  # common denominator of the images used so far
+        for m, c in nums.items():
+            tx = m & _TX_MASK
+            images = table.get(m - tx)
+            if images is None:
+                images = self.jet_part_images(m - tx)
+            residual, tails = images
+            b = tx >> _BITS
+            weight, shift = c, tx
+            for i, image in enumerate((residual, *tails[:b])):
+                if i:
+                    # G_i(J) enters at t^a x^(b-i) with weight -c b!/(b-i)!
+                    weight = (-c if i == 1 else weight) * (b - i + 1)
+                    shift -= _X_UNIT
+                d = image._den
+                if den % d:
+                    out, den = _widened(out, den, d)
+                    get = out.get
+                w = weight * (den // d)
+                for im, ic in image._nums.items():
+                    k = im + shift
+                    out[k] = get(k, 0) + w * ic
+            a = tx & _MASK
+            if a:
+                k = m - _T_UNIT
+                out[k] = get(k, 0) + c * a * den
+        # an x in L can push a power of x past its field
+        _check_fields(out)
+        return _nonzero(out), den
+
 
 class Characteristic(Record):
     """A reduced evolutionary-symmetry characteristic tied to one equation.
@@ -205,13 +299,17 @@ def invariance_residual(eq: EvolutionEquation, eta) -> DiffPoly:
     """D_t(eta) - L'[eta]; zero exactly when eta is a generalized symmetry.
 
     Accepts a Characteristic or its body.  The body may carry powers of
-    E = e^w, which differentiate by D_x E = z_1 E and D_t E = L E.
+    E = e^w, which differentiate by D_x E = z_1 E and D_t E = L E.  One
+    pass over eta's terms by the Leibniz rule (see the module docstring),
+    exact for any body since L is free of t; a jet part with an h_j is
+    refused in a ring without them when its images are first built.
     """
     if isinstance(eta, Characteristic):
         if eta.equation is not eq:
             raise ValueError("characteristic belongs to a different equation")
         eta = eta.body
-    return eq.dt(eta) - eq.frechet(eq.rhs, eta)
+    nums, den = eq._leibniz_residual(eta._nums)
+    return DiffPoly._make(nums, eta._den * den)
 
 
 HEAT = EvolutionEquation("heat", jet_poly(2), allows_par=True)

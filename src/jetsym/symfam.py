@@ -158,6 +158,7 @@ def commutator(
 # -- closed-form structure constants -------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _binomial_weight(i: int, a: int, b: int) -> Fraction:
     return Fraction(factorial(i), 2**i) * comb(a, i) * comb(b, i)
 

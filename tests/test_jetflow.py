@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_poly
-from jetsym.diffring import jet_poly, par_poly, t_poly, x_poly
+from jetsym.detsolve import solve_symmetries
+from jetsym.diffring import EXP_VAR, T_VAR, X_VAR, DiffPoly, jet, jet_poly, par, par_poly, t_poly, x_poly
 from jetsym.jetflow import (
     BURGERS,
     HEAT,
@@ -117,3 +120,75 @@ def test_dt_derives_the_rhs_tower_on_demand():
     # the first call on a fresh equation needs D_x^3(rhs), which nothing has derived yet
     eq = EvolutionEquation("heat_copy", z(2))
     assert eq.dt(z(3)) == z(5)
+
+
+# An x-dependent right-hand side with a non-integer coefficient, so that the
+# images' denominators and the x in L enter the Leibniz expansion.
+XDEP = EvolutionEquation("xdep", z(2) + Fraction(1, 3) * x * z(0) * z(1) + x * x * z(1))
+
+
+@st.composite
+def _equation_and_body(draw):
+    # up to five terms with t and x powers up to 3, jets up to z_3, E^m with
+    # m in [-2, 2], and h_j where the ring allows them
+    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, XDEP]))
+    pool = [T_VAR, X_VAR, jet(0), jet(1), jet(2), jet(3)]
+    if eq.allows_par:
+        pool += [par(0), par(1)]
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+        mono = [(v, draw(st.integers(1, 3))) for v in chosen]
+        m = draw(st.integers(-2, 2))
+        if m:
+            mono.append((EXP_VAR, m))
+        num = draw(st.integers(-9, 9).filter(bool))
+        terms[tuple(sorted(mono))] = Fraction(num, draw(st.integers(1, 6)))
+    return eq, DiffPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_equation_and_body())
+def test_leibniz_residual_matches_dt_minus_frechet(case):
+    eq, body = case
+    assert invariance_residual(eq, body) == eq.dt(body) - eq.frechet(eq.rhs, body)
+
+
+def test_burgers_residual_rejects_parameter_symbols():
+    with pytest.raises(ValueError):
+        invariance_residual(BURGERS, h(0))
+    with pytest.raises(ValueError):
+        invariance_residual(BURGERS, z(1) + t * h(0) * z(0))
+
+
+def test_residual_images_are_built_once_per_jet_part(monkeypatch):
+    dt = EvolutionEquation.dt
+    calls = []
+
+    def counting_dt(self, p):
+        calls.append(p)
+        return dt(self, p)
+
+    monkeypatch.setattr(EvolutionEquation, "dt", counting_dt)
+    # 48 terms over 3 jet parts
+    eq = EvolutionEquation("burgers_copy", BURGERS.rhs, allows_par=False)
+    parts = [z(0) * z(1), z(2), z(0) ** 2 * z(3)]
+    body = DiffPoly.zero()
+    for a in range(4):
+        for b in range(4):
+            for J in parts:
+                body = body + Fraction(a + 1, b + 2) * t**a * x**b * J
+    residual = invariance_residual(eq, body)
+    assert len(calls) <= len(parts)
+    calls.clear()
+    assert invariance_residual(eq, body) == residual
+    assert calls == []
+
+    # the solver leaves the images of its ansatz's jet parts on the equation
+    report = solve_symmetries(BURGERS, 3)
+    body = t**3 * x**3 * z(0) * z(3) ** 2
+    for i, c in enumerate(report.basis, start=1):
+        body = body + Fraction(1, i) * c.body
+    calls.clear()
+    invariance_residual(BURGERS, body)
+    assert calls == []
