@@ -4,7 +4,8 @@ A polynomial ansatz eta = sum_a c_a m_a over monomials in t, x, z_0..z_n
 (with configurable degree bounds) turns the invariance condition
 D_t eta - L'[eta] = 0 into an exact linear system for the coefficients:
 the residual of each ansatz monomial is one column, an integer vector keyed
-by the packed monomials of the residual.  Residuals of t^a x^b J are
+by the packed monomials of the residual, over a positive scale (the
+denominator of the equation's images).  Residuals of t^a x^b J are
 expanded by the Leibniz rule from the images Res(J), G_i(J) that the
 equation keeps per jet part J (jetflow.EvolutionEquation.jet_part_images);
 the powers of t and x only shift the packed keys.  The same expansion is
@@ -18,7 +19,9 @@ kernel vector - up to scaling, the unique one with entry 1 at that column,
 0 at the other free columns and support on columns up to it.  Neither the
 free columns nor these vectors depend on how the rows are ordered.  Kernel
 basis vectors are normalized to leading entry 1, so identical inputs always
-produce identical bases.
+produce identical bases.  solve_symmetries builds each basis body straight
+from its combination; build_system and nullspace give the same kernel
+through a decoded LinearSystem, and nullspace takes hand-built ones too.
 
 For the Burgers equation the solver reproduces the graded dimension count
 n + 1 at each order: the cumulative dimension through order n is
@@ -28,6 +31,7 @@ symmetry family members of order <= n.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
@@ -56,9 +60,6 @@ from .jetflow import (
 from .symfam import Family, index_range, q_char
 
 DEFAULT_MONOMIAL_CAP = 200_000
-
-# The zero entry of every kernel vector; nullspace fills with this one object.
-_ZERO = Fraction(0)
 
 _T_UNIT = unit(T_VAR)
 _X_UNIT = unit(X_VAR)
@@ -154,44 +155,15 @@ class LinearSystem:
     """Sparse exact linear system; rows are labelled, columns are indexed.
 
     rows maps a row label to {column index: Fraction}; columns optionally
-    labels the columns (ansatz monomials).  A system made by build_system
-    holds instead one integer vector {packed row monomial: int} per column
-    and the packed column monomials; its rows and columns are decoded from
-    them on first read.
+    labels the columns (ansatz monomials).
     """
 
-    __slots__ = ("ncols", "_rows", "_columns", "_vectors", "_packed_columns")
+    __slots__ = ("ncols", "rows", "columns")
 
     def __init__(self, ncols: int, rows: Optional[dict] = None, columns: tuple = ()):
         self.ncols = ncols
-        self._rows = {} if rows is None else rows
-        self._columns = tuple(columns)
-        self._vectors: Optional[list[dict[int, int]]] = None
-        self._packed_columns: Optional[list[int]] = None
-
-    @staticmethod
-    def _packed(vectors: list[dict[int, int]], packed_columns: list[int]) -> "LinearSystem":
-        system = LinearSystem(len(packed_columns))
-        system._rows = system._columns = None
-        system._vectors = vectors
-        system._packed_columns = packed_columns
-        return system
-
-    @property
-    def rows(self) -> dict:
-        if self._rows is None:
-            rows: dict[int, dict[int, Fraction]] = {}
-            for col, vec in enumerate(self._vectors):
-                for m, c in vec.items():
-                    rows.setdefault(m, {})[col] = Fraction(c)
-            self._rows = {_decode(m): entries for m, entries in rows.items()}
-        return self._rows
-
-    @property
-    def columns(self) -> tuple:
-        if self._columns is None:
-            self._columns = tuple(map(_decode, self._packed_columns))
-        return self._columns
+        self.rows = {} if rows is None else rows
+        self.columns = tuple(columns)
 
     @staticmethod
     def from_dense(matrix: Sequence[Sequence]) -> "LinearSystem":
@@ -204,42 +176,44 @@ class LinearSystem:
         return LinearSystem(ncols=ncols, rows=rows)
 
 
-def build_system(ansatz: Ansatz) -> LinearSystem:
-    """The invariance residual of each ansatz monomial, as one integer column.
+def _residual_columns(ansatz: Ansatz) -> Iterator[tuple[int, dict[int, int], int]]:
+    """(packed monomial m, integer vector, scale) per ansatz column, in column order.
 
-    The residual of each x^b J is the Leibniz expansion that
-    invariance_residual runs, read from the equation's images of the jet
-    part J (see jetflow.EvolutionEquation.jet_part_images), and is made
-    once per x^b J.  Since the right-hand side L is free of t,
+    Res(m) is the vector {packed row monomial: int} over scale.  Res(x^b J)
+    is invariance_residual's Leibniz expansion, made once per x^b J, and
+    scale is its denominator.  Since L is free of t,
 
         Res(t^a x^b J) = t^a Res(x^b J) + a t^(a-1) x^b J,
 
-    where Res(x^b J) is free of t, so the two parts never share a monomial.
-    The images stay on the equation, so a later residual of a body over
-    these jet parts builds none.
+    whose two parts never share a monomial.
     """
     eq = ansatz.equation
-    x_residuals: dict[int, dict[int, int]] = {}
-    vectors: list[dict[int, int]] = []
-    packed_columns: list[int] = []
+    x_residuals: dict[int, tuple[dict[int, int], int]] = {}
     for _, a, b, jet_part in ansatz._enumerate():
         x_mono = b * _X_UNIT + jet_part
-        residual = x_residuals.get(x_mono)
-        if residual is None:
-            residual, den = eq._leibniz_residual({x_mono: 1})
-            if den != 1:
-                raise RuntimeError("internal error: a residual image has a non-integer coefficient")
-            x_residuals[x_mono] = residual
+        cached = x_residuals.get(x_mono)
+        if cached is None:
+            cached = x_residuals[x_mono] = eq._leibniz_residual({x_mono: 1})
+        residual, scale = cached
         mono = a * _T_UNIT + x_mono
         if a:
             shift = a * _T_UNIT
             vec = {m + shift: c for m, c in residual.items()}
-            vec[mono - _T_UNIT] = a
+            vec[mono - _T_UNIT] = a * scale
         else:
             vec = residual  # shared with the cache: the reducer never modifies its input
-        vectors.append(vec)
-        packed_columns.append(mono)
-    return LinearSystem._packed(vectors, packed_columns)
+        yield mono, vec, scale
+
+
+def build_system(ansatz: Ansatz) -> LinearSystem:
+    """The invariance residual of each ansatz monomial as one column, decoded."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    columns = []
+    for col, (mono, vec, scale) in enumerate(_residual_columns(ansatz)):
+        for m, c in vec.items():
+            rows.setdefault(m, {})[col] = Fraction(c, scale)
+        columns.append(_decode(mono))
+    return LinearSystem(len(columns), {_decode(m): e for m, e in rows.items()}, columns)
 
 
 # -- exact elimination ---------------------------------------------------------
@@ -314,7 +288,7 @@ def _subtract(target: dict, a: int, source: dict) -> None:
 
 
 def _integer_columns(system: LinearSystem) -> list[dict[int, int]]:
-    """A hand-built system's columns, each row scaled by the lcm of its denominators.
+    """A system's columns, each row scaled by the lcm of its denominators.
 
     Rows are keyed by their position in insertion order.
     """
@@ -330,38 +304,22 @@ def _integer_columns(system: LinearSystem) -> list[dict[int, int]]:
 def nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:
     """Exact rational kernel basis, one vector per free column.
 
-    Each column's integer residual vector is reduced against the earlier
-    columns' (see _dependencies); a column is free when its residual lies
-    in the span of the earlier ones.  A hand-built system's rows are first
-    scaled to integers (see _integer_columns).  Vectors are returned in increasing
-    free-column order, each normalized so that its first nonzero entry
-    equals 1.
+    The rows are scaled to integers (see _integer_columns) and each
+    column's integer vector is reduced against the earlier columns' (see
+    _dependencies); a column is free when its vector lies in the span of
+    the earlier ones.  Vectors are returned in increasing free-column
+    order, each normalized so that its first nonzero entry equals 1.
     """
-    vectors = system._vectors
-    if vectors is None:
-        vectors = _integer_columns(system)
     basis = []
-    for combo in _dependencies(vectors):
+    for combo in _dependencies(_integer_columns(system)):
         if combo is None:
             continue
         lead = combo[min(combo)]
-        vec = [_ZERO] * system.ncols
+        vec = [Fraction(0)] * system.ncols
         for c, v in combo.items():
             vec[c] = Fraction(v, lead)
         basis.append(tuple(vec))
     return basis
-
-
-def _kernel_body(packed_columns: list[int], vec: tuple[Fraction, ...]) -> DiffPoly:
-    """sum_c vec[c] * column c, for a kernel vector returned by nullspace."""
-    terms = [(m, v) for m, v in zip(packed_columns, vec) if v is not _ZERO]
-    den = lcm(*(v.denominator for _, v in terms))
-    return DiffPoly._make({m: v.numerator * (den // v.denominator) for m, v in terms}, den)
-
-
-def _rank_of_bodies(bodies) -> int:
-    # each body's integer numerators: scaling a body does not change the rank
-    return sum(1 for dep in _dependencies(b._nums for b in bodies) if dep is None)
 
 
 def family_bodies(order: int) -> list[DiffPoly]:
@@ -400,26 +358,35 @@ def solve_symmetries(
             "pass experimental=True to run other equations anyway"
         )
     ansatz = Ansatz(eq, order, jet_degree, x_degree, t_degree)
-    system = build_system(ansatz)
-    kernel = nullspace(system)
+    # every ansatz monomial is a column, the constant 1 at least
+    monos, vectors, scales = zip(*_residual_columns(ansatz))
     basis = []
-    for vec in kernel:
-        body = _kernel_body(system._packed_columns, vec)
+    for combo in _dependencies(vectors):
+        if combo is None:
+            continue
+        # sum_c combo[c] scale_c column_c, divided by its entry at the first column
+        first = min(combo)
+        lead = combo[first] * scales[first]
+        sign = 1 if lead > 0 else -1
+        body = DiffPoly._make(
+            {monos[c]: sign * v * scales[c] for c, v in combo.items()}, abs(lead)
+        )
         residual = invariance_residual(eq, body)
         if not residual.is_zero():
             raise RuntimeError("internal error: kernel vector fails the residual check")
         basis.append(Characteristic(eq, body))
     span_matches: Optional[bool] = None
     if eq is BURGERS:
+        # one reduction: the family's own rank is read off its first vectors
         family = family_bodies(order)
-        solver_rank = len(basis)
-        family_rank = _rank_of_bodies(family)
-        joint_rank = _rank_of_bodies([c.body for c in basis] + family)
-        span_matches = solver_rank == family_rank == joint_rank
+        bodies = family + [c.body for c in basis]
+        independent = [dep is None for dep in _dependencies(b._nums for b in bodies)]
+        family_rank = sum(independent[: len(family)])
+        span_matches = len(basis) == family_rank == sum(independent)
     return SolveReport(
         order=order,
         dimension=len(basis),
         basis=tuple(basis),
         family_span_matches=span_matches,
-        ansatz_size=system.ncols,
+        ansatz_size=len(monos),
     )

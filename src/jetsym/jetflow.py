@@ -27,10 +27,10 @@ t^a x^b J, J a jet part (a packed monomial free of t and x), is
 
 with Res(J) = D_t J - L'[J] and the tails
 G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
-Each equation keeps Res(J) and its tails per jet part, computed once by
-D_t and the Frechet derivative; the powers of t and x only shift packed
-keys.  The solver's columns (detsolve.build_system) read the same
-expansion.
+Each equation keeps Res(J) and its tails per jet part, computed once from
+D_t J and one tower J, D_x J, ..., D_x^top J, with G_0(J) = L'[J]; the
+powers of t and x only shift packed keys.  The solver's columns
+(detsolve._residual_columns) read the same expansion.
 """
 
 from __future__ import annotations
@@ -204,8 +204,9 @@ class EvolutionEquation:
     def jet_part_images(self, jet_part: int) -> tuple[DiffPoly, tuple[DiffPoly, ...]]:
         """Res(J) and the Leibniz tails (G_1(J), ..., G_top(J)) of a packed jet part J.
 
-        Res(J) = D_t J - L'[J] and G_i(J) = sum_{k >= i} C(k, i) dL/dz_k *
-        D_x^{k-i} J, so that G_0(J) would be L'[J]; top is the order of L.
+        G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, all read off
+        one tower J, D_x J, ..., D_x^top J, top the order of L; G_0(J) is
+        the Frechet derivative L'[J], so Res(J) = D_t J - G_0(J).
         Computed on first request and kept, so each jet part's images are
         built once however many residuals and solver columns read them.
         """
@@ -213,20 +214,21 @@ class EvolutionEquation:
         if images is None:
             J = DiffPoly._make({jet_part: 1})
             # D_t first: it refuses an h_j outside a ring that allows them
-            residual = self.dt(J) - self.frechet(self.rhs, J)
+            residual = self.dt(J)
             partials = jet_partials(self.rhs)
-            # frechet left each D_x^k J on D_x^(k-1) J
             dx_powers = [J]
-            for _ in partials[2:]:
+            for _ in partials[1:]:
                 dx_powers.append(x_derivative(dx_powers[-1]))
-            tails = []
-            for i in range(1, len(partials)):
+            gs = []  # G_0(J), G_1(J), ..., G_top(J)
+            for i in range(len(partials)):
                 g = DiffPoly.zero()
                 for k in range(i, len(partials)):
                     if partials[k]:
                         g = g + partials[k] * dx_powers[k - i] * comb(k, i)
-                tails.append(g)
-            images = self._jet_images[jet_part] = (residual, tuple(tails))
+                gs.append(g)
+            if gs:
+                residual = residual - gs[0]
+            images = self._jet_images[jet_part] = (residual, tuple(gs[1:]))
         return images
 
     def _leibniz_residual(self, nums: dict[int, int]) -> tuple[dict[int, int], int]:

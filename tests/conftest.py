@@ -33,6 +33,17 @@ def random_poly_stream(seed, count, **kw):
     return polys
 
 
+def rank_of_bodies(bodies):
+    """The rank of a list of polynomials, by the solver's exact reducer.
+
+    Each body enters by its integer numerators: scaling a body does not
+    change the rank.
+    """
+    from jetsym.detsolve import _dependencies
+
+    return sum(dep is None for dep in _dependencies(b._nums for b in bodies))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240611)

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rank_of_bodies
 from jetsym.detsolve import (
     Ansatz,
     AnsatzTooLarge,
@@ -29,6 +30,10 @@ from jetsym.diffring import (
 )
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, invariance_residual
 from jetsym.symfam import Family, q_char
+
+# z_t = z_2 + (1/3) z_1^2: potential Burgers with z rescaled by 3, whose
+# residual images have the denominator 3
+THIRD = EvolutionEquation("potburgers_third", jet_poly(2) + Fraction(1, 3) * jet_poly(1) ** 2)
 
 
 def test_nullspace_zero_matrix():
@@ -198,7 +203,7 @@ _LEIBNIZ_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS], ids=lambda eq: eq.name)
+@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS, THIRD], ids=lambda eq: eq.name)
 @pytest.mark.parametrize("bounds", _LEIBNIZ_BOUNDS)
 def test_build_system_matches_direct_residuals(eq, bounds):
     order, jet_degree, x_degree, t_degree = bounds
@@ -217,6 +222,40 @@ def test_experimental_solve_at_lopsided_bounds(eq):
         eq, 2, jet_degree=2, x_degree=5, t_degree=3, experimental=True
     )
     assert report.dimension > 0
+
+
+@pytest.mark.parametrize("order, dimension", [(1, 3), (2, 6)])
+def test_solve_with_a_fractional_rhs(order, dimension):
+    # the same dimensions as potential Burgers, of which THIRD is a rescaling
+    assert solve_symmetries(POTBURGERS, order, experimental=True).dimension == dimension
+    report = solve_symmetries(THIRD, order, experimental=True)
+    assert report.dimension == dimension
+    for c in report.basis:
+        assert invariance_residual(THIRD, c.body) == 0
+
+
+_degree_bounds = st.integers(-1, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([BURGERS, HEAT, POTBURGERS, THIRD]),
+    st.integers(0, 3),
+    _degree_bounds,
+    _degree_bounds,
+    _degree_bounds,
+)
+def test_solver_bodies_match_the_decoded_system(eq, order, jet_degree, x_degree, t_degree):
+    # the solver reads its kernel straight from the reducer; the same basis
+    # comes from nullspace, checked against sympy, on build_system's view
+    bounds = (jet_degree, x_degree, t_degree)
+    report = solve_symmetries(eq, order, *bounds, experimental=True)
+    system = build_system(Ansatz(eq, order, *bounds))
+    expected = [
+        DiffPoly({m: v for m, v in zip(system.columns, vec) if v}) for vec in nullspace(system)
+    ]
+    assert [c.body for c in report.basis] == expected
+    assert report.ansatz_size == system.ncols
 
 
 def test_ansatz_monomials_are_bounded_and_sorted():
@@ -288,9 +327,7 @@ def test_system_order_one_contains_translation():
     span = [c.body for c in report.basis]
     # v_x lies in the kernel span: residual of v_x is zero and rank is 2
     assert invariance_residual(BURGERS, jet_poly(1)) == 0
-    from jetsym.detsolve import _rank_of_bodies
-
-    assert _rank_of_bodies(span + [jet_poly(1)]) == 2
+    assert rank_of_bodies(span + [jet_poly(1)]) == 2
 
 
 def test_order_zero_has_no_symmetries():
@@ -355,11 +392,9 @@ def test_heat_requires_experimental_flag():
 
 
 def test_family_rank_matches_count():
-    from jetsym.detsolve import _rank_of_bodies
-
     bodies = family_bodies(3)
     assert len(bodies) == 9
-    assert _rank_of_bodies(bodies) == 9
+    assert rank_of_bodies(bodies) == 9
 
 
 def test_solver_on_a_jet_free_rhs():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import make_random_poly
+from conftest import make_random_poly, rank_of_bodies
 from jetsym import symfam
 from jetsym.diffring import DiffPoly, JetLimitError, jet_poly, par_poly, t_poly, x_poly
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, invariance_residual
@@ -202,10 +202,10 @@ def test_jacobi_identity_low_order():
 
 
 def test_family_linearly_independent():
-    from jetsym.detsolve import _rank_of_bodies, family_bodies
+    from jetsym.detsolve import family_bodies
 
     bodies = family_bodies(4)
-    assert _rank_of_bodies(bodies) == len(bodies)
+    assert rank_of_bodies(bodies) == len(bodies)
 
 
 def test_evolution_forms():
