@@ -106,7 +106,8 @@ class Ansatz(Record):
         as _FIELD_LIMIT, above every exponent: the tuple form lists present
         variables only, so t^a x^b J sorts after every monomial with a t.
         Within one degree and one a and b, the jet parts all have the same
-        degree, so their rank orders them as mono_key does.
+        degree, so their rank orders them as the graded order does (mono_key
+        in tests/conftest.py).
         """
         for name in _BOUNDS:
             bound = getattr(self, name)

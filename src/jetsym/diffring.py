@@ -21,32 +21,32 @@ each operation so that gcd(denominator, *numerators) = 1; the zero
 polynomial has no terms and denominator 1.  Values are therefore canonical
 and compared by their packed form.  derive, the one loop behind every total
 derivative, reads the packed form directly; its tables of variable images
-are keyed by unit.  substitute shares factor products within a call: the
-image of every target part and of each of its prefixes, taken in
-increasing unit order, is built once, keyed by its packed monomial, and
-freed when the call returns.
+are keyed by unit.  substitute maps v^e under a one-term image c n to
+c^e times a shift of the key by n^e, and evaluates the images with several
+terms by Horner's rule over the terms grouped by their part in those
+variables, so that sums are merged before they are multiplied.
 
 At the edges monomials appear as tuples of ((kind, index), exponent) pairs
 sorted by variable, with no zero exponent, and coefficients as Fractions:
 the constructor takes {tuple monomial: coefficient}, and the terms view
 decodes.  The variable order T < X < z_0 < z_1 < ... < h_0 < h_1 < ... < E
-of the tuples induces a graded monomial order, mono_key (total degree
-first, ties broken by the exponent sequence), that makes all rendered
-output deterministic.
+of the tuples induces a graded monomial order (total degree first, ties
+broken by the exponent sequence; mono_key in tests/conftest.py is its
+tuple reference) that makes all rendered output deterministic.
 
-jet_rows decodes and sorts a polynomial in one pass, and ordered_terms,
-sorted_terms and render_terms (so str, and the CLI's renderers) read its
-rows.  A row splits a packed monomial b = m + _DIGITS_BIAS into its t byte,
-its x byte and its jet part b >> 16 (E, the z_k and the h_j).  A table
-that the caller passes in holds, per jet part, its order-key bytes, degree,
+jet_rows decodes and sorts a polynomial in one pass, and ordered_terms and
+render_terms (so str, and the CLI's renderers) read its rows.  A row
+splits a packed monomial b = m + _DIGITS_BIAS into its t byte, its x byte
+and its jet part b >> 16 (E, the z_k and the h_j).  A table that the
+caller passes in holds, per jet part, its order-key bytes, degree,
 factors and E exponent, computed on first sight, and the renderers keep
 each jet part's factor text there per format; the order-12 Burgers family
 table has 18 332 terms but only 371 distinct jet parts.  The order key of
 a monomial is its degree and the bytes of its factors, two per factor v^e:
 the rank of v in the order t < x < z_0 < ... < z_64 < h_0 < ... < h_64 < E,
 then e, E's raised by 64.  Byte strings compare as the tuples do, a string
-that ends first being the smaller, so the key is mono_key at any width;
-order_key gives it for one packed monomial.  A value carrying E is
+that ends first being the smaller, so the key is the graded order at any
+width; order_key gives it for one packed monomial.  A value carrying E is
 rendered grouped by its power of E.
 
 Record, the base of the package's slotted immutable records, lives here
@@ -164,6 +164,7 @@ def _slot_mask(slots) -> int:
 _NSLOTS = len(_SLOT_VARS)
 _GUARD = int.from_bytes(bytes([1 << (_BITS - 1)]) * _NSLOTS, "little")
 _E_MASK = _MASK << _E_SHIFT
+_E_UNIT = 1 << _E_SHIFT
 # Valid exponents: [0, _FIELD_LIMIT) off E, [-_E_LIMIT, _E_LIMIT) on E.
 _FIELD_LIMIT = 1 << (_BITS - 1)
 _E_LIMIT = 1 << (_BITS - 2)
@@ -251,15 +252,6 @@ def par(j: int) -> VarId:
 
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
-
-
-def mono_key(m: Monomial):
-    """Deterministic graded sort key (refines total degree).
-
-    The tuple reference for the packed order: order_key must sort every
-    packed monomial as this sorts its decoded form.
-    """
-    return (mono_degree(m), m)
 
 
 _new = object.__new__
@@ -534,64 +526,80 @@ class DiffPoly:
     def substitute(self, rules: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of polynomials for variables.
 
-        Variables not mentioned in the rules pass through unchanged.  Within
-        one call each product of factor images is built once: a term's
-        factors that have a rule are taken in increasing unit order, and the
-        image of each prefix, keyed by its packed monomial, is the image of
-        the prefix one factor shorter times the power of the new factor's
-        image.  Terms that share lower factors share their products.
+        Variables not mentioned in the rules pass through unchanged; a rule
+        for anything else raises as unit() does.  A one-term image maps v^e
+        to a shift of the packed key by its e-th power, checked like each
+        product.  The terms are grouped by their part in the variables
+        whose images have several terms, which Horner's rule then applies
+        (see _horner) to integer numerators, each term pre-scaled by the
+        powers of the image denominators it lacks.  No image is substituted
+        again.
         """
         if not rules:
             return self
-        # Each term's fields are read from m + _DIGITS_BIAS, where E's digit
-        # is raised by _E_DIGIT_BIAS.
-        targets = []
-        for u, image in sorted((_UNIT[v], image) for v, image in rules.items() if v in _UNIT):
-            shift = u.bit_length() - 1
-            targets.append((u, shift, _E_DIGIT_BIAS if shift == _E_SHIFT else 0, image))
-        # The image of every target part and prefix built in this call, by
-        # packed monomial; a one-factor part e*u holds image**e.
-        products: dict[int, DiffPoly] = {}
-        out: dict[int, int] = {}
-        get = out.get
-        den = 1  # common denominator of the factor products so far
+        by_unit = {unit(v): image for v, image in rules.items()}
+        # The fields of the rule variables other than E, of those whose
+        # images have several terms, and of those whose powers have a step.
+        fields = horner = walk = 0
+        for u, image in by_unit.items():
+            if u != _E_UNIT:
+                fields |= _MASK * u
+            if len(image._nums) > 1:
+                horner |= _MASK * u
+            if len(image._nums) < 2 or image._den != 1:
+                walk |= _MASK * u
+        exp_rule = _E_UNIT in by_unit
+        steps: dict[int, tuple] = {}  # e*u -> _power_step(image of u, e)
+        groups: dict[int, dict[int, int]] = {}  # Horner part -> key -> numerator
+        scaled = []  # (part, key, numerator, den) of the terms that need a den
         for m, c in self._nums.items():
             b = m + _DIGITS_BIAS
-            part = 0
-            product = None
-            for u, shift, bias, image in targets:
-                e = ((b >> shift) & _MASK) - bias
-                if e:
-                    eu = e * u
-                    part += eu
-                    known = products.get(part)
-                    if known is None:
-                        power = products.get(eu)
-                        if power is None:
-                            power = products[eu] = image**e
-                        known = products[part] = power if product is None else product * power
-                    product = known
-            rest = m - part
-            if product is None:
-                out[rest] = get(rest, 0) + c * den
-                continue
-            d = product._den
-            if den % d:
-                out, den = _widened(out, den, d)
-                get = out.get
-            c *= den // d
-            for pm, pc in product._nums.items():
-                k = rest + pm
-                out[k] = get(k, 0) + c * pc
-        _check_fields(out)
+            rel = b & fields
+            if exp_rule:
+                e = (b >> _E_SHIFT & _MASK) - _E_DIGIT_BIAS
+                if e < 0:
+                    raise ValueError("negative powers are not defined in the ring")
+                rel += e * _E_UNIT
+            key = m - rel  # every rule variable removed
+            dt = 1
+            todo = rel & walk
+            if todo:
+                shifts = []
+                while todo:
+                    off = (todo.bit_length() - 1) & -_BITS
+                    e = todo >> off
+                    todo -= e << off
+                    step = steps.get(e << off)
+                    if step is None:
+                        step = steps[e << off] = _power_step(by_unit[1 << off], e)
+                    shift, num, d = step
+                    if shift is not None:
+                        shifts.append(shift)
+                        c *= num
+                    dt *= d
+                if not c:
+                    continue
+                for shift in shifts:
+                    key += shift
+                    if (key + _GUARD_BIAS) & _GUARD:
+                        _check_fields((key,))
+            if dt == 1:
+                table = groups.setdefault(rel & horner, {})
+                table[key] = table.get(key, 0) + c
+            else:
+                scaled.append((rel & horner, key, c, dt))
+        den = lcm(*(dt for *_, dt in scaled))
+        if den != 1:
+            for table in groups.values():
+                for key in table:
+                    table[key] *= den
+            for part, key, c, dt in scaled:
+                table = groups.setdefault(part, {})
+                table[key] = table.get(key, 0) + c * (den // dt)
+        out = _horner(sorted(groups.items(), reverse=True), by_unit) if groups else {}
         return DiffPoly._make(_nonzero(out), self._den * den)
 
     # -- ordering and display ------------------------------------------------
-
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the global monomial order (leading term first by default)."""
-        out = [(mono, Fraction(num, den)) for mono, _, num, den in ordered_terms(self)]
-        return out if reverse else out[::-1]
 
     def __str__(self) -> str:
         return render_terms(self, var_name)
@@ -643,6 +651,60 @@ def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
                 out[k] = get(k, 0) + cc * ic
     _check_fields(out)
     return DiffPoly._make(_nonzero(out), p._den * image_den)
+
+
+def _power_step(image: DiffPoly, e: int) -> tuple:
+    """How image^e enters substitute: (None, 1, den^e) if image has several
+    terms, else the key shift, numerator and den of the power (numerator 0
+    for the zero image)."""
+    if len(image._nums) > 1:
+        return None, 1, image._den**e
+    power = image**e
+    ((shift, num),) = power._nums.items() or ((0, 0),)
+    return shift, num, power._den
+
+
+def _horner(
+    parts: list[tuple[int, dict[int, int]]], images: Mapping[int, DiffPoly]
+) -> dict[int, int]:
+    """The sum of table * prod image^e over parts, by Horner's rule.
+
+    parts lists (part, table) by decreasing part: a packed product of
+    variables whose images are keyed by unit, and the numerators by key
+    that multiply it, reused here.  In the highest variable v present,
+    p = sum_e p_e v^e maps to (...(p_top g + p_{top-1}) g + ...) g + p_0
+    for the image numerators g, each p_e evaluated the same way first and
+    each product scattered straight into its table.  The parts holding v
+    come first; the rest make p_0.  Keys are checked before a table is
+    multiplied and before it is returned; cancelled entries may remain.
+    """
+    out = parts.pop()[1] if not parts[-1][0] else {}
+    i, n = 0, len(parts)
+    while i < n:
+        top = parts[i][0]
+        off = (top.bit_length() - 1) & -_BITS  # v's field
+        u = 1 << off
+        runs: dict[int, list] = {}  # e -> the parts holding v^e, v removed
+        while i < n and parts[i][0] >= u:
+            part, table = parts[i]
+            runs.setdefault(part >> off, []).append((part & (u - 1), table))
+            i += 1
+        g = images[u]._nums.items()
+        acc = _horner(runs[top >> off], images)
+        for e in range((top >> off) - 1, -1, -1):
+            sub = runs.get(e)
+            target = out if not e else _horner(sub, images) if sub else {}
+            get = target.get
+            for ma, ca in acc.items():
+                for mb, cb in g:
+                    k = ma + mb
+                    target[k] = get(k, 0) + ca * cb
+            if e:
+                _check_fields(target)
+                acc = _nonzero(target)
+    if n:
+        _check_fields(out)
+    return out
 
 
 def _widened(nums: dict[int, int], den: int, d: int) -> tuple[dict[int, int], int]:
@@ -698,8 +760,8 @@ def _jet_part(j: int) -> tuple[bytes, int, Monomial, int]:
 def order_key(m: int) -> tuple[int, bytes]:
     """The order key (degree, bytes) of the packed monomial m.
 
-    Sorting packed monomials by it sorts them as mono_key sorts their
-    decoded forms (see _key_bytes).
+    Sorting packed monomials by it sorts them as the graded order sorts
+    their decoded forms (see _key_bytes and tests/conftest.py's mono_key).
     """
     factors = _decode(m)
     return mono_degree(factors), _key_bytes(factors)
@@ -717,7 +779,7 @@ def jet_rows(p: DiffPoly, parts: dict) -> list[tuple[int, bytes, int, int, int, 
     monomial m splits into its t and x fields tx and its jet part j (see
     _jet_part); parts maps each jet part to its decoded fields and is
     filled on first sight, so a table that shares it among its polynomials
-    decodes each jet part once.  The rows come in decreasing mono_key
+    decodes each jet part once.  The rows come in decreasing graded
     order, sorted by the order key: the degree, then the key bytes of tx
     followed by those of j (see _key_bytes).  Each coefficient is a reduced
     ratio; no Fraction is made.

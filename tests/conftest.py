@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetsym.diffring import DiffPoly, T_VAR, X_VAR, jet, par
+from jetsym.diffring import DiffPoly, T_VAR, X_VAR, jet, mono_degree, ordered_terms, par
 
 
 def make_random_poly(rng, max_jet=3, with_par=False, max_terms=4, max_exp=2, max_factors=3):
@@ -42,6 +42,39 @@ def rank_of_bodies(bodies):
     from jetsym.detsolve import _dependencies
 
     return sum(dep is None for dep in _dependencies(b._nums for b in bodies))
+
+
+def mono_key(m):
+    """The graded sort key of a tuple monomial: total degree, then the factors.
+
+    The tuple reference for the packed order: diffring.order_key must sort
+    every packed monomial as this sorts its decoded form.
+    """
+    return (mono_degree(m), m)
+
+
+def sorted_terms(p, reverse=True):
+    """p's (tuple monomial, Fraction) terms in the mono_key order, leading term first."""
+    out = [(mono, Fraction(num, den)) for mono, _, num, den in ordered_terms(p)]
+    return out if reverse else out[::-1]
+
+
+def term_by_term(p, rules):
+    """The reference substitution: p with rules applied one factor at a time,
+    each power by repeated products."""
+    total = DiffPoly.zero()
+    for mono, coeff in p.terms.items():
+        term = DiffPoly.const(coeff)
+        for v, e in mono:
+            if v not in rules:
+                term = term * DiffPoly.variable(v, e)
+                continue
+            if e < 0:
+                raise ValueError("negative powers are not defined in the ring")
+            for _ in range(e):
+                term = term * rules[v]
+        total = total + term
+    return total
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sorted_terms
 from jetsym.cli import (
     SymmetryTableDoc,
     TableEntry,
@@ -507,7 +508,7 @@ _LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h", KIND_EXP: "e"
 def _body_payload(body) -> list:
     return [
         [[[_LETTER[kind], idx, e] for (kind, idx), e in mono], str(c)]
-        for mono, c in body.sorted_terms()
+        for mono, c in sorted_terms(body)
     ]
 
 

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rank_of_bodies
+from conftest import mono_key, rank_of_bodies
 from jetsym.detsolve import (
     Ansatz,
     AnsatzTooLarge,
@@ -24,7 +24,6 @@ from jetsym.diffring import (
     X_VAR,
     jet,
     jet_poly,
-    mono_key,
     order_key,
     unit,
 )

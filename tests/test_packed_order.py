@@ -1,11 +1,11 @@
 """The packed decode-and-sort pass against the tuple order it replaces.
 
 diffring.order_key, and jet_rows, which sorts packed monomials by the same
-byte key, must order every monomial as mono_key orders its tuple form.  The
-references here decode each term, make its Fraction and sort by mono_key,
-as the renderers did before the pass; every rendered format must agree
-with them byte for byte, whether each polynomial gets its own jet-part
-table or one table serves polynomials of several widths.  Also
+byte key, must order every monomial as conftest.mono_key orders its tuple
+form.  The references here decode each term, make its Fraction and sort
+by mono_key, as the renderers did before the pass; every rendered format
+must agree with them byte for byte, whether each polynomial gets its own
+jet-part table or one table serves polynomials of several widths.  Also
 here: a constant polynomial hashes as its value, since it compares equal
 to it.
 """
@@ -16,6 +16,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import mono_key, sorted_terms
 from jetsym.cli import _body_json, _latex_var, _text_var, render_latex, render_text
 from jetsym.diffring import (
     EXP_VAR,
@@ -31,7 +32,6 @@ from jetsym.diffring import (
     _encode,
     const,
     jet,
-    mono_key,
     order_key,
     ordered_terms,
     par,
@@ -138,8 +138,8 @@ def test_ordered_terms_give_reduced_ratios(p):
     assert got == reference_terms(p)
     for _, _, num, den in ordered_terms(p):
         assert den > 0 and Fraction(num, den).denominator == den
-    assert p.sorted_terms() == reference_terms(p)
-    assert p.sorted_terms(reverse=False) == reference_terms(p)[::-1]
+    assert sorted_terms(p) == reference_terms(p)
+    assert sorted_terms(p, reverse=False) == reference_terms(p)[::-1]
 
 
 @settings(max_examples=200, deadline=None)

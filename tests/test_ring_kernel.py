@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import term_by_term
 from jetsym.diffring import (
     EXP_VAR,
     KIND_JET,
@@ -70,28 +71,13 @@ def test_partial_is_a_derivation(a, b, v):
     assert (a * Fraction(5, 3)).partial(v) == a.partial(v) * Fraction(5, 3)
 
 
-def _term_by_term(p, rules):
-    """p with rules applied one factor at a time, each power by repeated products."""
-    total = DiffPoly.zero()
-    for mono, coeff in p.terms.items():
-        term = DiffPoly.const(coeff)
-        for v, e in mono:
-            if v not in rules:
-                term = term * DiffPoly.variable(v, e)
-                continue
-            for _ in range(e):
-                term = term * rules[v]
-        total = total + term
-    return total
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_substitute_matches_term_by_term_products(data):
     p = data.draw(polys())
     targets = data.draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
     rules = {v: data.draw(polys(max_terms=3)) for v in targets}
-    assert p.substitute(rules) == _term_by_term(p, rules)
+    assert p.substitute(rules) == term_by_term(p, rules)
 
 
 # The variables whose rules the shared-product tests draw.
@@ -122,7 +108,7 @@ def test_substitute_shares_products_across_recurring_parts(data):
     )
     p = data.draw(shared_part_polys(targets))
     rules = {v: data.draw(polys(max_terms=3)) for v in targets}
-    assert p.substitute(rules) == _term_by_term(p, rules)
+    assert p.substitute(rules) == term_by_term(p, rules)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,7 +123,7 @@ def test_substitute_with_an_exp_rule_and_fraction_images(data):
         + Fraction(1, data.draw(st.sampled_from((2, 5, 7))))
         for v in targets
     }
-    assert p.substitute(rules) == _term_by_term(p, rules)
+    assert p.substitute(rules) == term_by_term(p, rules)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -150,6 +136,100 @@ def test_substitute_rejects_a_negative_power_under_an_exp_rule(shared):
     rules = {EXP_VAR: jet_poly(0) + 1, jet(1): jet_poly(2) * Fraction(1, 3)}
     with pytest.raises(ValueError, match="negative powers are not defined in the ring"):
         p.substitute(rules)
+
+
+# -- one-term images: key shifts beside the Horner variables ------------------------
+
+# The variables whose rules the mixed-image tests draw, E among them.
+_MIXED_TARGETS = [T_VAR, jet(0), par(0), jet(1), jet(3), EXP_VAR]
+
+
+@st.composite
+def rule_images(draw, targets):
+    """A constant, the zero image, c v^k E^m with v often a target itself
+    (w_j -> -v_{j-1}/2 has that shape), or a polynomial of up to three terms."""
+    kind = draw(st.sampled_from(("const", "zero", "shift", "shift", "poly")))
+    if kind == "const":
+        return DiffPoly.const(draw(_coeffs))
+    if kind == "zero":
+        return DiffPoly.zero()
+    if kind == "shift":
+        v = draw(st.sampled_from([*targets, X_VAR, jet(2)]))
+        power = DiffPoly.variable(v, draw(st.integers(1, 2))) if v != EXP_VAR else exp_poly(1)
+        return draw(_coeffs) * power * exp_poly(draw(st.integers(-1, 1)))
+    return draw(polys(max_terms=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_mixes_key_shifts_and_horner_variables(data):
+    targets = data.draw(
+        st.lists(st.sampled_from(_MIXED_TARGETS), min_size=1, max_size=4, unique=True)
+    )
+    p = data.draw(shared_part_polys(targets)) + data.draw(polys())
+    rules = {v: data.draw(rule_images(targets)) for v in targets}
+    try:
+        expected = term_by_term(p, rules)
+    except ValueError:  # E^{-m} under a rule for E
+        with pytest.raises(ValueError, match="negative powers are not defined in the ring"):
+            p.substitute(rules)
+        return
+    assert p.substitute(rules) == expected
+
+
+def test_one_term_images_are_not_substituted_again():
+    t, x, z0, z1, z2 = t_poly(), x_poly(), jet_poly(0), jet_poly(1), jet_poly(2)
+    half, eighth = Fraction(-1, 2), Fraction(1, 8)
+    # w_j -> -v_{j-1}/2: each image's variable has a rule of its own
+    p = z1**2 * z2 + 3 * jet_poly(3) * z1 * t + z2**3
+    rules = {jet(j): half * jet_poly(j - 1) for j in range(1, 4)}
+    expected = -eighth * z0**2 * z1 + Fraction(3, 4) * t * z0 * z2 - eighth * z1**3
+    assert p.substitute(rules) == expected
+    # beside a rule with several terms for z_0, which z_1's image does not go through
+    assert (z0 * z1).substitute({jet(0): x + 1, jet(1): half * z0}) == half * (x + 1) * z0
+    # constants and the zero image
+    rules = {jet(1): DiffPoly.zero(), jet(0): DiffPoly.const(3)}
+    assert (z0**2 * z1 + z1 + t).substitute(rules) == t
+    rules = {jet(0): DiffPoly.const(Fraction(2, 3))}
+    assert (z0**2 * t + z1).substitute(rules) == Fraction(4, 9) * t + z1
+    # a one-term image for E
+    rules = {EXP_VAR: 3 * z2 * exp_poly(-1)}
+    assert (exp_poly(2) * z1).substitute(rules) == 9 * z2**2 * z1 * exp_poly(-2)
+
+
+@pytest.mark.parametrize(
+    "image", [3 * jet_poly(2), DiffPoly.const(2), DiffPoly.zero(), exp_poly(1)]
+)
+def test_substitute_rejects_a_negative_power_under_a_one_term_exp_rule(image):
+    p = exp_poly(1) * jet_poly(1) + exp_poly(-1) * jet_poly(1)
+    with pytest.raises(ValueError, match="negative powers are not defined in the ring"):
+        p.substitute({EXP_VAR: image})
+
+
+@pytest.mark.parametrize(
+    "p, rules",
+    [
+        # z_2^300 would carry into the field of h_2: a key shift, and Horner's rule
+        (jet_poly(1) ** 100, {jet(1): jet_poly(2) ** 3}),
+        (jet_poly(1) ** 100, {jet(1): jet_poly(2) ** 2 + 1}),
+        # two shifts of 100 into one field, each within it
+        (jet_poly(0) ** 100 * jet_poly(1) ** 100, {jet(0): jet_poly(2), jet(1): jet_poly(2)}),
+        # E^-65 leaves E's field from below
+        (t_poly() * exp_poly(-64), {T_VAR: Fraction(1, 2) * exp_poly(-1)}),
+    ],
+    ids=["shift", "horner", "two-shifts", "exp"],
+)
+def test_substitute_raises_instead_of_wrapping(p, rules):
+    with pytest.raises(ExponentOverflow):
+        p.substitute(rules)
+
+
+def test_substitute_rejects_rules_for_what_is_not_a_ring_variable():
+    for p in (jet_poly(1) * x_poly() + 1, DiffPoly.zero()):
+        with pytest.raises(JetLimitError, match="exceeds the cap"):
+            p.substitute({(KIND_JET, 65): jet_poly(0)})
+        with pytest.raises(ValueError, match="not a ring variable"):
+            p.substitute({"z1": jet_poly(0)})
 
 
 @settings(max_examples=40, deadline=None)
