@@ -10,7 +10,7 @@ without being told about it.
 import time
 
 from jetsym import BURGERS
-from jetsym.detsolve import build_system, Ansatz, solve_symmetries
+from jetsym.detsolve import solve_symmetries
 
 print("System sizes and kernel dimensions:")
 for n in (1, 2, 3, 4, 5):
@@ -29,8 +29,8 @@ for i, c in enumerate(solve_symmetries(BURGERS, 1).basis):
     print(f"  basis[{i}] = {c.body}")
 
 print()
-system = build_system(Ansatz(BURGERS, 2))
+report = solve_symmetries(BURGERS, 2)
 print(
-    f"Order-2 constraint matrix: {len(system.rows)} rows x {system.ncols} columns, "
-    f"nullity {solve_symmetries(BURGERS, 2).dimension}"
+    f"Order-2 system: {report.ansatz_size} columns (ansatz monomials), "
+    f"nullity {report.dimension}"
 )

@@ -23,10 +23,7 @@ _EXPORTS = {
         "BareDependentVariable NotProjectable heat_to_potential hopf_cole_chain "
         "potential_to_burgers w_jet_substitution"
     ),
-    "detsolve": (
-        "Ansatz AnsatzTooLarge LinearSystem SolveReport build_system nullspace "
-        "solve_symmetries"
-    ),
+    "detsolve": "Ansatz AnsatzTooLarge SolveReport solve_symmetries",
     "diffring": (
         "DiffPoly JetLimitError const exp_poly jet jet_poly par par_poly t_poly x_poly"
     ),

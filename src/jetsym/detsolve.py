@@ -20,8 +20,8 @@ kernel vector - up to scaling, the unique one with entry 1 at that column,
 free columns nor these vectors depend on how the rows are ordered.  Kernel
 basis vectors are normalized to leading entry 1, so identical inputs always
 produce identical bases.  solve_symmetries builds each basis body straight
-from its combination; build_system and nullspace give the same kernel
-through a decoded LinearSystem, and nullspace takes hand-built ones too.
+from its combination: _residual_columns, then _dependencies, is the
+package's one route to a kernel.
 
 For the Burgers equation the solver reproduces the graded dimension count
 n + 1 at each order: the cumulative dimension through order n is
@@ -32,10 +32,9 @@ symmetry family members of order <= n.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from math import comb, gcd
+from typing import NamedTuple, Optional
 
 from .diffring import (
     _BITS,
@@ -59,7 +58,8 @@ from .jetflow import (
 )
 from .symfam import Family, index_range, q_char
 
-DEFAULT_MONOMIAL_CAP = 200_000
+# the most ansatz monomials (columns) that one solve enumerates
+MONOMIAL_CAP = 200_000
 
 _T_UNIT = unit(T_VAR)
 _X_UNIT = unit(X_VAR)
@@ -68,7 +68,7 @@ _BOUNDS = ("jet_degree", "x_degree", "t_degree")
 
 
 class AnsatzTooLarge(RuntimeError):
-    """The enumerated monomial basis exceeds the configured cap."""
+    """The enumerated monomial basis exceeds MONOMIAL_CAP."""
 
 
 class Ansatz(Record):
@@ -77,7 +77,7 @@ class Ansatz(Record):
     A bound of -1 means the default, max(order, 1).  A Record.
     """
 
-    __slots__ = ("equation", "order", *_BOUNDS, "monomial_cap")
+    __slots__ = ("equation", "order", *_BOUNDS)
 
     def __init__(
         self,
@@ -86,7 +86,6 @@ class Ansatz(Record):
         jet_degree: int = -1,
         x_degree: int = -1,
         t_degree: int = -1,
-        monomial_cap: int = DEFAULT_MONOMIAL_CAP,
     ):
         if order < 0:
             raise ValueError("ansatz order must be >= 0")
@@ -95,7 +94,7 @@ class Ansatz(Record):
             if bound < -1:
                 raise ValueError(f"ansatz {name} must be >= 0, or -1 for the default")
             bounds.append(max(order, 1) if bound == -1 else bound)
-        super().__init__(equation, order, *bounds, monomial_cap)
+        super().__init__(equation, order, *bounds)
 
     def _enumerate(self) -> list[tuple[int, int, int, int]]:
         """The ansatz basis t^a x^b J in the global monomial order.
@@ -121,10 +120,8 @@ class Ansatz(Record):
         n = self.order
         # the monomials of degree <= jet_degree in z_0 .. z_n, times the t and x powers
         count = comb(self.jet_degree + n + 1, n + 1) * (self.x_degree + 1) * (self.t_degree + 1)
-        if count > self.monomial_cap:
-            raise AnsatzTooLarge(
-                f"{count} ansatz monomials exceed the cap {self.monomial_cap}"
-            )
+        if count > MONOMIAL_CAP:
+            raise AnsatzTooLarge(f"{count} ansatz monomials exceed the cap {MONOMIAL_CAP}")
 
         jet_units = [unit(jet(k)) for k in range(n + 1)]
         jet_parts = sorted(
@@ -150,31 +147,6 @@ class Ansatz(Record):
     def monomials(self) -> list[Monomial]:
         """The ansatz basis, sorted in the global monomial order."""
         return [_decode(a * _T_UNIT + b * _X_UNIT + J) for _, a, b, J in self._enumerate()]
-
-
-class LinearSystem:
-    """Sparse exact linear system; rows are labelled, columns are indexed.
-
-    rows maps a row label to {column index: Fraction}; columns optionally
-    labels the columns (ansatz monomials).
-    """
-
-    __slots__ = ("ncols", "rows", "columns")
-
-    def __init__(self, ncols: int, rows: Optional[dict] = None, columns: tuple = ()):
-        self.ncols = ncols
-        self.rows = {} if rows is None else rows
-        self.columns = tuple(columns)
-
-    @staticmethod
-    def from_dense(matrix: Sequence[Sequence]) -> "LinearSystem":
-        ncols = len(matrix[0]) if matrix else 0
-        rows = {}
-        for i, r in enumerate(matrix):
-            entries = {j: Fraction(v) for j, v in enumerate(r) if v}
-            if entries:
-                rows[i] = entries
-        return LinearSystem(ncols=ncols, rows=rows)
 
 
 def _residual_columns(ansatz: Ansatz) -> Iterator[tuple[int, dict[int, int], int]]:
@@ -204,17 +176,6 @@ def _residual_columns(ansatz: Ansatz) -> Iterator[tuple[int, dict[int, int], int
         else:
             vec = residual  # shared with the cache: the reducer never modifies its input
         yield mono, vec, scale
-
-
-def build_system(ansatz: Ansatz) -> LinearSystem:
-    """The invariance residual of each ansatz monomial as one column, decoded."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    columns = []
-    for col, (mono, vec, scale) in enumerate(_residual_columns(ansatz)):
-        for m, c in vec.items():
-            rows.setdefault(m, {})[col] = Fraction(c, scale)
-        columns.append(_decode(mono))
-    return LinearSystem(len(columns), {_decode(m): e for m, e in rows.items()}, columns)
 
 
 # -- exact elimination ---------------------------------------------------------
@@ -286,41 +247,6 @@ def _subtract(target: dict, a: int, source: dict) -> None:
             target[key] = s
         else:
             del target[key]
-
-
-def _integer_columns(system: LinearSystem) -> list[dict[int, int]]:
-    """A system's columns, each row scaled by the lcm of its denominators.
-
-    Rows are keyed by their position in insertion order.
-    """
-    columns: list[dict[int, int]] = [{} for _ in range(system.ncols)]
-    for pos, entries in enumerate(system.rows.values()):
-        entries = {col: Fraction(v) for col, v in entries.items() if v}
-        den = lcm(*(v.denominator for v in entries.values()))
-        for col, v in entries.items():
-            columns[col][pos] = v.numerator * (den // v.denominator)
-    return columns
-
-
-def nullspace(system: LinearSystem) -> list[tuple[Fraction, ...]]:
-    """Exact rational kernel basis, one vector per free column.
-
-    The rows are scaled to integers (see _integer_columns) and each
-    column's integer vector is reduced against the earlier columns' (see
-    _dependencies); a column is free when its vector lies in the span of
-    the earlier ones.  Vectors are returned in increasing free-column
-    order, each normalized so that its first nonzero entry equals 1.
-    """
-    basis = []
-    for combo in _dependencies(_integer_columns(system)):
-        if combo is None:
-            continue
-        lead = combo[min(combo)]
-        vec = [Fraction(0)] * system.ncols
-        for c, v in combo.items():
-            vec[c] = Fraction(v, lead)
-        basis.append(tuple(vec))
-    return basis
 
 
 def family_bodies(order: int) -> list[DiffPoly]:

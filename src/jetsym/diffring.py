@@ -34,8 +34,9 @@ of the tuples induces a graded monomial order (total degree first, ties
 broken by the exponent sequence; mono_key in tests/conftest.py is its
 tuple reference) that makes all rendered output deterministic.
 
-jet_rows decodes and sorts a polynomial in one pass, and ordered_terms and
-render_terms (so str, and the CLI's renderers) read its rows.  A row
+jet_rows decodes and sorts a polynomial in one pass, and render_terms (so
+str, and the CLI's renderers) reads its rows, as does ordered_terms in
+tests/conftest.py, which decodes them to tuple terms.  A row
 splits a packed monomial b = m + _DIGITS_BIAS into its t byte, its x byte
 and its jet part b >> 16 (E, the z_k and the h_j).  A table that the
 caller passes in holds, per jet part, its order-key bytes, degree,
@@ -811,18 +812,6 @@ def tx_factors(tx: int) -> Monomial:
     """The factors of a row's t and x fields tx, as in a tuple monomial."""
     t, x = tx & _MASK, tx >> _BITS
     return ((T_VAR, t),) * bool(t) + ((X_VAR, x),) * bool(x)
-
-
-def ordered_terms(p: DiffPoly, parts: dict | None = None) -> list[tuple[Monomial, int, int, int]]:
-    """p's terms as (tuple monomial, degree, numerator, denominator), leading term first.
-
-    Read from jet_rows; parts is its jet-part table, fresh when not given.
-    """
-    parts = {} if parts is None else parts
-    return [
-        (tx_factors(tx) + parts[j][2], degree, num, den)
-        for degree, _, tx, j, num, den in jet_rows(p, parts)
-    ]
 
 
 def _coerce(value) -> "DiffPoly":

@@ -129,6 +129,30 @@ def jet_partials(F: DiffPoly) -> tuple[DiffPoly, ...]:
     return coeffs
 
 
+def prolongation_sums(F: DiffPoly, eta: DiffPoly, count: int) -> list[DiffPoly]:
+    """G_0, ..., G_{count-1}: G_i = sum_{k >= i} C(k, i) dF/dz_k * D_x^{k-i} eta.
+
+    The one prolongation sum: all read off jet_partials(F) and one tower
+    eta, D_x eta, ..., D_x^top eta, top the order of F.  G_0 is the Frechet
+    derivative F'[eta].
+    """
+    partials = jet_partials(F)
+    tower = [eta]
+    for _ in partials[1:]:
+        tower.append(x_derivative(tower[-1]))
+    sums = []
+    for i in range(count):
+        g = DiffPoly.zero()
+        for k in range(i, len(partials)):
+            coeff = partials[k]
+            if coeff:
+                if i and i != k:
+                    coeff = coeff * comb(k, i)
+                g = g + coeff * tower[k - i]
+        sums.append(g)
+    return sums
+
+
 class EvolutionEquation:
     """A named evolution equation z_t = rhs.
 
@@ -186,27 +210,22 @@ class EvolutionEquation:
     def frechet(self, F: DiffPoly, eta: DiffPoly) -> DiffPoly:
         """Frechet derivative of F in the direction eta (on-shell).
 
-        The result is sum_k (dF/dz_k) * D_x^k(eta).  F may carry powers of
-        E = e^{z_0}, which enter the k = 0 coefficient through dE/dz_0 = E,
-        and, where the ring allows them, the h_j, which are coefficients.
+        The result is sum_k (dF/dz_k) * D_x^k(eta), the G_0 of
+        prolongation_sums.  F may carry powers of E = e^{z_0}, which enter
+        the k = 0 coefficient through dE/dz_0 = E, and, where the ring
+        allows them, the h_j, which are coefficients.
         """
         self._check_par(F)
         self._check_par(eta)
-        result = DiffPoly.zero()
-        dk_eta = eta
-        for k, coeff in enumerate(jet_partials(F)):
-            if k:
-                dk_eta = self.dx(dk_eta)
-            if coeff:
-                result = result + coeff * dk_eta
-        return result
+        return prolongation_sums(F, eta, 1)[0]
 
     def jet_part_images(self, jet_part: int) -> tuple[DiffPoly, tuple[DiffPoly, ...]]:
         """Res(J) and the Leibniz tails (G_1(J), ..., G_top(J)) of a packed jet part J.
 
         G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, all read off
-        one tower J, D_x J, ..., D_x^top J, top the order of L; G_0(J) is
-        the Frechet derivative L'[J], so Res(J) = D_t J - G_0(J).
+        one tower J, D_x J, ..., D_x^top J by prolongation_sums, top the
+        order of L; G_0(J) is the Frechet derivative L'[J], so
+        Res(J) = D_t J - G_0(J).
         Computed on first request and kept, so each jet part's images are
         built once however many residuals and solver columns read them.
         """
@@ -215,17 +234,8 @@ class EvolutionEquation:
             J = DiffPoly._make({jet_part: 1})
             # D_t first: it refuses an h_j outside a ring that allows them
             residual = self.dt(J)
-            partials = jet_partials(self.rhs)
-            dx_powers = [J]
-            for _ in partials[1:]:
-                dx_powers.append(x_derivative(dx_powers[-1]))
-            gs = []  # G_0(J), G_1(J), ..., G_top(J)
-            for i in range(len(partials)):
-                g = DiffPoly.zero()
-                for k in range(i, len(partials)):
-                    if partials[k]:
-                        g = g + partials[k] * dx_powers[k - i] * comb(k, i)
-                gs.append(g)
+            # G_0(J), G_1(J), ..., G_top(J)
+            gs = prolongation_sums(self.rhs, J, len(jet_partials(self.rhs)))
             if gs:
                 residual = residual - gs[0]
             images = self._jet_images[jet_part] = (residual, tuple(gs[1:]))

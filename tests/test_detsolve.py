@@ -1,5 +1,6 @@
-"""Exact nullspace computation and the bounded-ansatz symmetry solver."""
+"""The solver's exact reducer and the bounded-ansatz symmetry solver."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mono_key, rank_of_bodies
+from conftest import gauss_jordan_kernel, mono_key, rank_of_bodies
+from jetsym import detsolve
 from jetsym.detsolve import (
     Ansatz,
     AnsatzTooLarge,
-    LinearSystem,
-    build_system,
+    _dependencies,
+    _residual_columns,
     family_bodies,
-    nullspace,
     solve_symmetries,
 )
 from jetsym.diffring import (
@@ -22,6 +23,7 @@ from jetsym.diffring import (
     ExponentOverflow,
     T_VAR,
     X_VAR,
+    _decode,
     jet,
     jet_poly,
     order_key,
@@ -35,10 +37,38 @@ from jetsym.symfam import Family, q_char
 THIRD = EvolutionEquation("potburgers_third", jet_poly(2) + Fraction(1, 3) * jet_poly(1) ** 2)
 
 
+def _integer_columns(matrix, ncols, label=lambda pos: pos):
+    """The columns of a dense rational matrix as sparse integer vectors.
+
+    Each row is scaled by the lcm of its denominators and keyed by
+    label(its position).
+    """
+    columns = [{} for _ in range(ncols)]
+    for pos, row in enumerate(matrix):
+        row = [Fraction(v) for v in row]
+        den = math.lcm(*(v.denominator for v in row))
+        for col, v in enumerate(row):
+            if v:
+                columns[col][label(pos)] = v.numerator * (den // v.denominator)
+    return columns
+
+
+def _kernel(columns):
+    """The reducer's kernel of integer columns, one vector per dependent
+    column, scaled so that its first nonzero entry is 1."""
+    basis = []
+    for combo in _dependencies(columns):
+        if combo is not None:
+            lead = combo[min(combo)]
+            vec = [Fraction(0)] * len(columns)
+            for c, v in combo.items():
+                vec[c] = Fraction(v, lead)
+            basis.append(tuple(vec))
+    return basis
+
+
 def test_nullspace_zero_matrix():
-    system = LinearSystem(ncols=3)
-    basis = nullspace(system)
-    assert basis == [
+    assert _kernel(_integer_columns([], 3)) == [
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -46,29 +76,26 @@ def test_nullspace_zero_matrix():
 
 
 def test_nullspace_single_row():
-    system = LinearSystem.from_dense([[1, -1]])
-    assert nullspace(system) == [(Fraction(1), Fraction(1))]
+    assert _kernel(_integer_columns([[1, -1]], 2)) == [(Fraction(1), Fraction(1))]
 
 
 def test_nullspace_rectangular():
-    system = LinearSystem.from_dense(
-        [
-            [1, 2, 3],
-            [2, 4, 6],
-            [0, 1, 1],
-        ]
-    )
-    basis = nullspace(system)
+    matrix = [
+        [1, 2, 3],
+        [2, 4, 6],
+        [0, 1, 1],
+    ]
+    basis = _kernel(_integer_columns(matrix, 3))
     assert len(basis) == 1
     vec = basis[0]
     assert vec[0] == 1  # normalized leading entry
     for row in ([1, 2, 3], [0, 1, 1]):
         assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+    assert basis == gauss_jordan_kernel([dict(enumerate(r)) for r in matrix], 3)
 
 
 def test_nullspace_fractional_entries():
-    system = LinearSystem.from_dense([[Fraction(1, 2), Fraction(-1, 3)]])
-    (vec,) = nullspace(system)
+    (vec,) = _kernel(_integer_columns([[Fraction(1, 2), Fraction(-1, 3)]], 2))
     assert Fraction(1, 2) * vec[0] - Fraction(1, 3) * vec[1] == 0
 
 
@@ -120,18 +147,9 @@ def _matrices(draw):
 def test_nullspace_matches_sympy(case):
     ncols, matrix = case
     expected = _sympy_nullspace(matrix, ncols)
-    # from_dense reads the width off the first row, so an empty matrix has none
-    system = LinearSystem.from_dense(matrix) if matrix else LinearSystem(ncols=ncols)
-    basis = nullspace(system)
-    assert basis == expected
-    assert all(type(v) is Fraction for vec in basis for v in vec)
-    for vec in basis:
-        assert next(v for v in vec if v) == 1
-    # the basis does not depend on the row labels
-    relabelled = LinearSystem(
-        ncols=ncols, rows={-i: entries for i, entries in system.rows.items()}
-    )
-    assert nullspace(relabelled) == expected
+    assert _kernel(_integer_columns(matrix, ncols)) == expected
+    # the kernel does not depend on the row keys
+    assert _kernel(_integer_columns(matrix, ncols, lambda pos: -pos)) == expected
 
 
 _BIG = 2**40
@@ -169,21 +187,77 @@ def _big_matrices(draw):
 @given(_big_matrices())
 def test_nullspace_matches_sympy_on_large_entries(case):
     ncols, matrix = case
-    assert nullspace(LinearSystem.from_dense(matrix)) == _sympy_nullspace(matrix, ncols)
+    assert _kernel(_integer_columns(matrix, ncols)) == _sympy_nullspace(matrix, ncols)
+
+
+_big_ints = st.integers(-_BIG, _BIG)
+
+
+@st.composite
+def _sparse_vectors(draw):
+    """Sparse integer vectors with entries up to 2^40; some repeat an
+    earlier vector, are proportional to one, or combine several."""
+    vectors = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "proportional", "combination")))
+        if kind == "fresh" or not vectors:
+            vec = draw(st.dictionaries(st.integers(0, 7), _big_ints, max_size=5))
+        elif kind == "repeat":
+            vec = dict(draw(st.sampled_from(vectors)))
+        else:
+            picks = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+            if kind == "proportional":
+                picks = picks[:1]
+            vec = {}
+            for pick in picks:
+                factor = draw(_big_ints.filter(bool))
+                for k, v in pick.items():
+                    vec[k] = vec.get(k, 0) + factor * v
+        vectors.append({k: v for k, v in vec.items() if v})
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_vectors())
+def test_dependencies_keep_their_contract(vectors):
+    copies = [dict(vec) for vec in vectors]
+    deps = list(_dependencies(vectors))
+    assert vectors == copies  # the inputs are not modified
+    assert len(deps) == len(vectors)
+    independent = {i for i, dep in enumerate(deps) if dep is None}
+    for index, combo in enumerate(deps):
+        if combo is None:
+            continue
+        # a positive entry at its own index, support on earlier independent
+        # vectors, primitive, and an exact vanishing combination
+        assert combo[index] > 0
+        assert set(combo) - {index} <= {i for i in independent if i < index}
+        assert all(combo.values()) and math.gcd(*combo.values()) == 1
+        total = {}
+        for i, c in combo.items():
+            for k, v in vectors[i].items():
+                total[k] = total.get(k, 0) + c * v
+        assert not any(total.values())
+    # a vector is dependent exactly when it lies in the span of the earlier ones
+    rows = {}
+    for i, vec in enumerate(vectors):
+        for k, v in vec.items():
+            rows.setdefault(k, {})[i] = v
+    assert _kernel(vectors) == gauss_jordan_kernel(rows.values(), len(vectors))
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_solver_kernel_does_not_depend_on_row_order(rng):
-    system = build_system(Ansatz(BURGERS, 3))
-    labels = list(system.rows)
-    rng.shuffle(labels)
-    shuffled = LinearSystem(ncols=system.ncols, rows={r: system.rows[r] for r in labels})
-    assert nullspace(shuffled) == nullspace(system)
+    vectors = [vec for _, vec, _ in _residual_columns(Ansatz(BURGERS, 3))]
+    keys = sorted({k for vec in vectors for k in vec})
+    relabel = dict(zip(keys, rng.sample(keys, len(keys))))
+    relabelled = [{relabel[k]: v for k, v in vec.items()} for vec in vectors]
+    assert list(_dependencies(relabelled)) == list(_dependencies(vectors))
 
 
 def _direct_system(ansatz):
-    """build_system's rows computed naively, one invariance residual per column."""
+    """The solver's rows computed naively, one invariance residual per column."""
     rows = {}
     for col, mono in enumerate(ansatz.monomials()):
         residual = invariance_residual(ansatz.equation, DiffPoly({mono: 1}))
@@ -205,12 +279,16 @@ _LEIBNIZ_BOUNDS = [
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS, THIRD], ids=lambda eq: eq.name)
 @pytest.mark.parametrize("bounds", _LEIBNIZ_BOUNDS)
 def test_build_system_matches_direct_residuals(eq, bounds):
+    # the solver's columns, decoded, against the naive rows
     order, jet_degree, x_degree, t_degree = bounds
     ansatz = Ansatz(eq, order, jet_degree=jet_degree, x_degree=x_degree, t_degree=t_degree)
-    system = build_system(ansatz)
-    assert system.columns == tuple(ansatz.monomials())
-    assert system.rows == _direct_system(ansatz)
-    assert all(type(v) is Fraction for r in system.rows.values() for v in r.values())
+    columns = list(_residual_columns(ansatz))
+    assert [_decode(mono) for mono, _, _ in columns] == ansatz.monomials()
+    rows = {}
+    for col, (_, vec, scale) in enumerate(columns):
+        for m, c in vec.items():
+            rows.setdefault(_decode(m), {})[col] = Fraction(c, scale)
+    assert rows == _direct_system(ansatz)
 
 
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS], ids=lambda eq: eq.name)
@@ -245,16 +323,17 @@ _degree_bounds = st.integers(-1, 3)
     _degree_bounds,
 )
 def test_solver_bodies_match_the_decoded_system(eq, order, jet_degree, x_degree, t_degree):
-    # the solver reads its kernel straight from the reducer; the same basis
-    # comes from nullspace, checked against sympy, on build_system's view
+    # the solver reads its kernel straight from the reducer; the reference
+    # decodes the system from invariance_residual column by column and takes
+    # its kernel by plain Fraction Gauss-Jordan elimination
     bounds = (jet_degree, x_degree, t_degree)
     report = solve_symmetries(eq, order, *bounds, experimental=True)
-    system = build_system(Ansatz(eq, order, *bounds))
-    expected = [
-        DiffPoly({m: v for m, v in zip(system.columns, vec) if v}) for vec in nullspace(system)
-    ]
+    ansatz = Ansatz(eq, order, *bounds)
+    columns = ansatz.monomials()
+    kernel = gauss_jordan_kernel(_direct_system(ansatz).values(), len(columns))
+    expected = [DiffPoly({m: v for m, v in zip(columns, vec) if v}) for vec in kernel]
     assert [c.body for c in report.basis] == expected
-    assert report.ansatz_size == system.ncols
+    assert report.ansatz_size == len(columns)
 
 
 def test_ansatz_monomials_are_bounded_and_sorted():
@@ -281,21 +360,23 @@ def test_ansatz_monomials_follow_mono_key(bounds):
     assert packed == sorted(packed, key=order_key)
 
 
-def test_ansatz_cap():
+def test_ansatz_cap(monkeypatch):
+    monkeypatch.setattr(detsolve, "MONOMIAL_CAP", 10)
     with pytest.raises(AnsatzTooLarge):
-        Ansatz(BURGERS, 4, monomial_cap=10).monomials()
+        Ansatz(BURGERS, 4).monomials()
 
 
 @pytest.mark.parametrize("bounds", _ENUMERATE_BOUNDS)
-def test_ansatz_cap_counts_the_monomials_before_enumerating(bounds):
+def test_ansatz_cap_counts_the_monomials_before_enumerating(bounds, monkeypatch):
     # the cap is checked on a count formed from the bounds alone
-    order, jet_degree, x_degree, t_degree = bounds
-    count = len(Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)._enumerate())
-    Ansatz(BURGERS, order, jet_degree, x_degree, t_degree, monomial_cap=count)._enumerate()
-    over = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree, monomial_cap=count - 1)
+    ansatz = Ansatz(BURGERS, *bounds)
+    count = len(ansatz._enumerate())
+    monkeypatch.setattr(detsolve, "MONOMIAL_CAP", count)
+    ansatz._enumerate()
+    monkeypatch.setattr(detsolve, "MONOMIAL_CAP", count - 1)
     message = f"^{count} ansatz monomials exceed the cap {count - 1}$"
     with pytest.raises(AnsatzTooLarge, match=message):
-        over._enumerate()
+        ansatz._enumerate()
 
 
 @pytest.mark.parametrize("bound", ["jet_degree", "x_degree", "t_degree"])
@@ -335,13 +416,14 @@ def test_order_zero_has_no_symmetries():
 
 
 def test_single_monomial_ansatz_is_empty():
-    system = build_system(Ansatz(BURGERS, 0, jet_degree=1, x_degree=0, t_degree=0))
-    assert system.columns == (
+    columns = list(_residual_columns(Ansatz(BURGERS, 0, jet_degree=1, x_degree=0, t_degree=0)))
+    assert [_decode(mono) for mono, _, _ in columns] == [
         (),
         ((jet(0), 1),),
-    )
-    kernel = nullspace(system)
-    assert kernel == []
+    ]
+    assert list(_dependencies(vec for _, vec, _ in columns)) == [None, None]
+    report = solve_symmetries(BURGERS, 0, jet_degree=1, x_degree=0, t_degree=0)
+    assert report.ansatz_size == 2 and report.basis == ()
 
 
 def test_solver_dimensions_and_span():

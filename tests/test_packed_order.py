@@ -16,7 +16,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mono_key, sorted_terms
+from conftest import mono_key, ordered_terms, sorted_terms
 from jetsym.cli import _body_json, _latex_var, _text_var, render_latex, render_text
 from jetsym.diffring import (
     EXP_VAR,
@@ -33,7 +33,6 @@ from jetsym.diffring import (
     const,
     jet,
     order_key,
-    ordered_terms,
     par,
     var_name,
 )

@@ -132,7 +132,7 @@ def test_ansatz_and_probe_report_compare_by_value():
     a = Ansatz(BURGERS, 2, x_degree=1)
     assert a == Ansatz(BURGERS, 2, 2, 1, 2)
     assert a != Ansatz(BURGERS, 2) and a != Ansatz(HEAT, 2, x_degree=1)
-    assert a != Ansatz(BURGERS, 2, x_degree=1, monomial_cap=10)
+    assert a != Ansatz(BURGERS, 2, x_degree=1, t_degree=1)
     v = jet_poly(1)
     report = ProbeReport((ProbeOutcome(v, v - v),))
     assert report == ProbeReport((ProbeOutcome(v, DiffPoly()),))
@@ -175,7 +175,7 @@ def test_record_reprs_list_every_field():
     v = jet_poly(1)
     assert repr(Ansatz(BURGERS, 2, x_degree=1)) == (
         "Ansatz(equation=EvolutionEquation(burgers: z_t = -z0*z1 + z2), order=2, "
-        "jet_degree=2, x_degree=1, t_degree=2, monomial_cap=200000)"
+        "jet_degree=2, x_degree=1, t_degree=2)"
     )
     assert repr(Characteristic(HEAT, v, "label")) == (
         "Characteristic(equation=EvolutionEquation(heat: z_t = z2), "
