@@ -496,26 +496,19 @@ def _cmd_map(args, parser) -> int:
     if args.k + args.l > MAP_MAX_ORDER:
         return _order_too_large(f"map --k {args.k} --l {args.l}", MAP_MAX_ORDER)
     if args.family == "z":
-        eta = q_char(Family.HEAT_Z)
-        print(f"heat: Z(h) = {render_text(eta.body, 'u')}")
-        mid = heat_to_potential(eta)
-        print(f"potential: {mid.body}")
-        if args.to == "potburgers":
-            return 0
-        try:
-            potential_to_burgers(mid)
-        except NotProjectable as exc:
-            print(f"NOT PROJECTABLE: {exc}")
-            return 1
-        print("unexpected: parameter family projected")
-        return 1
-    eta = q_char(Family.HEAT_Q, args.k, args.l)
-    print(f"heat: Q[{args.k},{args.l}] = {render_text(eta.body, 'u')}")
+        eta, label = q_char(Family.HEAT_Z), "Z(h)"
+    else:
+        eta, label = q_char(Family.HEAT_Q, args.k, args.l), f"Q[{args.k},{args.l}]"
+    print(f"heat: {label} = {render_text(eta.body, 'u')}")
     mid = heat_to_potential(eta)
     print(f"potential: {render_text(mid.body, 'w')}")
     if args.to == "potburgers":
         return 0
-    final = potential_to_burgers(mid)
+    try:
+        final = potential_to_burgers(mid)
+    except NotProjectable as exc:
+        print(f"NOT PROJECTABLE: {exc}")
+        return 1
     if args.normalize:
         body = final.body * Fraction(-1, 2)
         print(f"burgers (normalized): {render_text(body, 'v')}")

@@ -23,8 +23,10 @@ produce identical bases.  solve_symmetries builds each basis body straight
 from its combination: _residual_columns, then _dependencies, is the
 package's one route to a kernel.
 
-For the Burgers equation the solver reproduces the graded dimension count
-n + 1 at each order: the cumulative dimension through order n is
+Every equation solves (an EvolutionEquation's right-hand side is free of
+t).  The family span is compared for Burgers only, the one equation with a
+reference family: there the solver reproduces the graded dimension count
+n + 1 at each order, the cumulative dimension through order n is
 n (n + 3) / 2, and the solution space coincides with the span of the
 symmetry family members of order <= n.
 """
@@ -37,7 +39,6 @@ from math import comb, gcd
 from typing import NamedTuple, Optional
 
 from .diffring import (
-    _BITS,
     _FIELD_LIMIT,
     DiffPoly,
     ExponentOverflow,
@@ -96,17 +97,15 @@ class Ansatz(Record):
             bounds.append(max(order, 1) if bound == -1 else bound)
         super().__init__(equation, order, *bounds)
 
-    def _enumerate(self) -> list[tuple[int, int, int, int]]:
+    def _enumerate(self) -> list[tuple[int, bytes, int, int, int]]:
         """The ansatz basis t^a x^b J in the global monomial order.
 
-        One (sort key, a, b, packed J) record per monomial, sorted.  The jet
-        parts J are ranked once by order_key.  The key holds the degree,
-        then a, then b, then the rank of J, with an absent t or x counting
-        as _FIELD_LIMIT, above every exponent: the tuple form lists present
-        variables only, so t^a x^b J sorts after every monomial with a t.
-        Within one degree and one a and b, the jet parts all have the same
-        degree, so their rank orders them as the graded order does (mono_key
-        in tests/conftest.py).
+        One (degree, key, a, b, packed J) record per monomial, sorted, where
+        (degree, key) is the monomial's order_key.  That key is formed from
+        two parts, each computed once: the degrees of t^a x^b and of J add,
+        and their key bytes concatenate (as in diffring.jet_rows).  With the
+        jet parts sorted, each (a, b) block is a sorted run for the final
+        sort to merge.
         """
         for name in _BOUNDS:
             bound = getattr(self, name)
@@ -125,28 +124,23 @@ class Ansatz(Record):
 
         jet_units = [unit(jet(k)) for k in range(n + 1)]
         jet_parts = sorted(
-            (order_key(J), J)
+            (*order_key(J), J)
             for d in range(self.jet_degree + 1)
             for J in map(sum, combinations_with_replacement(jet_units, d))
         )
-        rank_bits = len(jet_parts).bit_length()
-        degree_place = 2 * _BITS + rank_bits
-        keyed = [
-            (degree << degree_place | rank, J)
-            for rank, ((degree, _), J) in enumerate(jet_parts)
-        ]
         records = []
         for a in range(self.t_degree + 1):
             for b in range(self.x_degree + 1):
-                tx = (a or _FIELD_LIMIT) << _BITS | (b or _FIELD_LIMIT)
-                prefix = (a + b) << degree_place | tx << rank_bits
-                records += [(prefix + key, a, b, J) for key, J in keyed]
+                tx_degree, tx_key = order_key(a * _T_UNIT + b * _X_UNIT)
+                records += [
+                    (tx_degree + degree, tx_key + key, a, b, J) for degree, key, J in jet_parts
+                ]
         records.sort()
         return records
 
     def monomials(self) -> list[Monomial]:
         """The ansatz basis, sorted in the global monomial order."""
-        return [_decode(a * _T_UNIT + b * _X_UNIT + J) for _, a, b, J in self._enumerate()]
+        return [_decode(a * _T_UNIT + b * _X_UNIT + J) for _, _, a, b, J in self._enumerate()]
 
 
 def _residual_columns(ansatz: Ansatz) -> Iterator[tuple[int, dict[int, int], int]]:
@@ -162,7 +156,7 @@ def _residual_columns(ansatz: Ansatz) -> Iterator[tuple[int, dict[int, int], int
     """
     eq = ansatz.equation
     x_residuals: dict[int, tuple[dict[int, int], int]] = {}
-    for _, a, b, jet_part in ansatz._enumerate():
+    for _, _, a, b, jet_part in ansatz._enumerate():
         x_mono = b * _X_UNIT + jet_part
         cached = x_residuals.get(x_mono)
         if cached is None:
@@ -271,19 +265,13 @@ def solve_symmetries(
     jet_degree: int = -1,
     x_degree: int = -1,
     t_degree: int = -1,
-    experimental: bool = False,
 ) -> SolveReport:
     """Solve the determining equation over a bounded polynomial ansatz.
 
-    The supported equation is Burgers; other equations run only behind the
-    experimental flag (a polynomial ansatz cannot represent their full
-    parameter families) and skip the family span comparison.
+    Any equation whose right-hand side is free of t solves.  The span of
+    the basis is compared with a reference family for Burgers only, the one
+    equation that has one; family_span_matches is None for the others.
     """
-    if eq is not BURGERS and not experimental:
-        raise ValueError(
-            "solve_symmetries supports the Burgers equation; "
-            "pass experimental=True to run other equations anyway"
-        )
     ansatz = Ansatz(eq, order, jet_degree, x_degree, t_degree)
     # every ansatz monomial is a column, the constant 1 at least
     monos, vectors, scales = zip(*_residual_columns(ansatz))

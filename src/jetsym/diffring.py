@@ -450,10 +450,6 @@ class DiffPoly:
             return NotImplemented
         return self._den == other._den and self._nums == other._nums
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         nums = self._nums
         if not nums or (len(nums) == 1 and 0 in nums):

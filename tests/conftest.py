@@ -3,7 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from jetsym.diffring import DiffPoly, T_VAR, X_VAR, jet, jet_rows, mono_degree, par, tx_factors
+from jetsym.diffring import (
+    DiffPoly,
+    T_VAR,
+    X_VAR,
+    jet,
+    jet_poly,
+    jet_rows,
+    mono_degree,
+    par,
+    tx_factors,
+)
+from jetsym.jetflow import EvolutionEquation, invariance_residual
+
+# The Korteweg-de Vries equation u_t = u_xxx + u u_x: third order, so its
+# residual images carry the tails up to G_3.
+KDV = EvolutionEquation("kdv", jet_poly(3) + jet_poly(0) * jet_poly(1), allows_par=False)
 
 
 def make_random_poly(rng, max_jet=3, with_par=False, max_terms=4, max_exp=2, max_factors=3):
@@ -42,6 +57,52 @@ def rank_of_bodies(bodies):
     from jetsym.detsolve import _dependencies
 
     return sum(dep is None for dep in _dependencies(b._nums for b in bodies))
+
+
+def direct_residuals(ansatz):
+    """The invariance residual of each ansatz monomial, computed naively one by one."""
+    return [invariance_residual(ansatz.equation, DiffPoly({m: 1})) for m in ansatz.monomials()]
+
+
+def direct_system(ansatz):
+    """The solver's rows from direct_residuals: {row monomial: {column: Fraction}}."""
+    rows = {}
+    for col, residual in enumerate(direct_residuals(ansatz)):
+        for rmono, coeff in residual.terms.items():
+            rows.setdefault(rmono, {})[col] = coeff
+    return rows
+
+
+def nullity_mod_p(columns, p):
+    """The nullity of integer columns {row key: int} over GF(p).
+
+    Each column is reduced against the earlier ones at its highest row key,
+    by pivots scaled to 1 with modular inverses; it is dependent when
+    nothing remains.  Reduction mod p can only lose rank, so the result is
+    at least the rational nullity.  A certificate for the solver's
+    dimension that shares none of its code.
+    """
+    pivots = {}
+    nullity = 0
+    for column in columns:
+        vec = {k: v % p for k, v in column.items() if v % p}
+        while vec:
+            lead = max(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(vec[lead], -1, p)
+                pivots[lead] = {k: v * inverse % p for k, v in vec.items()}
+                break
+            a = vec[lead]
+            for k, v in pivot.items():
+                s = (vec.get(k, 0) - a * v) % p
+                if s:
+                    vec[k] = s
+                else:
+                    del vec[k]
+        else:
+            nullity += 1
+    return nullity
 
 
 def gauss_jordan_kernel(rows, ncols):

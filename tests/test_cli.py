@@ -463,7 +463,7 @@ def test_map_parameter_family_not_projectable(capsys):
 def test_map_stdout_goldens(capsys):
     code, out, _ = run(["map", "--family", "z", "--to", "potburgers"], capsys)
     assert code == 0
-    assert out == "heat: Z(h) = h\npotential: (h0)*e^{-w}\n"
+    assert out == "heat: Z(h) = h\npotential: (h)*e^{-w}\n"
     code, out, _ = run(["map", "--k", "1", "--l", "1"], capsys)
     assert code == 0
     assert out == (

@@ -8,7 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_jordan_kernel, mono_key, rank_of_bodies
+from conftest import (
+    KDV,
+    direct_residuals,
+    direct_system,
+    gauss_jordan_kernel,
+    mono_key,
+    nullity_mod_p,
+    rank_of_bodies,
+)
 from jetsym import detsolve
 from jetsym.detsolve import (
     Ansatz,
@@ -256,16 +264,6 @@ def test_solver_kernel_does_not_depend_on_row_order(rng):
     assert list(_dependencies(relabelled)) == list(_dependencies(vectors))
 
 
-def _direct_system(ansatz):
-    """The solver's rows computed naively, one invariance residual per column."""
-    rows = {}
-    for col, mono in enumerate(ansatz.monomials()):
-        residual = invariance_residual(ansatz.equation, DiffPoly({mono: 1}))
-        for rmono, coeff in residual.terms.items():
-            rows.setdefault(rmono, {})[col] = coeff
-    return rows
-
-
 _LEIBNIZ_BOUNDS = [
     (1, -1, -1, -1),
     (2, -1, -1, -1),
@@ -288,24 +286,22 @@ def test_build_system_matches_direct_residuals(eq, bounds):
     for col, (_, vec, scale) in enumerate(columns):
         for m, c in vec.items():
             rows.setdefault(_decode(m), {})[col] = Fraction(c, scale)
-    assert rows == _direct_system(ansatz)
+    assert rows == direct_system(ansatz)
 
 
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS], ids=lambda eq: eq.name)
-def test_experimental_solve_at_lopsided_bounds(eq):
+def test_solve_at_lopsided_bounds(eq):
     # x_degree above the order of L exercises every Leibniz tail; the solver
     # checks each kernel vector's residual exactly and raises on a failure
-    report = solve_symmetries(
-        eq, 2, jet_degree=2, x_degree=5, t_degree=3, experimental=True
-    )
+    report = solve_symmetries(eq, 2, jet_degree=2, x_degree=5, t_degree=3)
     assert report.dimension > 0
 
 
 @pytest.mark.parametrize("order, dimension", [(1, 3), (2, 6)])
 def test_solve_with_a_fractional_rhs(order, dimension):
     # the same dimensions as potential Burgers, of which THIRD is a rescaling
-    assert solve_symmetries(POTBURGERS, order, experimental=True).dimension == dimension
-    report = solve_symmetries(THIRD, order, experimental=True)
+    assert solve_symmetries(POTBURGERS, order).dimension == dimension
+    report = solve_symmetries(THIRD, order)
     assert report.dimension == dimension
     for c in report.basis:
         assert invariance_residual(THIRD, c.body) == 0
@@ -327,10 +323,10 @@ def test_solver_bodies_match_the_decoded_system(eq, order, jet_degree, x_degree,
     # decodes the system from invariance_residual column by column and takes
     # its kernel by plain Fraction Gauss-Jordan elimination
     bounds = (jet_degree, x_degree, t_degree)
-    report = solve_symmetries(eq, order, *bounds, experimental=True)
+    report = solve_symmetries(eq, order, *bounds)
     ansatz = Ansatz(eq, order, *bounds)
     columns = ansatz.monomials()
-    kernel = gauss_jordan_kernel(_direct_system(ansatz).values(), len(columns))
+    kernel = gauss_jordan_kernel(direct_system(ansatz).values(), len(columns))
     expected = [DiffPoly({m: v for m, v in zip(columns, vec) if v}) for vec in kernel]
     assert [c.body for c in report.basis] == expected
     assert report.ansatz_size == len(columns)
@@ -356,8 +352,20 @@ def test_ansatz_monomials_follow_mono_key(bounds):
     ansatz = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)
     monos = ansatz.monomials()
     assert monos == sorted(set(monos), key=mono_key)
-    packed = [a * unit(T_VAR) + b * unit(X_VAR) + J for _, a, b, J in ansatz._enumerate()]
+    packed = [a * unit(T_VAR) + b * unit(X_VAR) + J for _, _, a, b, J in ansatz._enumerate()]
     assert packed == sorted(packed, key=order_key)
+
+
+_bounds_to_4 = st.integers(-1, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), _bounds_to_4, _bounds_to_4, _bounds_to_4)
+def test_enumerate_records_carry_the_order_key(order, jet_degree, x_degree, t_degree):
+    # each record's (degree, key), assembled from its t^a x^b and J parts,
+    # is the order key of the whole monomial
+    for degree, key, a, b, J in Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)._enumerate():
+        assert (degree, key) == order_key(a * unit(T_VAR) + b * unit(X_VAR) + J)
 
 
 def test_ansatz_cap(monkeypatch):
@@ -458,10 +466,8 @@ def test_determinism():
     assert [c.body for c in a.basis] == [c.body for c in b.basis]
 
 
-def test_heat_requires_experimental_flag():
-    with pytest.raises(ValueError):
-        solve_symmetries(HEAT, 1)
-    report = solve_symmetries(HEAT, 1, experimental=True)
+def test_heat_solves_without_a_reference_family():
+    report = solve_symmetries(HEAT, 1)
     # 3 linear family members (u, u_x, t u_x + x u / 2) plus the bounded
     # polynomial heat solutions 1 and x; the span verdict does not apply
     assert report.family_span_matches is None
@@ -469,7 +475,9 @@ def test_heat_requires_experimental_flag():
     for c in report.basis:
         assert invariance_residual(HEAT, c.body) == 0
     # order 2: six family members plus the heat polynomials 1, x, x^2 + 2t
-    assert solve_symmetries(HEAT, 2, experimental=True).dimension == 9
+    report = solve_symmetries(HEAT, 2)
+    assert report.dimension == 9
+    assert report.family_span_matches is None
 
 
 def test_family_rank_matches_count():
@@ -481,4 +489,77 @@ def test_family_rank_matches_count():
 def test_solver_on_a_jet_free_rhs():
     # ord L = 0: the residual images carry no Leibniz tails
     eq = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
-    assert solve_symmetries(eq, 1, experimental=True).dimension == 5
+    assert solve_symmetries(eq, 1).dimension == 5
+
+
+# -- a GF(p) certificate of the kernel dimension --------------------------------
+
+_PRIMES = (2**61 - 1, 2**31 - 1)
+
+
+def _assert_certified(eq, order, *bounds):
+    """The solver's dimension equals the nullity mod p of the naive residual columns.
+
+    The nullity mod p bounds the rational nullity from above, so a mismatch
+    at one prime may be the prime's fault; the check then tries a second.
+    """
+    report = solve_symmetries(eq, order, *bounds)
+    columns = [r._nums for r in direct_residuals(Ansatz(eq, order, *bounds))]
+    nullities = []
+    for p in _PRIMES:
+        nullities.append(nullity_mod_p(columns, p))
+        if nullities[-1] == report.dimension:
+            return
+    pytest.fail(f"dimension {report.dimension}, nullities mod p {nullities}")
+
+
+def test_nullity_mod_p_on_a_small_system():
+    # columns (1, 2), (2, 4), (0, 1) by row key: the second is twice the first
+    columns = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}]
+    assert nullity_mod_p(columns, _PRIMES[0]) == 1
+    # mod 2 the first column is (1, 0), and the third is independent of it
+    assert nullity_mod_p([{0: 1, 1: 2}, {1: 1}], 2) == 0
+    assert nullity_mod_p([{0: 2}], 2) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([BURGERS, HEAT, POTBURGERS, THIRD, KDV]),
+    st.integers(0, 3),
+    _degree_bounds,
+    _degree_bounds,
+    _degree_bounds,
+)
+def test_dimension_is_certified_mod_p(eq, order, jet_degree, x_degree, t_degree):
+    _assert_certified(eq, order, jet_degree, x_degree, t_degree)
+
+
+@pytest.mark.parametrize("eq", [BURGERS, KDV], ids=lambda eq: eq.name)
+def test_dimension_is_certified_mod_p_at_order_4(eq):
+    _assert_certified(eq, 4)
+
+
+# -- the Korteweg-de Vries equation ---------------------------------------------
+
+
+@pytest.mark.parametrize("order, dimension", [(1, 2), (2, 2), (3, 4), (4, 4)])
+def test_kdv_dimensions(order, dimension):
+    report = solve_symmetries(KDV, order)
+    assert report.dimension == dimension
+    assert report.family_span_matches is None
+
+
+def _rank(bodies):
+    monos = sorted({m for b in bodies for m in b.terms})
+    rows = [[sympy.Rational(b.terms.get(m, 0)) for m in monos] for b in bodies]
+    return sympy.Matrix(rows).rank()
+
+
+def test_kdv_order_3_span():
+    # translations in x and t, the Galilean boost and the scaling
+    u, u1 = jet_poly(0), jet_poly(1)
+    t, x = DiffPoly.variable(T_VAR), DiffPoly.variable(X_VAR)
+    k3 = KDV.rhs
+    reference = [u1, k3, 1 + t * u1, 3 * t * k3 + x * u1 + 2 * u]
+    basis = [c.body for c in solve_symmetries(KDV, 3).basis]
+    assert _rank(basis) == _rank(reference) == _rank(basis + reference) == 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_poly
+from conftest import KDV, make_random_poly
 from jetsym.detsolve import solve_symmetries
 from jetsym.diffring import EXP_VAR, T_VAR, X_VAR, DiffPoly, jet, jet_poly, par, par_poly, t_poly, x_poly
 from jetsym.jetflow import (
@@ -131,7 +131,7 @@ XDEP = EvolutionEquation("xdep", z(2) + Fraction(1, 3) * x * z(0) * z(1) + x * x
 def _equation_and_body(draw):
     # up to five terms with t and x powers up to 3, jets up to z_3, E^m with
     # m in [-2, 2], and h_j where the ring allows them
-    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, XDEP]))
+    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, XDEP, KDV]))
     pool = [T_VAR, X_VAR, jet(0), jet(1), jet(2), jet(3)]
     if eq.allows_par:
         pool += [par(0), par(1)]

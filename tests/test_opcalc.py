@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_random_poly, random_poly_stream
+from conftest import KDV, make_random_poly, random_poly_stream
 from jetsym.diffring import KIND_T, T_VAR, DiffPoly, derive, exp_poly, jet, jet_poly, t_poly, x_poly
-from jetsym.jetflow import _DX_IMAGES, BURGERS, HEAT, POTBURGERS, EvolutionEquation, _dx_image
+from jetsym.jetflow import (
+    _DX_IMAGES,
+    BURGERS,
+    HEAT,
+    POTBURGERS,
+    EvolutionEquation,
+    _dx_image,
+    invariance_residual,
+)
 from jetsym.opcalc import (
     Compose,
     Dt,
@@ -156,7 +164,7 @@ def _branch_from_full_defect(eq, g):
     return g - defect.restrict_to_kinds((KIND_T,)).integrate(T_VAR)
 
 
-@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS], ids=lambda eq: eq.name)
+@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS, KDV], ids=lambda eq: eq.name)
 def test_preimage_branch_matches_the_full_defect(eq):
     for g in random_poly_stream(20240612, 25):
         assert dx_preimage(eq, eq.dx(g)) == _branch_from_full_defect(eq, g), str(g)
@@ -168,6 +176,25 @@ def test_preimage_branch_when_the_equation_has_a_jet_free_term():
     assert dx_preimage(forced, z(1)) == z(0) - t
     for g in random_poly_stream(20240613, 25):
         assert dx_preimage(forced, forced.dx(g)) == _branch_from_full_defect(forced, g), str(g)
+
+
+def test_kdv_lenard_hierarchy():
+    # K_{j+2} = R K_j with the Lenard operator R = D_x^2 + (2/3) u + (1/3) u_x D_x^{-1}
+    lenard = Sum(
+        (
+            op_power(Dx(), 2),
+            MulBy(Fraction(2, 3) * z(0)),
+            Compose((MulBy(Fraction(1, 3) * z(1)), DxInv())),
+        )
+    )
+    k1 = z(1)
+    k3 = apply(lenard, KDV, k1)
+    assert k3 == KDV.rhs
+    k5 = apply(lenard, KDV, k3)
+    assert k5.order() == 5
+    for k in (k1, k3, k5):
+        assert invariance_residual(KDV, k) == 0
+        assert KDV.dx(dx_preimage(KDV, k)) == k
 
 
 def test_flow_operator_commutes_with_local_recursion_ops():
