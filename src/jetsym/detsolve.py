@@ -2,26 +2,34 @@
 
 A polynomial ansatz eta = sum_a c_a m_a over monomials in t, x, z_0..z_n
 (with configurable degree bounds) turns the invariance condition
-D_t eta - L'[eta] = 0 into an exact linear system for the coefficients:
-the residual of each ansatz monomial is one column, an integer vector keyed
-by the packed monomials of the residual, over a positive scale (the
-denominator of the equation's images).  Residuals of t^a x^b J are
-expanded by the Leibniz rule from the images Res(J), G_i(J) that the
-equation keeps per jet part J (jetflow.EvolutionEquation.jet_part_images);
-the powers of t and x only shift the packed keys.  The same expansion is
-invariance_residual, which checks each kernel vector.
+D_t eta - L'[eta] = 0 into an exact linear system for the coefficients.
+The system is never built whole.  Since L is free of t, write
+eta = sum t^a x^b eta_ab with each eta_ab a combination of jet parts J;
+by the Leibniz expansion of jetflow's module docstring, the coefficient of
+t^a x^b in the residual vanishes exactly when
 
-The kernel is found on the image side: the columns' residual vectors are
-taken in column order, each reduced fraction-free by its highest row key
-against the earlier ones while tracking the column combination.  A column
-whose residual reduces to zero is free, and the tracked combination is its
-kernel vector - up to scaling, the unique one with entry 1 at that column,
-0 at the other free columns and support on columns up to it.  Neither the
-free columns nor these vectors depend on how the rows are ordered.  Kernel
-basis vectors are normalized to leading entry 1, so identical inputs always
-produce identical bases.  solve_symmetries builds each basis body straight
-from its combination: _residual_columns, then _dependencies, is the
-package's one route to a kernel.
+    R(eta_ab) = sum_{i >= 1} (b+i)!/b! G_i(eta_{a,b+i}) - (a+1) eta_{a+1,b},
+
+with R(J) = Res(J) and the tails G_i(J) that the equation keeps per jet
+part (jetflow.EvolutionEquation.jet_part_images).  So each level (a, b)
+reads only the levels above it.  R is factored once, over the jet parts
+alone, and the levels are walked down from (t_degree, x_degree), keeping
+a basis of partial solutions: at each level their right-hand sides are
+reduced as extra columns against a copy of R's pivot table; a dependency
+extends those partial solutions by its preimage under R, and ker R joins
+as new ones.  When L has x, x is no level variable: the parts are the
+x^b J, R(x^b J) is their whole residual, and only t is walked.
+
+Every reduction is one routine (_insert): a fraction-free reduction of an
+integer vector by its highest key against a table of earlier ones, which
+tracks the combination of inputs (Bareiss 1968).  The walk ends with a
+spanning set of the kernel, at most its dimension; that set is brought to
+the one basis that does not depend on how it was found.  Taking the
+ansatz columns in the global monomial order, column c is free exactly
+when some kernel vector ends at c; that column's vector is zero at the
+other free columns and scaled so that its first nonzero entry is 1.
+Identical inputs always produce identical bases, each checked by
+invariance_residual.
 
 Every equation solves (an EvolutionEquation's right-hand side is free of
 t).  The family span is compared for Burgers only, the one equation with a
@@ -33,15 +41,16 @@ symmetry family members of order <= n.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm, perm
 from typing import NamedTuple, Optional
 
 from .diffring import (
     _FIELD_LIMIT,
     DiffPoly,
     ExponentOverflow,
+    KIND_X,
     Monomial,
     Record,
     T_VAR,
@@ -59,8 +68,9 @@ from .jetflow import (
 )
 from .symfam import Family, index_range, q_char
 
-# the most ansatz monomials (columns) that one solve enumerates
-MONOMIAL_CAP = 200_000
+# the most parts (the columns of R) that one solve factors: the jet parts,
+# times the powers of x when L has x
+PART_CAP = 100_000
 
 _T_UNIT = unit(T_VAR)
 _X_UNIT = unit(X_VAR)
@@ -69,7 +79,7 @@ _BOUNDS = ("jet_degree", "x_degree", "t_degree")
 
 
 class AnsatzTooLarge(RuntimeError):
-    """The enumerated monomial basis exceeds MONOMIAL_CAP."""
+    """The ansatz has more parts than PART_CAP."""
 
 
 class Ansatz(Record):
@@ -97,6 +107,34 @@ class Ansatz(Record):
             bounds.append(max(order, 1) if bound == -1 else bound)
         super().__init__(equation, order, *bounds)
 
+    def _jet_parts(self) -> list[tuple[int, bytes, int]]:
+        """The jet parts J, of degree <= jet_degree in z_0 .. z_n, as sorted
+        (degree, key, packed J) records, (degree, key) being J's order_key.
+
+        The cap is checked first, on a count formed from the bounds alone.
+        """
+        for name in _BOUNDS:
+            bound = getattr(self, name)
+            # Packed monomials are composed by integer arithmetic, where an
+            # exponent outside its field would carry silently.
+            if bound >= _FIELD_LIMIT:
+                raise ExponentOverflow(
+                    f"ansatz {name} {bound} leaves the packed exponent field "
+                    f"(at most {_FIELD_LIMIT - 1})"
+                )
+        n = self.order
+        count = comb(self.jet_degree + n + 1, n + 1)
+        if self.equation.rhs.has_kind(KIND_X):
+            count *= self.x_degree + 1
+        if count > PART_CAP:
+            raise AnsatzTooLarge(f"{count} ansatz parts exceed the cap {PART_CAP}")
+        jet_units = [unit(jet(k)) for k in range(n + 1)]
+        return sorted(
+            (*order_key(J), J)
+            for d in range(self.jet_degree + 1)
+            for J in map(sum, combinations_with_replacement(jet_units, d))
+        )
+
     def _enumerate(self) -> list[tuple[int, bytes, int, int, int]]:
         """The ansatz basis t^a x^b J in the global monomial order.
 
@@ -107,27 +145,7 @@ class Ansatz(Record):
         jet parts sorted, each (a, b) block is a sorted run for the final
         sort to merge.
         """
-        for name in _BOUNDS:
-            bound = getattr(self, name)
-            # Packed monomials are composed by integer arithmetic below,
-            # where an exponent outside its field would carry silently.
-            if bound >= _FIELD_LIMIT:
-                raise ExponentOverflow(
-                    f"ansatz {name} {bound} leaves the packed exponent field "
-                    f"(at most {_FIELD_LIMIT - 1})"
-                )
-        n = self.order
-        # the monomials of degree <= jet_degree in z_0 .. z_n, times the t and x powers
-        count = comb(self.jet_degree + n + 1, n + 1) * (self.x_degree + 1) * (self.t_degree + 1)
-        if count > MONOMIAL_CAP:
-            raise AnsatzTooLarge(f"{count} ansatz monomials exceed the cap {MONOMIAL_CAP}")
-
-        jet_units = [unit(jet(k)) for k in range(n + 1)]
-        jet_parts = sorted(
-            (*order_key(J), J)
-            for d in range(self.jet_degree + 1)
-            for J in map(sum, combinations_with_replacement(jet_units, d))
-        )
+        jet_parts = self._jet_parts()
         records = []
         for a in range(self.t_degree + 1):
             for b in range(self.x_degree + 1):
@@ -143,93 +161,237 @@ class Ansatz(Record):
         return [_decode(a * _T_UNIT + b * _X_UNIT + J) for _, _, a, b, J in self._enumerate()]
 
 
-def _residual_columns(ansatz: Ansatz) -> Iterator[tuple[int, dict[int, int], int]]:
-    """(packed monomial m, integer vector, scale) per ansatz column, in column order.
+class _LevelSystem(NamedTuple):
+    """The walk's inputs: R's columns, the tails, and the levels.
 
-    Res(m) is the vector {packed row monomial: int} over scale.  Res(x^b J)
-    is invariance_residual's Leibniz expansion, made once per x^b J, and
-    scale is its denominator.  Since L is free of t,
-
-        Res(t^a x^b J) = t^a Res(x^b J) + a t^(a-1) x^b J,
-
-    whose two parts never share a monomial.
+    parts are the packed parts R acts on: the jet parts J, or, when L has
+    x, the x^b J.  images[j] = scale R(parts[j]) and tails[j][i - 1] =
+    scale G_i(parts[j]) are integer vectors {packed row monomial: int},
+    scale the least common denominator; a part's tails are () when L has
+    x.  The levels are t^a x^b for a <= t_degree, b <= x_degree, and
+    x_degree is 0 when L has x.
     """
+
+    parts: list[int]
+    images: list[dict[int, int]]
+    tails: list[tuple[dict[int, int], ...]]
+    scale: int
+    t_degree: int
+    x_degree: int
+
+
+def _level_system(ansatz: Ansatz) -> _LevelSystem:
+    """The walk's inputs for an ansatz, read from the equation's images."""
     eq = ansatz.equation
-    x_residuals: dict[int, tuple[dict[int, int], int]] = {}
-    for _, _, a, b, jet_part in ansatz._enumerate():
-        x_mono = b * _X_UNIT + jet_part
-        cached = x_residuals.get(x_mono)
-        if cached is None:
-            cached = x_residuals[x_mono] = eq._leibniz_residual({x_mono: 1})
-        residual, scale = cached
-        mono = a * _T_UNIT + x_mono
-        if a:
-            shift = a * _T_UNIT
-            vec = {m + shift: c for m, c in residual.items()}
-            vec[mono - _T_UNIT] = a * scale
+    jet_parts = [J for _, _, J in ansatz._jet_parts()]
+    if eq.rhs.has_kind(KIND_X):
+        parts = sorted(
+            (b * _X_UNIT + J for b in range(ansatz.x_degree + 1) for J in jet_parts),
+            key=order_key,
+        )
+        images = [eq._leibniz_residual({p: 1}) for p in parts]
+        tails = [()] * len(parts)
+        x_degree = 0
+    else:
+        parts = jet_parts
+        found = [eq.jet_part_images(J) for J in parts]
+        images = [(residual._nums, residual._den) for residual, _ in found]
+        tails = [tuple((g._nums, g._den) for g in gs) for _, gs in found]
+        x_degree = ansatz.x_degree
+    scale = lcm(*(den for _, den in images), *(den for gs in tails for _, den in gs))
+
+    def scaled(nums: dict[int, int], den: int) -> dict[int, int]:
+        # shared when already over scale: the reducer never modifies its input
+        factor = scale // den
+        return nums if factor == 1 else {m: c * factor for m, c in nums.items()}
+
+    return _LevelSystem(
+        parts,
+        [scaled(*image) for image in images],
+        [tuple(scaled(*g) for g in gs) for gs in tails],
+        scale,
+        ansatz.t_degree,
+        x_degree,
+    )
+
+
+def _kernel_span(system: _LevelSystem) -> list[dict[int, int]]:
+    """A basis of the ansatz's kernel, walked level by level.
+
+    Each vector is {packed monomial t^a x^b part: int}.  A partial solution
+    is {(a, b): {part index: int}}, integer and divided by its content; the
+    partial solutions at each step are a basis of the solutions of the
+    levels walked so far.
+    """
+    parts = system.parts
+    n = len(parts)
+    table: dict = {}
+    kernel = [c for j, vec in enumerate(system.images) if (c := _insert(vec, j, table)) is not None]
+    solutions: list[dict[tuple[int, int], dict[int, int]]] = []
+    for a in range(system.t_degree, -1, -1):
+        for b in range(system.x_degree, -1, -1):
+            level_table = dict(table)
+            grown = []
+            for s, solution in enumerate(solutions):
+                # one more column after R's: a dependency pairs a combination
+                # of right-hand sides with its preimage under R
+                rhs = _level_rhs(solution, a, b, system)
+                combo = _insert(rhs, n + s, level_table)
+                if combo is not None:
+                    grown.append(_extend(combo, solutions, n, (a, b)))
+            solutions = grown + [{(a, b): combo} for combo in kernel]
+    return [
+        {
+            a * _T_UNIT + b * _X_UNIT + parts[j]: c
+            for (a, b), eta in solution.items()
+            for j, c in eta.items()
+        }
+        for solution in solutions
+    ]
+
+
+def _level_rhs(solution, a: int, b: int, system: _LevelSystem) -> dict[int, int]:
+    """scale times sum_{i >= 1} (b+i)!/b! G_i(eta_{a,b+i}) - (a+1) eta_{a+1,b}."""
+    rhs: dict[int, int] = {}
+    get = rhs.get
+    tails = system.tails
+    top = len(tails[0])  # the same for every part; there is at least the part 1
+    for i in range(1, min(top, system.x_degree - b) + 1):
+        eta = solution.get((a, b + i))
+        if eta:
+            weight = perm(b + i, i)
+            for j, c in eta.items():
+                w = weight * c
+                for k, v in tails[j][i - 1].items():
+                    rhs[k] = get(k, 0) + w * v
+    eta = solution.get((a + 1, b))
+    if eta:
+        w = (a + 1) * system.scale
+        parts = system.parts
+        for j, c in eta.items():
+            k = parts[j]
+            rhs[k] = get(k, 0) - w * c
+    return {k: v for k, v in rhs.items() if v}
+
+
+def _extend(combo: dict[int, int], solutions, n: int, level) -> dict:
+    """The partial solution of a dependency: the combination of the earlier
+    ones at its indices n + s, and at this level minus its part entries (the
+    preimage under R), divided by the content."""
+    out: dict = {}
+    for k, c in combo.items():
+        if k >= n:
+            for lv, eta in solutions[k - n].items():
+                target = out.setdefault(lv, {})
+                for j, v in eta.items():
+                    target[j] = target.get(j, 0) + c * v
         else:
-            vec = residual  # shared with the cache: the reducer never modifies its input
-        yield mono, vec, scale
+            out.setdefault(level, {})[k] = -c
+    out = {lv: kept for lv, eta in out.items() if (kept := {j: v for j, v in eta.items() if v})}
+    g = gcd(*(v for eta in out.values() for v in eta.values()))
+    if g != 1:
+        out = {lv: {j: v // g for j, v in eta.items()} for lv, eta in out.items()}
+    return out
+
+
+def _canonical_basis(vectors: list[dict[int, int]]) -> list[DiffPoly]:
+    """The kernel basis in its canonical form, from vectors that span the kernel.
+
+    Over the ansatz columns in the global monomial order, the free columns
+    are those where a kernel vector ends; each one's basis vector is zero
+    at the other free columns, scaled so that its first entry is 1, and
+    the vectors come in increasing free column.  Only the columns in the
+    vectors' support are compared, by order_key.  Read the vectors as the
+    rows of a matrix and take its columns from the highest down: a column
+    is free exactly when it is independent of the ones above it, and a
+    dependent column, sum_f r_f times free column f, puts r_f in f's vector.
+    """
+    support = sorted({m for v in vectors for m in v}, key=order_key, reverse=True)
+    columns = [{s: v[m] for s, v in enumerate(vectors) if m in v} for m in support]
+    bodies: dict[int, dict[int, Fraction]] = {}  # free position -> {position: entry}
+    for pos, combo in enumerate(_dependencies(columns)):
+        if combo is None:
+            bodies[pos] = {pos: Fraction(1)}
+            continue
+        p = combo.pop(pos)
+        for f, q in combo.items():
+            bodies[f][pos] = Fraction(-q, p)
+    basis = []
+    for f in sorted(bodies, reverse=True):
+        body = bodies[f]
+        first = body[max(body)]  # the entry at the lowest column
+        body = {c: v / first for c, v in body.items()}
+        den = lcm(*(v.denominator for v in body.values()))
+        nums = {support[c]: (v * den).numerator for c, v in body.items()}
+        basis.append(DiffPoly._make(nums, den))
+    return basis
 
 
 # -- exact elimination ---------------------------------------------------------
 
 
-def _dependencies(vectors):
-    """Reduce each integer vector against its predecessors by its highest key.
+def _insert(vec: dict, index: int, table: dict) -> Optional[dict[int, int]]:
+    """Reduce vec by its highest key against table; keep the remainder, or
+    return the dependency.
 
-    Vectors are sparse {key: int} dicts over totally ordered keys; they are
-    not modified.  Each one is reduced against a lead -> (reduced vector,
-    combination) table, always at its current highest key, while that key
-    leads a stored vector: with p the pivot's lead entry, a the vector's and
-    g = gcd(p, a) signed like p,
+    vec is a sparse {key: int} dict over totally ordered keys, and is not
+    modified.  It is reduced against a lead -> (reduced vector, combination)
+    table, always at its current highest key, while that key leads a stored
+    vector: with p the pivot's lead entry, a the vector's and g = gcd(p, a)
+    signed like p,
 
         vec <- (p/g) vec - (a/g) pivot,
 
-    and the same for the combinations; then both are divided by their common
-    content, so they stay primitive.  That content divides the vector's own
-    combination entry, which p/g > 0 keeps positive and which stays 1, so
-    that no content need be taken, while each pivot's lead divides a.
-    Yields, per input vector in turn, None when it is independent of the
-    vectors before it (its remainder joins the table), or else the exact
-    dependency {index: int}, with a positive entry at its own index and
-    support on earlier independent vectors, whose combination vanishes.
+    and the same for its combination, which starts as {index: 1}; then both
+    are divided by their common content, so they stay primitive.  That
+    content divides the combination's entry at index, which p/g > 0 keeps
+    positive and which stays 1, so that no content need be taken, while
+    each pivot's lead divides a.  Returns None when a remainder is left (it
+    joins the table under its lead), or else the exact dependency
+    {index: int}, positive at index, whose combination vanishes.
+    """
+    combo = {index: 1}
+    owned = False
+    while vec:
+        lead = max(vec)
+        entry = table.get(lead)
+        if entry is None:
+            table[lead] = (vec, combo)
+            return None
+        pivot, pivot_combo = entry
+        p, a = pivot[lead], vec[lead]
+        g = gcd(p, a)
+        if p < 0:
+            g = -g
+        p //= g
+        a //= g
+        if p != 1:
+            vec = {k: p * v for k, v in vec.items()}
+            combo = {k: p * v for k, v in combo.items()}
+        elif not owned:
+            vec = dict(vec)
+        owned = True
+        _subtract(vec, a, pivot)
+        _subtract(combo, a, pivot_combo)
+        g = combo[index]
+        if g != 1:
+            g = gcd(g, *vec.values(), *combo.values())
+            if g != 1:
+                vec = {k: v // g for k, v in vec.items()}
+                combo = {k: v // g for k, v in combo.items()}
+    return combo
+
+
+def _dependencies(vectors):
+    """_insert each vector in turn into one table.
+
+    Yields, per input vector, None when it is independent of the vectors
+    before it, or else its exact dependency {index: int}, with a positive
+    entry at its own index and support on earlier independent vectors.
     """
     table: dict = {}
     for index, vec in enumerate(vectors):
-        combo = {index: 1}
-        owned = False
-        while vec:
-            lead = max(vec)
-            entry = table.get(lead)
-            if entry is None:
-                break
-            pivot, pivot_combo = entry
-            p, a = pivot[lead], vec[lead]
-            g = gcd(p, a)
-            if p < 0:
-                g = -g
-            p //= g
-            a //= g
-            if p != 1:
-                vec = {k: p * v for k, v in vec.items()}
-                combo = {k: p * v for k, v in combo.items()}
-            elif not owned:
-                vec = dict(vec)
-            owned = True
-            _subtract(vec, a, pivot)
-            _subtract(combo, a, pivot_combo)
-            g = combo[index]
-            if g != 1:
-                g = gcd(g, *vec.values(), *combo.values())
-                if g != 1:
-                    vec = {k: v // g for k, v in vec.items()}
-                    combo = {k: v // g for k, v in combo.items()}
-        if vec:
-            table[lead] = (vec, combo)
-            yield None
-        else:
-            yield combo
+        yield _insert(vec, index, table)
 
 
 def _subtract(target: dict, a: int, source: dict) -> None:
@@ -273,21 +435,10 @@ def solve_symmetries(
     equation that has one; family_span_matches is None for the others.
     """
     ansatz = Ansatz(eq, order, jet_degree, x_degree, t_degree)
-    # every ansatz monomial is a column, the constant 1 at least
-    monos, vectors, scales = zip(*_residual_columns(ansatz))
+    system = _level_system(ansatz)
     basis = []
-    for combo in _dependencies(vectors):
-        if combo is None:
-            continue
-        # sum_c combo[c] scale_c column_c, divided by its entry at the first column
-        first = min(combo)
-        lead = combo[first] * scales[first]
-        sign = 1 if lead > 0 else -1
-        body = DiffPoly._make(
-            {monos[c]: sign * v * scales[c] for c, v in combo.items()}, abs(lead)
-        )
-        residual = invariance_residual(eq, body)
-        if not residual.is_zero():
+    for body in _canonical_basis(_kernel_span(system)):
+        if not invariance_residual(eq, body).is_zero():
             raise RuntimeError("internal error: kernel vector fails the residual check")
         basis.append(Characteristic(eq, body))
     span_matches: Optional[bool] = None
@@ -303,5 +454,5 @@ def solve_symmetries(
         dimension=len(basis),
         basis=tuple(basis),
         family_span_matches=span_matches,
-        ansatz_size=len(monos),
+        ansatz_size=len(system.parts) * (system.t_degree + 1) * (system.x_degree + 1),
     )

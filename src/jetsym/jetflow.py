@@ -29,8 +29,9 @@ with Res(J) = D_t J - L'[J] and the tails
 G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
 Each equation keeps Res(J) and its tails per jet part, computed once from
 D_t J and one tower J, D_x J, ..., D_x^top J, with G_0(J) = L'[J]; the
-powers of t and x only shift packed keys.  The solver's columns
-(detsolve._residual_columns) read the same expansion.
+powers of t and x only shift packed keys.  The solver reads the same
+expansion level by level: detsolve factors Res over the jet parts alone,
+and each coefficient of t^a x^b reads the tails of the levels above it.
 """
 
 from __future__ import annotations

@@ -15,10 +15,38 @@ from jetsym.diffring import (
     tx_factors,
 )
 from jetsym.jetflow import EvolutionEquation, invariance_residual
+from jetsym.opcalc import Compose, Dx, DxInv, MulBy, Sum, apply, op_power
 
 # The Korteweg-de Vries equation u_t = u_xxx + u u_x: third order, so its
 # residual images carry the tails up to G_3.
 KDV = EvolutionEquation("kdv", jet_poly(3) + jet_poly(0) * jet_poly(1), allows_par=False)
+
+# An x-dependent right-hand side with a non-integer coefficient, so that the
+# images' denominators and the x in L enter the Leibniz expansion, and the
+# solver walks the powers of x as parts rather than as levels.
+XDEP = EvolutionEquation(
+    "xdep",
+    jet_poly(2)
+    + Fraction(1, 3) * DiffPoly.variable(X_VAR) * jet_poly(0) * jet_poly(1)
+    + DiffPoly.variable(X_VAR, 2) * jet_poly(1),
+)
+
+# The Lenard recursion operator R = D_x^2 + (2/3) u + (1/3) u_x D_x^{-1} of KdV.
+LENARD = Sum(
+    (
+        op_power(Dx(), 2),
+        MulBy(Fraction(2, 3) * jet_poly(0)),
+        Compose((MulBy(Fraction(1, 3) * jet_poly(1)), DxInv())),
+    )
+)
+
+
+def kdv_hierarchy(order):
+    """The KdV hierarchy K_1 = u_x, K_3, K_5, ... through the given order, by K_{j+2} = R K_j."""
+    hierarchy = [jet_poly(1)]
+    while hierarchy[-1].order() + 2 <= order:
+        hierarchy.append(apply(LENARD, KDV, hierarchy[-1]))
+    return hierarchy
 
 
 def make_random_poly(rng, max_jet=3, with_par=False, max_terms=4, max_exp=2, max_factors=3):

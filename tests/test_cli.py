@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,8 +293,8 @@ def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
 
 
 def test_solve_refuses_an_over_cap_ansatz_before_building_it():
-    # order 12 has 878 850 700 ansatz monomials; enumerating the 5 200 300
-    # jet parts before checking the cap took 9 s and 931 MB
+    # order 12 has 5 200 300 jet parts; enumerating them before checking
+    # the cap took 9 s and 931 MB
     code, got, peak_mb = run_child(["solve", "--order", "12"], timeout=30)
     assert code == 3
     assert got == hashlib.sha256(b"").hexdigest()
@@ -305,6 +306,19 @@ def test_solve_bytes_are_pinned_at_order_6():
     code, got, _ = run_child(["solve", "--order", "6", "--format", "json"])
     assert code == 0
     assert got == "6d86cf151b3dc6c35ad27b496463b32c69868e95ddd1865d63cb0e2b1800aa1b"
+
+
+def test_solve_reaches_order_8():
+    # 24 310 jet parts, 1 969 110 ansatz monomials: dimension 44 = 8 (8 + 3) / 2,
+    # and exit 0 is the family span match.  Measured at 2.8 s and 110 MB on a
+    # 2-core x86-64 host, CPython 3.11.7; the bounds leave room for a loaded host.
+    start = time.monotonic()
+    code, got, peak_mb = run_child(["solve", "--order", "8", "--format", "json"], timeout=120)
+    wall = time.monotonic() - start
+    assert code == 0
+    assert got == "238e4841c0dbb81a255e3785c00fa71e025e09754028ab8f5612d969268e5381"
+    assert wall < 20
+    assert peak_mb < 160
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     KDV,
+    XDEP,
     direct_residuals,
+    kdv_hierarchy,
     direct_system,
     gauss_jordan_kernel,
     mono_key,
@@ -21,8 +23,10 @@ from jetsym import detsolve
 from jetsym.detsolve import (
     Ansatz,
     AnsatzTooLarge,
+    _canonical_basis,
     _dependencies,
-    _residual_columns,
+    _kernel_span,
+    _level_system,
     family_bodies,
     solve_symmetries,
 )
@@ -43,6 +47,10 @@ from jetsym.symfam import Family, q_char
 # z_t = z_2 + (1/3) z_1^2: potential Burgers with z rescaled by 3, whose
 # residual images have the denominator 3
 THIRD = EvolutionEquation("potburgers_third", jet_poly(2) + Fraction(1, 3) * jet_poly(1) ** 2)
+
+# z_t = x: jet-free, so its images carry no Leibniz tails, and x-dependent,
+# so the solver folds the powers of x into its parts
+LIN = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
 
 
 def _integer_columns(matrix, ncols, label=lambda pos: pos):
@@ -257,11 +265,30 @@ def test_dependencies_keep_their_contract(vectors):
 @settings(max_examples=10, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_solver_kernel_does_not_depend_on_row_order(rng):
-    vectors = [vec for _, vec, _ in _residual_columns(Ansatz(BURGERS, 3))]
+    # the factorisation of R: its columns, with their row keys relabelled at random
+    vectors = _level_system(Ansatz(BURGERS, 3)).images
     keys = sorted({k for vec in vectors for k in vec})
     relabel = dict(zip(keys, rng.sample(keys, len(keys))))
     relabelled = [{relabel[k]: v for k, v in vec.items()} for vec in vectors]
     assert list(_dependencies(relabelled)) == list(_dependencies(vectors))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([BURGERS, KDV, XDEP]), st.randoms(use_true_random=False))
+def test_basis_does_not_depend_on_the_order_of_the_parts(eq, rng):
+    # R factored in another column order yields other partial solutions and
+    # another kernel span, but the same canonical basis
+    system = _level_system(Ansatz(eq, 3))
+    order = rng.sample(range(len(system.parts)), len(system.parts))
+    shuffled = system._replace(
+        parts=[system.parts[j] for j in order],
+        images=[system.images[j] for j in order],
+        tails=[system.tails[j] for j in order],
+    )
+    span = _kernel_span(shuffled)
+    assert _canonical_basis(span) == _canonical_basis(_kernel_span(system))
+    # the span is also a basis in any order
+    assert _canonical_basis(rng.sample(span, len(span))) == _canonical_basis(span)
 
 
 _LEIBNIZ_BOUNDS = [
@@ -274,19 +301,56 @@ _LEIBNIZ_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS, THIRD], ids=lambda eq: eq.name)
+def _level_columns(ansatz):
+    """The residual of each ansatz monomial t^a x^b p, rebuilt from the level
+    system by the Leibniz rule: {decoded row: {column: Fraction}}."""
+    system = _level_system(ansatz)
+    columns = {
+        a * unit(T_VAR) + b * unit(X_VAR) + part: (a, b, j)
+        for a in range(system.t_degree + 1)
+        for b in range(system.x_degree + 1)
+        for j, part in enumerate(system.parts)
+    }
+    monos = sorted(columns, key=order_key)
+    assert [_decode(m) for m in monos] == ansatz.monomials()
+    rows = {}
+    for col, mono in enumerate(monos):
+        a, b, j = columns[mono]
+        tx = a * unit(T_VAR) + b * unit(X_VAR)
+        vec = {m + tx: c for m, c in system.images[j].items()}
+        for i, tail in enumerate(system.tails[j][:b], start=1):
+            for m, c in tail.items():
+                k = m + tx - i * unit(X_VAR)
+                vec[k] = vec.get(k, 0) - math.perm(b, i) * c
+        if a:
+            k = mono - unit(T_VAR)
+            vec[k] = vec.get(k, 0) + a * system.scale
+        for m, c in vec.items():
+            if c:
+                rows.setdefault(_decode(m), {})[col] = Fraction(c, system.scale)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "eq", [HEAT, POTBURGERS, BURGERS, THIRD, KDV, XDEP, LIN], ids=lambda eq: eq.name
+)
 @pytest.mark.parametrize("bounds", _LEIBNIZ_BOUNDS)
 def test_build_system_matches_direct_residuals(eq, bounds):
-    # the solver's columns, decoded, against the naive rows
+    # the walk's inputs (the level system), expanded back into the whole
+    # system by the Leibniz rule, against the naive rows
     order, jet_degree, x_degree, t_degree = bounds
     ansatz = Ansatz(eq, order, jet_degree=jet_degree, x_degree=x_degree, t_degree=t_degree)
-    columns = list(_residual_columns(ansatz))
-    assert [_decode(mono) for mono, _, _ in columns] == ansatz.monomials()
-    rows = {}
-    for col, (_, vec, scale) in enumerate(columns):
-        for m, c in vec.items():
-            rows.setdefault(_decode(m), {})[col] = Fraction(c, scale)
-    assert rows == direct_system(ansatz)
+    assert _level_columns(ansatz) == direct_system(ansatz)
+
+
+def test_x_is_folded_into_the_parts_when_l_has_x():
+    system = _level_system(Ansatz(XDEP, 2, jet_degree=1, x_degree=3, t_degree=2))
+    assert (system.t_degree, system.x_degree) == (2, 0)
+    assert len(system.parts) == 4 * 4 and all(tails == () for tails in system.tails)
+    assert system.scale == 3
+    system = _level_system(Ansatz(BURGERS, 2, jet_degree=1, x_degree=3, t_degree=2))
+    assert (system.t_degree, system.x_degree) == (2, 3)
+    assert len(system.parts) == 4 and all(len(tails) == 2 for tails in system.tails)
 
 
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS], ids=lambda eq: eq.name)
@@ -310,26 +374,47 @@ def test_solve_with_a_fractional_rhs(order, dimension):
 _degree_bounds = st.integers(-1, 3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([BURGERS, HEAT, POTBURGERS, THIRD]),
-    st.integers(0, 3),
-    _degree_bounds,
-    _degree_bounds,
-    _degree_bounds,
-)
-def test_solver_bodies_match_the_decoded_system(eq, order, jet_degree, x_degree, t_degree):
-    # the solver reads its kernel straight from the reducer; the reference
-    # decodes the system from invariance_residual column by column and takes
-    # its kernel by plain Fraction Gauss-Jordan elimination
-    bounds = (jet_degree, x_degree, t_degree)
-    report = solve_symmetries(eq, order, *bounds)
+def _decoded_kernel(eq, order, *bounds):
+    """The kernel bodies of the whole system, decoded from invariance_residual
+    column by column and reduced by plain Fraction Gauss-Jordan elimination."""
     ansatz = Ansatz(eq, order, *bounds)
     columns = ansatz.monomials()
     kernel = gauss_jordan_kernel(direct_system(ansatz).values(), len(columns))
-    expected = [DiffPoly({m: v for m, v in zip(columns, vec) if v}) for vec in kernel]
+    return [DiffPoly({m: v for m, v in zip(columns, vec) if v}) for vec in kernel], len(columns)
+
+
+@st.composite
+def _solver_cases(draw, max_order, jet_bounds, tx_bounds):
+    """(equation, order, jet_degree, x_degree, t_degree) for the solver oracles.
+
+    XDEP's reference elimination fills in with thirds: at jet degree 3 one
+    case takes seconds, so its jet degree stays at most 2.
+    """
+    eq = draw(st.sampled_from([BURGERS, HEAT, POTBURGERS, THIRD, KDV, XDEP, LIN]))
+    order = draw(st.integers(0, max_order))
+    jet_degree = draw(st.integers(0, 2) if eq is XDEP else jet_bounds)
+    return eq, order, jet_degree, draw(tx_bounds), draw(tx_bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_solver_cases(3, _degree_bounds, _degree_bounds))
+def test_solver_bodies_match_the_decoded_system(case):
+    # the solver walks the levels and never builds the whole system
+    eq, order, *bounds = case
+    report = solve_symmetries(eq, order, *bounds)
+    expected, size = _decoded_kernel(eq, order, *bounds)
     assert [c.body for c in report.basis] == expected
-    assert report.ansatz_size == len(columns)
+    assert report.ansatz_size == size
+
+
+@settings(max_examples=20, deadline=None)
+@given(_solver_cases(4, st.integers(0, 3), st.integers(0, 2)))
+@example((BURGERS, 4, 3, 2, 2))
+@example((XDEP, 4, 2, 2, 2))
+def test_walk_basis_matches_gauss_jordan_to_order_4(case):
+    eq, order, *bounds = case
+    basis = _canonical_basis(_kernel_span(_level_system(Ansatz(eq, order, *bounds))))
+    assert basis == _decoded_kernel(eq, order, *bounds)[0]
 
 
 def test_ansatz_monomials_are_bounded_and_sorted():
@@ -369,22 +454,41 @@ def test_enumerate_records_carry_the_order_key(order, jet_degree, x_degree, t_de
 
 
 def test_ansatz_cap(monkeypatch):
-    monkeypatch.setattr(detsolve, "MONOMIAL_CAP", 10)
-    with pytest.raises(AnsatzTooLarge):
-        Ansatz(BURGERS, 4).monomials()
+    # order 4 has 126 jet parts
+    monkeypatch.setattr(detsolve, "PART_CAP", 125)
+    with pytest.raises(AnsatzTooLarge, match="^126 ansatz parts exceed the cap 125$"):
+        solve_symmetries(BURGERS, 4)
+    monkeypatch.setattr(detsolve, "PART_CAP", 126)
+    assert solve_symmetries(BURGERS, 4).dimension == 14
+
+
+def _assert_cap_counts_before_enumerating(eq, bounds, count, monkeypatch):
+    ansatz = Ansatz(eq, *bounds)
+    assert len(_level_system(ansatz).parts) == count
+    monkeypatch.setattr(detsolve, "PART_CAP", count)
+    ansatz._enumerate()
+    monkeypatch.setattr(detsolve, "PART_CAP", count - 1)
+    message = f"^{count} ansatz parts exceed the cap {count - 1}$"
+    with pytest.raises(AnsatzTooLarge, match=message):
+        ansatz._enumerate()
+    with pytest.raises(AnsatzTooLarge, match=message):
+        solve_symmetries(eq, *bounds)
 
 
 @pytest.mark.parametrize("bounds", _ENUMERATE_BOUNDS)
 def test_ansatz_cap_counts_the_monomials_before_enumerating(bounds, monkeypatch):
-    # the cap is checked on a count formed from the bounds alone
+    # the cap is checked on a count formed from the bounds alone: the jet
+    # parts, the monomials in z_0 .. z_n that R's columns stand for
     ansatz = Ansatz(BURGERS, *bounds)
-    count = len(ansatz._enumerate())
-    monkeypatch.setattr(detsolve, "MONOMIAL_CAP", count)
-    ansatz._enumerate()
-    monkeypatch.setattr(detsolve, "MONOMIAL_CAP", count - 1)
-    message = f"^{count} ansatz monomials exceed the cap {count - 1}$"
-    with pytest.raises(AnsatzTooLarge, match=message):
-        ansatz._enumerate()
+    count = math.comb(ansatz.jet_degree + ansatz.order + 1, ansatz.order + 1)
+    _assert_cap_counts_before_enumerating(BURGERS, bounds, count, monkeypatch)
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 3, 2), (0, 3, 2, 2), (3, 6, 1, 1)])
+def test_ansatz_cap_counts_the_x_powers_when_l_has_x(bounds, monkeypatch):
+    order, jet_degree, x_degree = bounds[:3]
+    count = math.comb(jet_degree + order + 1, order + 1) * (x_degree + 1)
+    _assert_cap_counts_before_enumerating(XDEP, bounds, count, monkeypatch)
 
 
 @pytest.mark.parametrize("bound", ["jet_degree", "x_degree", "t_degree"])
@@ -424,12 +528,9 @@ def test_order_zero_has_no_symmetries():
 
 
 def test_single_monomial_ansatz_is_empty():
-    columns = list(_residual_columns(Ansatz(BURGERS, 0, jet_degree=1, x_degree=0, t_degree=0)))
-    assert [_decode(mono) for mono, _, _ in columns] == [
-        (),
-        ((jet(0), 1),),
-    ]
-    assert list(_dependencies(vec for _, vec, _ in columns)) == [None, None]
+    system = _level_system(Ansatz(BURGERS, 0, jet_degree=1, x_degree=0, t_degree=0))
+    assert [_decode(part) for part in system.parts] == [(), ((jet(0), 1),)]
+    assert list(_dependencies(system.images)) == [None, None]
     report = solve_symmetries(BURGERS, 0, jet_degree=1, x_degree=0, t_degree=0)
     assert report.ansatz_size == 2 and report.basis == ()
 
@@ -448,6 +549,16 @@ def test_solver_dimension_and_span_at_order_5():
     report = solve_symmetries(BURGERS, 5)
     assert report.dimension == 20
     assert report.family_span_matches is True
+
+
+def test_solver_dimension_and_span_at_order_7():
+    # 6 435 jet parts; the whole system would have 411 840 columns
+    report = solve_symmetries(BURGERS, 7)
+    assert report.dimension == 35
+    assert report.family_span_matches is True
+    assert report.ansatz_size == 411_840
+    for c in report.basis:
+        assert invariance_residual(BURGERS, c.body) == 0
 
 
 def test_family_contained_in_default_bounds():
@@ -488,8 +599,7 @@ def test_family_rank_matches_count():
 
 def test_solver_on_a_jet_free_rhs():
     # ord L = 0: the residual images carry no Leibniz tails
-    eq = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
-    assert solve_symmetries(eq, 1).dimension == 5
+    assert solve_symmetries(LIN, 1).dimension == 5
 
 
 # -- a GF(p) certificate of the kernel dimension --------------------------------
@@ -542,7 +652,7 @@ def test_dimension_is_certified_mod_p_at_order_4(eq):
 # -- the Korteweg-de Vries equation ---------------------------------------------
 
 
-@pytest.mark.parametrize("order, dimension", [(1, 2), (2, 2), (3, 4), (4, 4)])
+@pytest.mark.parametrize("order, dimension", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 5), (6, 5)])
 def test_kdv_dimensions(order, dimension):
     report = solve_symmetries(KDV, order)
     assert report.dimension == dimension
@@ -555,11 +665,26 @@ def _rank(bodies):
     return sympy.Matrix(rows).rank()
 
 
-def test_kdv_order_3_span():
-    # translations in x and t, the Galilean boost and the scaling
+def _kdv_reference(order):
+    """K_1, K_3, ... up to the order, the Galilean boost and the scaling."""
     u, u1 = jet_poly(0), jet_poly(1)
     t, x = DiffPoly.variable(T_VAR), DiffPoly.variable(X_VAR)
-    k3 = KDV.rhs
-    reference = [u1, k3, 1 + t * u1, 3 * t * k3 + x * u1 + 2 * u]
+    return kdv_hierarchy(order) + [1 + t * u1, 3 * t * KDV.rhs + x * u1 + 2 * u]
+
+
+def test_kdv_order_3_span():
+    # translations in x and t, the Galilean boost and the scaling
+    reference = _kdv_reference(3)
     basis = [c.body for c in solve_symmetries(KDV, 3).basis]
     assert _rank(basis) == _rank(reference) == _rank(basis + reference) == 4
+
+
+@pytest.mark.parametrize("order, rank", [(5, 5), (6, 5), (7, 6)])
+def test_kdv_span_with_the_hierarchy(order, rank):
+    # K_1, K_3, K_5 (and K_7 from order 7), the boost and the scaling; the
+    # rank is sympy's, not the solver's
+    reference = _kdv_reference(order)
+    assert len(reference) == rank
+    basis = [c.body for c in solve_symmetries(KDV, order).basis]
+    assert len(basis) == rank
+    assert _rank(basis) == _rank(reference) == _rank(basis + reference) == rank

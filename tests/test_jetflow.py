@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KDV, make_random_poly
+from conftest import KDV, XDEP, make_random_poly
 from jetsym.detsolve import solve_symmetries
 from jetsym.diffring import EXP_VAR, T_VAR, X_VAR, DiffPoly, jet, jet_poly, par, par_poly, t_poly, x_poly
 from jetsym.jetflow import (
@@ -120,11 +120,6 @@ def test_dt_derives_the_rhs_tower_on_demand():
     # the first call on a fresh equation needs D_x^3(rhs), which nothing has derived yet
     eq = EvolutionEquation("heat_copy", z(2))
     assert eq.dt(z(3)) == z(5)
-
-
-# An x-dependent right-hand side with a non-integer coefficient, so that the
-# images' denominators and the x in L enter the Leibniz expansion.
-XDEP = EvolutionEquation("xdep", z(2) + Fraction(1, 3) * x * z(0) * z(1) + x * x * z(1))
 
 
 @st.composite

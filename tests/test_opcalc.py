@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import KDV, make_random_poly, random_poly_stream
+from conftest import KDV, kdv_hierarchy, make_random_poly, random_poly_stream
 from jetsym.diffring import KIND_T, T_VAR, DiffPoly, derive, exp_poly, jet, jet_poly, t_poly, x_poly
 from jetsym.jetflow import (
     _DX_IMAGES,
@@ -179,20 +179,12 @@ def test_preimage_branch_when_the_equation_has_a_jet_free_term():
 
 
 def test_kdv_lenard_hierarchy():
-    # K_{j+2} = R K_j with the Lenard operator R = D_x^2 + (2/3) u + (1/3) u_x D_x^{-1}
-    lenard = Sum(
-        (
-            op_power(Dx(), 2),
-            MulBy(Fraction(2, 3) * z(0)),
-            Compose((MulBy(Fraction(1, 3) * z(1)), DxInv())),
-        )
-    )
-    k1 = z(1)
-    k3 = apply(lenard, KDV, k1)
+    # K_{j+2} = R K_j with the Lenard operator R (conftest.LENARD)
+    k1, k3, k5, k7 = kdv_hierarchy(7)
+    assert k1 == z(1)
     assert k3 == KDV.rhs
-    k5 = apply(lenard, KDV, k3)
-    assert k5.order() == 5
-    for k in (k1, k3, k5):
+    assert (k5.order(), k7.order()) == (5, 7)
+    for k in (k1, k3, k5, k7):
         assert invariance_residual(KDV, k) == 0
         assert KDV.dx(dx_preimage(KDV, k)) == k
 
