@@ -1,17 +1,30 @@
 """The two-parameter symmetry families and their structure constants.
 
 Each equation carries a family Q[k,l] built from its two recursion
-operators applied to a seed.  Brute-force brackets of the family members
-agree exactly with closed-form binomial sums.
+operators applied to a seed.  Since the translation T and the boost B
+satisfy [T, B] = 1/2, the family is built by a commutator ladder with one
+D_x per column entry, and it agrees with the composed operators.
+Brute-force brackets of the family members agree exactly with closed-form
+binomial sums.
 """
 
-from jetsym import BURGERS, HEAT, invariance_residual
+from jetsym import BURGERS, HEAT, DiffPoly, apply, boost_op, invariance_residual, translation_op
+from jetsym.opcalc import Compose, Dx
 from jetsym.symfam import Family, closed_form_bracket, commutator, q_char, structure_check
 
 print("Low-order Burgers family members:")
 for k, l in [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]:
     c = q_char(Family.BURGERS_Q, k, l)
     print(f"  Q[{k},{l}] = {c.body}")
+
+print()
+print("One entry built two ways (commutator ladder vs composed operator):")
+ladder = q_char(Family.BURGERS_Q, 1, 2).body
+ops = Compose((Dx(), boost_op(BURGERS), translation_op(BURGERS), translation_op(BURGERS)))
+composed = apply(ops, BURGERS, DiffPoly.const(1))
+print(f"  Q[1,2] by the ladder:       {ladder}")
+print(f"  D_x B T^2 (1) by operators: {composed}")
+print(f"  equal: {ladder == composed}")
 
 print()
 print("Every member is an exact symmetry:")

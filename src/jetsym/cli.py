@@ -46,12 +46,11 @@ from .diffring import (
     tx_factors,
 )
 from .jetflow import BURGERS, invariance_residual
-from .opcalc import apply
 from .symfam import FAMILY_EQUATION, Q_FAMILIES, Family, index_range, q_char
 
-# invariance_residual and apply are not called here.  They stay importable
-# from jetsym.cli, where perfbench/tests checks that the layer tracer's
-# wrappers reach them; gen loads both modules anyway.
+# invariance_residual is not called here.  It stays importable from
+# jetsym.cli, where perfbench/tests checks that the layer tracer's wrappers
+# reach it; every command loads jetflow anyway.
 
 MONOMIAL_ORDER_ID = "graded:t<x<z<h"
 

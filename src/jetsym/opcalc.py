@@ -7,8 +7,12 @@ built-in constructors cover the recursion operators of the three equations:
 
     heat:               D_x                and  t D_x + x/2
     potential Burgers:  D_x + w_1          and  t (D_x + w_1) + x/2
-    Burgers:            D_x - v/2          and  t D_x + (x - v t)/2
-    Burgers, nonlocal:  D_x (D_x - v/2) D_x^{-1}   and   D_x (t D_x + (x - vt)/2) D_x^{-1}
+    Burgers:            D_x - v/2          and  t (D_x - v/2) + x/2
+    Burgers, nonlocal:  D_x (D_x - v/2) D_x^{-1}   and   D_x (t (D_x - v/2) + x/2) D_x^{-1}
+
+that is, a translation T = D_x + M and the boost t T + x/2, with the
+multipliers M of symfam.TRANSLATION_MULTIPLIER, which also build the
+families.
 
 D_x^{-1} is only ever applied to total x-derivatives; membership is
 certified by the Euler operator (variational derivative), which vanishes
@@ -39,19 +43,17 @@ from .diffring import (
     X_VAR,
     Record,
     jet,
-    jet_poly,
     t_poly,
     x_poly,
 )
 from .jetflow import (
     BURGERS,
-    HEAT,
-    POTBURGERS,
     EvolutionEquation,
     invariance_residual,
     jet_partials,
     x_derivative,
 )
+from .symfam import TRANSLATION_MULTIPLIER
 
 
 class NotATotalDerivative(ValueError):
@@ -136,31 +138,20 @@ def commutator_op(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return Sum((Compose((a, b)), Compose((Scale(Fraction(-1)), b, a))))
 
 
-# The multipliers of the Burgers translation D_x - v/2 and boost
-# t D_x + (x - vt)/2.
-BURGERS_TRANSLATION_SHIFT = jet_poly(0) * Fraction(-1, 2)
-BURGERS_BOOST_SHIFT = (x_poly() - jet_poly(0) * t_poly()) * Fraction(1, 2)
-
-
 def translation_op(eq: EvolutionEquation) -> OperatorExpr:
-    """The first-order recursion operator tied to space translations."""
-    if eq is HEAT:
-        return Dx()
-    if eq is POTBURGERS:
-        return Sum((Dx(), MulBy(jet_poly(1))))
-    if eq is BURGERS:
-        return Sum((Dx(), MulBy(BURGERS_TRANSLATION_SHIFT)))
-    raise ValueError(f"no built-in recursion operators for {eq.name}")
+    """The first-order recursion operator tied to space translations.
+
+    T = D_x + M, with M from symfam.TRANSLATION_MULTIPLIER.
+    """
+    shift = TRANSLATION_MULTIPLIER.get(eq)
+    if shift is None:
+        raise ValueError(f"no built-in recursion operators for {eq.name}")
+    return Sum((Dx(), MulBy(shift))) if shift else Dx()
 
 
 def boost_op(eq: EvolutionEquation) -> OperatorExpr:
-    """The recursion operator tied to Galilean boosts."""
-    half_x = MulBy(x_poly() * Fraction(1, 2))
-    if eq in (HEAT, POTBURGERS):
-        return Sum((Compose((MulBy(t_poly()), translation_op(eq))), half_x))
-    if eq is BURGERS:
-        return Sum((Compose((MulBy(t_poly()), Dx())), MulBy(BURGERS_BOOST_SHIFT)))
-    raise ValueError(f"no built-in recursion operators for {eq.name}")
+    """The recursion operator tied to Galilean boosts, B = t T + x/2."""
+    return Sum((Compose((MulBy(t_poly()), translation_op(eq))), MulBy(x_poly() * Fraction(1, 2))))
 
 
 def recursion_ops() -> tuple[OperatorExpr, OperatorExpr]:

@@ -7,14 +7,16 @@ built from its recursion operators applied to a seed:
     potential Burgers: Q[k,l] = boost^k translation^l (1)
     Burgers:           Q[k,l] = D_x boost^k translation^l (1)
 
-(the Burgers (0,0) entry is the zero characteristic).  Each entry
-boost^k translation^l (seed) is built by one operator step from a cached
-predecessor: a boost from (k-1, l) when k > 0, otherwise a translation
-from (0, l-1).  Every chain steps through its equation's recursion
-operators; an operator's D_x of an entry is kept on the entry (see
-jetflow.x_derivative), where the Burgers member D_x(entry) reads it.  The
-heat operators on h_0 build the right sides of the parameter brackets in
-the same chain.
+(the Burgers (0,0) entry is the zero characteristic).  On all three
+equations the translation is T = D_x + M, with M = 0, w_1 and -v/2
+(TRANSLATION_MULTIPLIER), and the boost is B = t T + x/2, so [T, B] = 1/2
+and T B^k = B^k T + (k/2) B^(k-1).  The entries c(k,l) = B^k T^l (seed)
+are therefore built by this commutator ladder: the column c(0,l) takes
+one D_x per entry, kept on the entry it differentiates (see
+jetflow.x_derivative), and every entry off the column, like the Burgers
+member D_x c(k,l), is a sum of earlier entries shifted by t or x, with no
+derivation.  The heat operators on h_0 build the right sides of the
+parameter brackets by the same ladder.
 
 The heat and potential-Burgers equations additionally admit the parameter
 families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
@@ -35,12 +37,23 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple, Optional
 
-from .diffring import DiffPoly, exp_poly, jet_poly, par_poly, t_poly, x_poly
-from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation, x_derivative
-from .opcalc import apply, boost_op, translation_op
+from .diffring import (
+    T_VAR,
+    X_VAR,
+    DiffPoly,
+    _check_fields,
+    _nonzero,
+    exp_poly,
+    jet_poly,
+    par_poly,
+    t_poly,
+    unit,
+    x_poly,
+)
+from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation
 
 
 class Family(Enum):
@@ -71,6 +84,14 @@ class FamilyIndex(NamedTuple):
     l: int = 0
 
 
+# The multiplier M of each equation's translation T = D_x + M; its boost is
+# B = t T + x/2.  opcalc builds both operators from these.
+TRANSLATION_MULTIPLIER = {
+    HEAT: DiffPoly.zero(),
+    POTBURGERS: jet_poly(1),
+    BURGERS: jet_poly(0) * Fraction(-1, 2),
+}
+
 # The equation whose recursion operators build each chain, and its seed.
 # The HEAT_Z chain, boost^k D_x^l h, is the parameter function of the bracket
 # [Z(h), Q[k,l]] in both parameter families.
@@ -83,32 +104,77 @@ _CHAIN_SEEDS = {
 
 _CHAINS: dict[tuple[Family, int, int], DiffPoly] = {}
 
+_ONE, _HALF = Fraction(1), Fraction(1, 2)
+_T_UNIT, _X_UNIT = unit(T_VAR), unit(X_VAR)
+
+# A source of a shifted sum: (value, packed monomial n, weight w) adds w n value.
+_Source = tuple[DiffPoly, int, Fraction]
+
+
+def _shifted_sum(sources: list[_Source]) -> DiffPoly:
+    """The sum of w n p over the sources (p, n, w), in one pass.
+
+    Each source's numerators are scattered at their keys shifted by n into
+    one table over a common denominator, which is normalised once.
+    """
+    den = lcm(*(p._den * w.denominator for p, _, w in sources))
+    weights = [w.numerator * (den // (p._den * w.denominator)) for p, _, w in sources]
+    (first, shift, _), f = sources[0], weights[0]
+    out = {m + shift: f * c for m, c in first._nums.items()}
+    get = out.get
+    for (p, shift, _), f in zip(sources[1:], weights[1:]):
+        for m, c in p._nums.items():
+            k = m + shift
+            out[k] = get(k, 0) + f * c
+    _check_fields(out)
+    return DiffPoly._make(_nonzero(out), den)
+
+
+def _times_multiplier(eq: EvolutionEquation, p: DiffPoly, sign: int) -> list[_Source]:
+    """The sources of sign M p, M the multiplier of eq's translation."""
+    m = TRANSLATION_MULTIPLIER[eq]
+    return [(p, n, Fraction(sign * c, m._den)) for n, c in m._nums.items()]
+
 
 def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
-    """boost^k translation^l (seed) of a family, cached.
+    """c(k,l) = boost^k translation^l (seed) of a family, cached.
 
     This is Q[k,l] for heat and potential Burgers, the value before the
     leading D_x for Burgers, and boost^k D_x^l h for HEAT_Z (for which only
-    (0, 0), the seed h, is a family member).  Each entry is one operator
-    step from its predecessor: (k-1, l) when k > 0, else (0, l-1).  The
-    chain is filled iteratively, so deep indices need no recursion.
+    (0, 0), the seed h, is a family member).  The entries are built by the
+    commutator ladder: with T = D_x + M and B = t T + x/2, [T, B] = 1/2, so
+
+        c(0,l) = D_x c(0,l-1) + M c(0,l-1),
+        c(k,l) = t (c(k-1,l+1) + (k-1)/2 c(k-2,l)) + x/2 c(k-1,l)   (k >= 1).
+
+    Only the column takes a D_x, one per entry, kept on the entry it
+    differentiates.  A request fills the column through c(0,k+l), then the
+    triangle {i <= k, i + j <= k + l} by total, iteratively, so deep
+    indices need no recursion and no entry depends on the order of requests.
     """
     body = _CHAINS.get((family, k, l))
     if body is not None:
         return body
     eq, seed = _CHAIN_SEEDS[family]
-    translation, boost = translation_op(eq), boost_op(eq)
-    path = [(0, j) for j in range(l + 1)] + [(i, l) for i in range(1, k + 1)]
-    for i, j in path:
-        cached = _CHAINS.get((family, i, j))
-        if cached is None:
-            if (i, j) == (0, 0):
-                step = seed
-            else:
-                step = apply(boost if i else translation, eq, body)
-            cached = _CHAINS[(family, i, j)] = step
-        body = cached
-    return body
+    chain = _CHAINS
+    chain.setdefault((family, 0, 0), seed)
+    for j in range(1, k + l + 1):
+        if (family, 0, j) not in chain:
+            prev = chain[family, 0, j - 1]
+            sources = [(eq.dx(prev), 0, _ONE), *_times_multiplier(eq, prev, 1)]
+            chain[family, 0, j] = _shifted_sum(sources)
+    for total in range(1, k + l + 1):
+        for i in range(1, min(k, total) + 1):
+            j = total - i
+            if (family, i, j) not in chain:
+                sources = [
+                    (chain[family, i - 1, j + 1], _T_UNIT, _ONE),
+                    (chain[family, i - 1, j], _X_UNIT, _HALF),
+                ]
+                if i > 1:
+                    sources.append((chain[family, i - 2, j], _T_UNIT, Fraction(i - 1, 2)))
+                chain[family, i, j] = _shifted_sum(sources)
+    return chain[family, k, l]
 
 
 @lru_cache(maxsize=None)
@@ -117,12 +183,14 @@ def _q_body(family: Family, k: int, l: int) -> DiffPoly:
         return family_seed_chain(family, 0, 0)
     if family is Family.POT_Z:
         return par_poly(0) * exp_poly(-1)
-    body = family_seed_chain(family, k, l)
     if family is Family.BURGERS_Q:
-        # the chain is free of h_j by construction, so BURGERS.dx's check
-        # would only rescan what the step from this entry already checked
-        return x_derivative(body)
-    return body
+        # D_x = T - M, and T c(k,l) = c(k,l+1) + (k/2) c(k-1,l) by the ladder
+        sources = [(family_seed_chain(family, k, l + 1), 0, _ONE)]
+        if k:
+            sources.append((family_seed_chain(family, k - 1, l), 0, Fraction(k, 2)))
+        sources += _times_multiplier(BURGERS, family_seed_chain(family, k, l), -1)
+        return _shifted_sum(sources)
+    return family_seed_chain(family, k, l)
 
 
 def q_char(family: Family, k: int = 0, l: int = 0) -> Characteristic:

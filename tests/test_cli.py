@@ -292,6 +292,22 @@ def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
     assert peak_mb < 60
 
 
+@pytest.mark.parametrize(
+    "eq, digest",
+    [
+        ("heat", "23b6ad44888b2f761d8629a0bebb8fdb1f91c9ab6c288e1df78b6b12854d61d0"),
+        ("potburgers", "08c2cfc2dc379d30e100976c64bd23330c25f9bd47ef44e3fcac0c15ff2d73f1"),
+    ],
+)
+def test_gen_text_is_pinned_at_the_order_cap(eq, digest):
+    # the deepest heat and potential-Burgers tables, whose entries off the
+    # column the family ladder builds as shifted sums
+    code, got, peak_mb = run_child(["gen", "--eq", eq, "--max-order", "16", "--format", "text"])
+    assert code == 0
+    assert got == digest
+    assert peak_mb < 60
+
+
 def test_solve_refuses_an_over_cap_ansatz_before_building_it():
     # order 12 has 5 200 300 jet parts; enumerating them before checking
     # the cap took 9 s and 931 MB

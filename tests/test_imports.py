@@ -117,9 +117,13 @@ def test_an_export_loads_only_its_module(module):
 @pytest.mark.parametrize(
     "argv, loads, skips",
     [
-        (["gen", "--eq", "heat", "--max-order", "2"], [], ["detsolve", "zeta", "colemap", "checks"]),
-        (["solve", "--order", "2"], ["detsolve"], ["checks", "zeta", "colemap"]),
-        (["map", "--k", "0", "--l", "1"], ["colemap"], ["checks", "zeta", "detsolve"]),
+        (
+            ["gen", "--eq", "heat", "--max-order", "2"],
+            [],
+            ["detsolve", "zeta", "colemap", "checks", "opcalc"],
+        ),
+        (["solve", "--order", "2"], ["detsolve"], ["checks", "zeta", "colemap", "opcalc"]),
+        (["map", "--k", "0", "--l", "1"], ["colemap"], ["checks", "zeta", "detsolve", "opcalc"]),
         (["verify", "--suite", "maps", "--max-order", "1"], ["checks"], ["detsolve"]),
         (
             ["verify", "--suite", "commutators", "--max-order", "1"],

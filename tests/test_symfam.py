@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_poly, rank_of_bodies
+from conftest import make_random_poly, random_poly_stream, rank_of_bodies
 from jetsym import symfam
 from jetsym.diffring import DiffPoly, JetLimitError, jet_poly, par_poly, t_poly, x_poly
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, invariance_residual
@@ -19,6 +21,7 @@ from jetsym.symfam import (
     evolution_form,
     family_seed_chain,
     heat_point_symmetries,
+    index_range,
     lie_correspondence,
     q_char,
     structure_check,
@@ -247,24 +250,73 @@ def test_z_family_rejects_indices():
         q_char(Family.BURGERS_Q, -1, 0)
 
 
+# The equation and seed of each chain, as the operators see them.
+_EQ_SEED = {
+    Family.HEAT_Q: (HEAT, z(0)),
+    Family.POT_Q: (POTBURGERS, DiffPoly.const(1)),
+    Family.BURGERS_Q: (BURGERS, DiffPoly.const(1)),
+    Family.HEAT_Z: (HEAT, par_poly(0)),
+}
+
+
 def _from_scratch(family, k, l):
     """boost^k translation^l (seed), with a leading D_x for Burgers, in one apply."""
-    eq = {Family.HEAT_Q: HEAT, Family.POT_Q: POTBURGERS, Family.BURGERS_Q: BURGERS}[family]
-    seed = z(0) if family is Family.HEAT_Q else DiffPoly.const(1)
+    eq, seed = _EQ_SEED[family]
     ops = (boost_op(eq),) * k + (translation_op(eq),) * l
     if family is Family.BURGERS_Q:
         ops = (Dx(),) + ops
     return apply(Compose(ops), eq, seed)
 
 
-def test_family_entries_match_one_composed_operator():
-    # the cached one-step chain against a single composed operator
+def _ladder_entry(family, k, l):
+    if family is Family.HEAT_Z:
+        return family_seed_chain(family, k, l)
+    return q_char(family, k, l).body
+
+
+def _clear_family_caches():
     symfam._q_body.cache_clear()
     symfam._CHAINS.clear()
-    for family in (Family.HEAT_Q, Family.POT_Q, Family.BURGERS_Q):
-        for k in range(7):
-            for l in range(7 - k):
-                assert q_char(family, k, l).body == _from_scratch(family, k, l), (family, k, l)
+
+
+def test_family_entries_match_one_composed_operator():
+    # the commutator ladder against a single composed operator; for HEAT_Z,
+    # boost^k D_x^l h against one composed heat operator
+    _clear_family_caches()
+    for family in _EQ_SEED:
+        for k, l in index_range(8):
+            assert _ladder_entry(family, k, l) == _from_scratch(family, k, l), (family, k, l)
+
+
+_LADDER_ORDER = 6
+
+
+def _bodies_in_index_order():
+    _clear_family_caches()
+    return {
+        (family, k, l): _ladder_entry(family, k, l)
+        for family in _EQ_SEED
+        for k, l in index_range(_LADDER_ORDER)
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations([(f, k, l) for f in _EQ_SEED for k, l in index_range(_LADDER_ORDER)]))
+def test_ladder_bodies_do_not_depend_on_the_order_of_requests(requests):
+    expected = _bodies_in_index_order()
+    _clear_family_caches()
+    for key in requests:
+        assert _ladder_entry(*key) == expected[key], key
+
+
+@pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS], ids=lambda e: e.name)
+def test_operators_are_built_from_the_ladder_multiplier(eq):
+    # the ladder's M is the one the operators of the verify suites carry
+    m = symfam.TRANSLATION_MULTIPLIER[eq]
+    for p in random_poly_stream(4242, 12, with_par=eq.allows_par):
+        translated = eq.dx(p) + m * p
+        assert apply(translation_op(eq), eq, p) == translated
+        assert apply(boost_op(eq), eq, p) == t * translated + half * x * p
 
 
 def test_cached_bodies_are_read_only():
@@ -287,26 +339,30 @@ def test_deep_family_index_stops_at_the_jet_cap():
         q_char(Family.HEAT_Q, 500, 500)
 
 
-def test_burgers_chain_takes_one_dx_per_entry(monkeypatch):
-    # the operator step from an entry keeps D_x(entry) on it, and Q[k,l] reads it there
+def test_ladder_takes_one_dx_per_column_entry(monkeypatch):
+    # only the column differentiates: c(0,j) = T c(0,j-1) keeps D_x c(0,j-1)
+    # on c(0,j-1), and neither the entries with k >= 1 nor the Burgers
+    # member D_x c(k,l) take one
     from jetsym import jetflow
 
-    symfam._q_body.cache_clear()
-    symfam._CHAINS.clear()
+    _clear_family_caches()
     # a fresh seed: the module's own may already hold its D_x
     monkeypatch.setitem(symfam._CHAIN_SEEDS, Family.BURGERS_Q, (BURGERS, DiffPoly.const(1)))
-    derivations = []
+    derived = []
     real = jetflow.derive
     monkeypatch.setattr(
         jetflow,
         "derive",
-        lambda p, images, *rest: derivations.append(images is jetflow._DX_IMAGES)
+        lambda p, images, *rest: (images is jetflow._DX_IMAGES and derived.append(p))
         or real(p, images, *rest),
     )
-    entries = [(k, total - k) for total in range(7) for k in range(total + 1)]
+    entries = list(index_range(6))
     for k, l in entries:
         q_char(Family.BURGERS_Q, k, l)
-    assert sum(derivations) == len(entries)
+    # Q[k,l] reads c(k,l+1), so the column reaches c(0,7): 7 derivations
+    column = [family_seed_chain(Family.BURGERS_Q, 0, j) for j in range(7)]
+    assert len(derived) == 7
+    assert all(p is c for p, c in zip(derived, column))
     monkeypatch.undo()
     for k, l in entries:
         assert q_char(Family.BURGERS_Q, k, l).body == _from_scratch(Family.BURGERS_Q, k, l)
