@@ -107,9 +107,9 @@ class Ansatz(Record):
             bounds.append(max(order, 1) if bound == -1 else bound)
         super().__init__(equation, order, *bounds)
 
-    def _jet_parts(self) -> list[tuple[int, bytes, int]]:
-        """The jet parts J, of degree <= jet_degree in z_0 .. z_n, as sorted
-        (degree, key, packed J) records, (degree, key) being J's order_key.
+    def _jet_parts(self) -> list[int]:
+        """The packed jet parts J, of degree <= jet_degree in z_0 .. z_n,
+        sorted by order_key.
 
         The cap is checked first, on a count formed from the bounds alone.
         """
@@ -129,36 +129,20 @@ class Ansatz(Record):
         if count > PART_CAP:
             raise AnsatzTooLarge(f"{count} ansatz parts exceed the cap {PART_CAP}")
         jet_units = [unit(jet(k)) for k in range(n + 1)]
-        return sorted(
-            (*order_key(J), J)
-            for d in range(self.jet_degree + 1)
-            for J in map(sum, combinations_with_replacement(jet_units, d))
-        )
-
-    def _enumerate(self) -> list[tuple[int, bytes, int, int, int]]:
-        """The ansatz basis t^a x^b J in the global monomial order.
-
-        One (degree, key, a, b, packed J) record per monomial, sorted, where
-        (degree, key) is the monomial's order_key.  That key is formed from
-        two parts, each computed once: the degrees of t^a x^b and of J add,
-        and their key bytes concatenate (as in diffring.jet_rows).  With the
-        jet parts sorted, each (a, b) block is a sorted run for the final
-        sort to merge.
-        """
-        jet_parts = self._jet_parts()
-        records = []
-        for a in range(self.t_degree + 1):
-            for b in range(self.x_degree + 1):
-                tx_degree, tx_key = order_key(a * _T_UNIT + b * _X_UNIT)
-                records += [
-                    (tx_degree + degree, tx_key + key, a, b, J) for degree, key, J in jet_parts
-                ]
-        records.sort()
-        return records
+        degrees = range(self.jet_degree + 1)
+        products = (c for d in degrees for c in combinations_with_replacement(jet_units, d))
+        return sorted(map(sum, products), key=order_key)
 
     def monomials(self) -> list[Monomial]:
-        """The ansatz basis, sorted in the global monomial order."""
-        return [_decode(a * _T_UNIT + b * _X_UNIT + J) for _, _, a, b, J in self._enumerate()]
+        """The ansatz basis t^a x^b J, sorted in the global monomial order."""
+        jet_parts = self._jet_parts()
+        packed = [
+            a * _T_UNIT + b * _X_UNIT + J
+            for a in range(self.t_degree + 1)
+            for b in range(self.x_degree + 1)
+            for J in jet_parts
+        ]
+        return [_decode(m) for m in sorted(packed, key=order_key)]
 
 
 class _LevelSystem(NamedTuple):
@@ -183,7 +167,7 @@ class _LevelSystem(NamedTuple):
 def _level_system(ansatz: Ansatz) -> _LevelSystem:
     """The walk's inputs for an ansatz, read from the equation's images."""
     eq = ansatz.equation
-    jet_parts = [J for _, _, J in ansatz._jet_parts()]
+    jet_parts = ansatz._jet_parts()
     if eq.rhs.has_kind(KIND_X):
         parts = sorted(
             (b * _X_UNIT + J for b in range(ansatz.x_degree + 1) for J in jet_parts),

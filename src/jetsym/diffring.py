@@ -19,12 +19,19 @@ ExponentOverflow instead of wrapping.  A polynomial stores integer
 numerators per monomial over one positive denominator, normalised after
 each operation so that gcd(denominator, *numerators) = 1; the zero
 polynomial has no terms and denominator 1.  Values are therefore canonical
-and compared by their packed form.  derive, the one loop behind every total
-derivative, reads the packed form directly; its tables of variable images
-are keyed by unit.  substitute maps v^e under a one-term image c n to
-c^e times a shift of the key by n^e, and evaluates the images with several
-terms by Horner's rule over the terms grouped by their part in those
-variables, so that sums are merged before they are multiplied.
+and compared by their packed form.  _scatter, which adds f a b to a table
+of numerators, is the one product loop: a * b, the products of Horner's
+rule in substitute, and sum_of_products, which forms a sum of w a b over
+one common denominator with one field check and one normalisation (the
+family ladder, the prolongation sums and the closed-form brackets), all
+run through it.  derive, the one loop behind every total derivative,
+reads the packed form directly; its tables of variable images are keyed
+by unit.  substitute maps v^e under a one-term image c n to c^e times a
+shift of the key by n^e, and evaluates the images with several terms by
+Horner's rule over the terms grouped by their part in those variables, so
+that sums are merged before they are multiplied; each term's own power
+of E is held above every field until the rule has run, so that only the
+result's exponents must fit.
 
 At the edges monomials appear as tuples of ((kind, index), exponent) pairs
 sorted by variable, with no zero exponent, and coefficients as Fractions:
@@ -166,6 +173,10 @@ _NSLOTS = len(_SLOT_VARS)
 _GUARD = int.from_bytes(bytes([1 << (_BITS - 1)]) * _NSLOTS, "little")
 _E_MASK = _MASK << _E_SHIFT
 _E_UNIT = 1 << _E_SHIFT
+# substitute holds a term's own E exponent e at e << _HELD_SHIFT, above every
+# field, while Horner's rule runs; adding e * _E_TO_HELD to a key moves it back.
+_HELD_SHIFT = _NSLOTS * _BITS
+_E_TO_HELD = _E_UNIT - (1 << _HELD_SHIFT)
 # Valid exponents: [0, _FIELD_LIMIT) off E, [-_E_LIMIT, _E_LIMIT) on E.
 _FIELD_LIMIT = 1 << (_BITS - 1)
 _E_LIMIT = 1 << (_BITS - 2)
@@ -407,15 +418,8 @@ class DiffPoly:
         a, b = self._nums, other._nums
         if not a or not b:
             return DiffPoly.zero()
-        if len(a) > len(b):
-            a, b = b, a
         out: dict[int, int] = {}
-        get = out.get
-        b_items = b.items()
-        for ma, ca in a.items():
-            for mb, cb in b_items:
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
+        _scatter(out, a, b, 1)
         _check_fields(out)
         return DiffPoly._make(_nonzero(out), self._den * other._den)
 
@@ -529,8 +533,10 @@ class DiffPoly:
         product.  The terms are grouped by their part in the variables
         whose images have several terms, which Horner's rule then applies
         (see _horner) to integer numerators, each term pre-scaled by the
-        powers of the image denominators it lacks.  No image is substituted
-        again.
+        powers of the image denominators it lacks.  Unless E has a rule, a
+        term's own E exponent is held above every field meanwhile, then
+        added back and checked, so an intermediate product may leave E's
+        field where the result does not.  No image is substituted again.
         """
         if not rules:
             return self
@@ -546,18 +552,21 @@ class DiffPoly:
             if len(image._nums) < 2 or image._den != 1:
                 walk |= _MASK * u
         exp_rule = _E_UNIT in by_unit
+        held = 0  # nonzero when a term's own E exponent is held above its fields
         steps: dict[int, tuple] = {}  # e*u -> _power_step(image of u, e)
         groups: dict[int, dict[int, int]] = {}  # Horner part -> key -> numerator
         scaled = []  # (part, key, numerator, den) of the terms that need a den
         for m, c in self._nums.items():
             b = m + _DIGITS_BIAS
             rel = b & fields
+            e = (b >> _E_SHIFT & _MASK) - _E_DIGIT_BIAS
             if exp_rule:
-                e = (b >> _E_SHIFT & _MASK) - _E_DIGIT_BIAS
                 if e < 0:
                     raise ValueError("negative powers are not defined in the ring")
                 rel += e * _E_UNIT
-            key = m - rel  # every rule variable removed
+                e = 0
+            held |= e
+            key = m - rel - e * _E_TO_HELD  # every rule variable removed, E held
             dt = 1
             todo = rel & walk
             if todo:
@@ -594,6 +603,14 @@ class DiffPoly:
                 table = groups.setdefault(part, {})
                 table[key] = table.get(key, 0) + c * (den // dt)
         out = _horner(sorted(groups.items(), reverse=True), by_unit) if groups else {}
+        if held:
+            restored: dict[int, int] = {}
+            get = restored.get
+            for key, c in out.items():
+                key += ((key + _DIGITS_BIAS) >> _HELD_SHIFT) * _E_TO_HELD
+                restored[key] = get(key, 0) + c
+            _check_fields(restored)
+            out = restored
         return DiffPoly._make(_nonzero(out), self._den * den)
 
     # -- ordering and display ------------------------------------------------
@@ -686,22 +703,52 @@ def _horner(
             part, table = parts[i]
             runs.setdefault(part >> off, []).append((part & (u - 1), table))
             i += 1
-        g = images[u]._nums.items()
+        g = images[u]._nums
         acc = _horner(runs[top >> off], images)
         for e in range((top >> off) - 1, -1, -1):
             sub = runs.get(e)
             target = out if not e else _horner(sub, images) if sub else {}
-            get = target.get
-            for ma, ca in acc.items():
-                for mb, cb in g:
-                    k = ma + mb
-                    target[k] = get(k, 0) + ca * cb
+            _scatter(target, acc, g, 1)
             if e:
                 _check_fields(target)
                 acc = _nonzero(target)
     if n:
         _check_fields(out)
     return out
+
+
+def sum_of_products(terms: Iterable[tuple[DiffPoly, DiffPoly, int | Fraction]]) -> DiffPoly:
+    """The sum of w a b over the triples (a, b, w), w an int or a Fraction.
+
+    Every product is scattered into one table over one common denominator;
+    the keys are checked once, the cancelled ones too, so this raises
+    ExponentOverflow exactly when some a * b does, and the table is
+    normalised once.  The empty sum is zero.
+    """
+    terms = [(a, b, w, a._den * b._den * w.denominator) for a, b, w in terms]
+    den = lcm(*(d for *_, d in terms))
+    out: dict[int, int] = {}
+    for a, b, w, d in terms:
+        _scatter(out, a._nums, b._nums, w.numerator * (den // d))
+    _check_fields(out)
+    return DiffPoly._make(_nonzero(out), den)
+
+
+def _scatter(out: dict[int, int], a: dict[int, int], b: dict[int, int], f: int) -> None:
+    """out += f a b on numerator tables keyed by packed monomial, the factor
+    with fewer terms outermost; the one product loop.  Keys are not checked."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    b_items = b.items()
+    for ma, ca in a.items():
+        ca *= f
+        if not out:  # an empty table takes a row whole: its keys are distinct
+            out.update({ma + mb: ca * cb for mb, cb in b_items})
+            continue
+        for mb, cb in b_items:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
 
 
 def _widened(nums: dict[int, int], den: int, d: int) -> tuple[dict[int, int], int]:

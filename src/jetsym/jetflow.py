@@ -60,6 +60,7 @@ from .diffring import (
     jet,
     jet_poly,
     par,
+    sum_of_products,
     unit,
     unit_var,
 )
@@ -141,17 +142,10 @@ def prolongation_sums(F: DiffPoly, eta: DiffPoly, count: int) -> list[DiffPoly]:
     tower = [eta]
     for _ in partials[1:]:
         tower.append(x_derivative(tower[-1]))
-    sums = []
-    for i in range(count):
-        g = DiffPoly.zero()
-        for k in range(i, len(partials)):
-            coeff = partials[k]
-            if coeff:
-                if i and i != k:
-                    coeff = coeff * comb(k, i)
-                g = g + coeff * tower[k - i]
-        sums.append(g)
-    return sums
+    return [
+        sum_of_products((partials[k], tower[k - i], comb(k, i)) for k in range(i, len(partials)))
+        for i in range(count)
+    ]
 
 
 class EvolutionEquation:

@@ -37,20 +37,16 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from .diffring import (
-    T_VAR,
-    X_VAR,
     DiffPoly,
-    _check_fields,
-    _nonzero,
     exp_poly,
     jet_poly,
     par_poly,
+    sum_of_products,
     t_poly,
-    unit,
     x_poly,
 )
 from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation
@@ -104,36 +100,7 @@ _CHAIN_SEEDS = {
 
 _CHAINS: dict[tuple[Family, int, int], DiffPoly] = {}
 
-_ONE, _HALF = Fraction(1), Fraction(1, 2)
-_T_UNIT, _X_UNIT = unit(T_VAR), unit(X_VAR)
-
-# A source of a shifted sum: (value, packed monomial n, weight w) adds w n value.
-_Source = tuple[DiffPoly, int, Fraction]
-
-
-def _shifted_sum(sources: list[_Source]) -> DiffPoly:
-    """The sum of w n p over the sources (p, n, w), in one pass.
-
-    Each source's numerators are scattered at their keys shifted by n into
-    one table over a common denominator, which is normalised once.
-    """
-    den = lcm(*(p._den * w.denominator for p, _, w in sources))
-    weights = [w.numerator * (den // (p._den * w.denominator)) for p, _, w in sources]
-    (first, shift, _), f = sources[0], weights[0]
-    out = {m + shift: f * c for m, c in first._nums.items()}
-    get = out.get
-    for (p, shift, _), f in zip(sources[1:], weights[1:]):
-        for m, c in p._nums.items():
-            k = m + shift
-            out[k] = get(k, 0) + f * c
-    _check_fields(out)
-    return DiffPoly._make(_nonzero(out), den)
-
-
-def _times_multiplier(eq: EvolutionEquation, p: DiffPoly, sign: int) -> list[_Source]:
-    """The sources of sign M p, M the multiplier of eq's translation."""
-    m = TRANSLATION_MULTIPLIER[eq]
-    return [(p, n, Fraction(sign * c, m._den)) for n, c in m._nums.items()]
+_ONE, _T, _X = DiffPoly.const(1), t_poly(), x_poly()
 
 
 def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
@@ -156,24 +123,24 @@ def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
     if body is not None:
         return body
     eq, seed = _CHAIN_SEEDS[family]
+    multiplier = TRANSLATION_MULTIPLIER[eq]
     chain = _CHAINS
     chain.setdefault((family, 0, 0), seed)
     for j in range(1, k + l + 1):
         if (family, 0, j) not in chain:
             prev = chain[family, 0, j - 1]
-            sources = [(eq.dx(prev), 0, _ONE), *_times_multiplier(eq, prev, 1)]
-            chain[family, 0, j] = _shifted_sum(sources)
+            chain[family, 0, j] = sum_of_products([(_ONE, eq.dx(prev), 1), (multiplier, prev, 1)])
     for total in range(1, k + l + 1):
         for i in range(1, min(k, total) + 1):
             j = total - i
             if (family, i, j) not in chain:
-                sources = [
-                    (chain[family, i - 1, j + 1], _T_UNIT, _ONE),
-                    (chain[family, i - 1, j], _X_UNIT, _HALF),
+                terms = [
+                    (_T, chain[family, i - 1, j + 1], 1),
+                    (_X, chain[family, i - 1, j], Fraction(1, 2)),
                 ]
                 if i > 1:
-                    sources.append((chain[family, i - 2, j], _T_UNIT, Fraction(i - 1, 2)))
-                chain[family, i, j] = _shifted_sum(sources)
+                    terms.append((_T, chain[family, i - 2, j], Fraction(i - 1, 2)))
+                chain[family, i, j] = sum_of_products(terms)
     return chain[family, k, l]
 
 
@@ -185,11 +152,13 @@ def _q_body(family: Family, k: int, l: int) -> DiffPoly:
         return par_poly(0) * exp_poly(-1)
     if family is Family.BURGERS_Q:
         # D_x = T - M, and T c(k,l) = c(k,l+1) + (k/2) c(k-1,l) by the ladder
-        sources = [(family_seed_chain(family, k, l + 1), 0, _ONE)]
+        terms = [
+            (_ONE, family_seed_chain(family, k, l + 1), 1),
+            (TRANSLATION_MULTIPLIER[BURGERS], family_seed_chain(family, k, l), -1),
+        ]
         if k:
-            sources.append((family_seed_chain(family, k - 1, l), 0, Fraction(k, 2)))
-        sources += _times_multiplier(BURGERS, family_seed_chain(family, k, l), -1)
-        return _shifted_sum(sources)
+            terms.append((_ONE, family_seed_chain(family, k - 1, l), Fraction(k, 2)))
+        return sum_of_products(terms)
     return family_seed_chain(family, k, l)
 
 
@@ -246,16 +215,12 @@ def closed_form_bracket(family: Family, kl1, kl2):
     """The closed-form right side for [Q[k,l], Q[k',l']] in one family."""
     k, l = kl1
     kp, lp = kl2
-    body = None
-    for i in range(min(k, lp) + 1):
-        term = _q_body(family, k + kp - i, l + lp - i) * _binomial_weight(i, k, lp)
-        body = term if body is None else body + term
-    for i in range(min(kp, l) + 1):
-        term = _q_body(family, k + kp - i, l + lp - i) * _binomial_weight(i, kp, l)
-        body = -term if body is None else body - term
-    if body is None:
-        return DiffPoly.zero()
-    return body * _BRACKET_SCALE[family]
+    scale = _BRACKET_SCALE[family]
+    return sum_of_products(
+        (_ONE, _q_body(family, k + kp - i, l + lp - i), sign * _binomial_weight(i, a, b))
+        for sign, a, b in ((scale, k, lp), (-scale, kp, l))
+        for i in range(min(a, b) + 1)
+    )
 
 
 def structure_check(family: Family, idx1, idx2=None):

@@ -437,20 +437,6 @@ def test_ansatz_monomials_follow_mono_key(bounds):
     ansatz = Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)
     monos = ansatz.monomials()
     assert monos == sorted(set(monos), key=mono_key)
-    packed = [a * unit(T_VAR) + b * unit(X_VAR) + J for _, _, a, b, J in ansatz._enumerate()]
-    assert packed == sorted(packed, key=order_key)
-
-
-_bounds_to_4 = st.integers(-1, 4)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 4), _bounds_to_4, _bounds_to_4, _bounds_to_4)
-def test_enumerate_records_carry_the_order_key(order, jet_degree, x_degree, t_degree):
-    # each record's (degree, key), assembled from its t^a x^b and J parts,
-    # is the order key of the whole monomial
-    for degree, key, a, b, J in Ansatz(BURGERS, order, jet_degree, x_degree, t_degree)._enumerate():
-        assert (degree, key) == order_key(a * unit(T_VAR) + b * unit(X_VAR) + J)
 
 
 def test_ansatz_cap(monkeypatch):
@@ -466,11 +452,11 @@ def _assert_cap_counts_before_enumerating(eq, bounds, count, monkeypatch):
     ansatz = Ansatz(eq, *bounds)
     assert len(_level_system(ansatz).parts) == count
     monkeypatch.setattr(detsolve, "PART_CAP", count)
-    ansatz._enumerate()
+    ansatz.monomials()
     monkeypatch.setattr(detsolve, "PART_CAP", count - 1)
     message = f"^{count} ansatz parts exceed the cap {count - 1}$"
     with pytest.raises(AnsatzTooLarge, match=message):
-        ansatz._enumerate()
+        ansatz.monomials()
     with pytest.raises(AnsatzTooLarge, match=message):
         solve_symmetries(eq, *bounds)
 

@@ -5,6 +5,7 @@ Every jetsym command runs in a fresh interpreter, so the modules it imports
 are compiled and executed on every call; a command loads only those it runs.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -147,3 +148,28 @@ def test_only_json_output_loads_json():
     assert "json" not in all_loaded_modules("pass")
     assert "json" not in all_loaded_modules(_RUN_CLI, *gen, "text")
     assert "json" in all_loaded_modules(_RUN_CLI, *gen, "json")
+
+
+# The modules that work on polynomials only through the ring's public
+# operations; jetflow and detsolve walk packed keys by design.
+RING_CLIENTS = ["symfam", "colemap", "zeta", "opcalc", "checks", "cli"]
+_RING_INTERNALS = {"_nums", "_den", "_make"}
+
+
+@pytest.mark.parametrize("module", RING_CLIENTS)
+def test_a_ring_client_reads_no_ring_internals(module):
+    tree = ast.parse((SRC / "jetsym" / f"{module}.py").read_text())
+    private_imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("diffring", "jetsym.diffring")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    internal_reads = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _RING_INTERNALS
+    ]
+    assert private_imports == []
+    assert internal_reads == []

@@ -28,6 +28,7 @@ from jetsym.diffring import (
     jet,
     jet_poly,
     par,
+    sum_of_products,
     t_poly,
     x_poly,
 )
@@ -224,6 +225,55 @@ def test_substitute_raises_instead_of_wrapping(p, rules):
         p.substitute(rules)
 
 
+def test_substitute_holds_a_terms_own_exp_power_until_the_end():
+    # E^60 (E^5 + z1) leaves E's field, but the whole product fits
+    z0, z1, E = jet_poly(0), jet_poly(1), exp_poly
+    images = {jet(0): E(5) + z1, jet(1): E(-5) + E(-6) * t_poly()}
+    p = E(60) * z0 * z1
+    assert p.substitute(images) == (E(60) * images[jet(1)]) * images[jet(0)]
+    # the same through a one-term image, and with a power held below zero
+    assert p.substitute({**images, jet(0): 2 * E(5)}) == 2 * E(60) * images[jet(1)] * E(5)
+    assert (E(-60) * z0).substitute({jet(0): E(-3) + z1}) == E(-63) + E(-60) * z1
+
+
+@pytest.mark.parametrize(
+    "p, rules",
+    [
+        # the result's leading power is E^64
+        (
+            exp_poly(60) * jet_poly(0) * jet_poly(1),
+            {jet(0): exp_poly(5) + jet_poly(1), jet(1): exp_poly(-1) + t_poly()},
+        ),
+        (exp_poly(60) * jet_poly(0), {jet(0): 3 * exp_poly(4)}),
+        # E^-65
+        (exp_poly(-60) * jet_poly(0), {jet(0): exp_poly(-5) + jet_poly(1)}),
+    ],
+    ids=["horner", "shift", "below"],
+)
+def test_substitute_raises_when_a_held_exp_power_leaves_the_field(p, rules):
+    with pytest.raises(ExponentOverflow):
+        p.substitute(rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_with_large_exp_powers_matches_term_by_term(data):
+    # terms whose own E powers lie near the edge of the field, images with
+    # small E powers of both signs
+    pool = st.sampled_from([jet(0), jet(1), par(0)])
+    targets = data.draw(st.lists(pool, min_size=1, unique=True))
+    p = DiffPoly.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        power = data.draw(st.sampled_from((-61, -40, 40, 61)))
+        p = p + data.draw(polys(max_terms=2)) * exp_poly(power)
+    rules = {v: data.draw(polys(max_terms=3)) for v in targets}
+    try:
+        expected = term_by_term(p, rules)
+    except ExponentOverflow:
+        return
+    assert p.substitute(rules) == expected
+
+
 def test_substitute_rejects_rules_for_what_is_not_a_ring_variable():
     for p in (jet_poly(1) * x_poly() + 1, DiffPoly.zero()):
         with pytest.raises(JetLimitError, match="exceeds the cap"):
@@ -404,3 +454,58 @@ def test_constructor_rejects_what_it_cannot_pack():
         DiffPoly({((jet(0), Fraction(1, 2)),): 1})
     with pytest.raises(JetLimitError):
         DiffPoly({(((KIND_JET, 65), 1),): 1})
+
+
+_weights = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6))),
+)
+
+
+@st.composite
+def product_terms(draw):
+    """Up to four (a, b, w): ring polynomials, some shifted near either end
+    of E's field so that their products may leave it, and int or Fraction
+    weights, zero among them."""
+    def factor():
+        return draw(polys(max_terms=3)) * exp_poly(draw(st.sampled_from((-61, -31, 0, 0, 31, 61))))
+
+    return [(factor(), factor(), draw(_weights)) for _ in range(draw(st.integers(0, 4)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_terms())
+def test_sum_of_products_is_the_chained_sum(terms):
+    expected, overflows = DiffPoly.zero(), False
+    for a, b, w in terms:
+        try:
+            expected = expected + w * a * b
+        except ExponentOverflow:
+            overflows = True
+        # a zero weight hides an overflowing a * b from the chained sum
+        if not w and a and b:
+            try:
+                a * b
+            except ExponentOverflow:
+                overflows = True
+    if overflows:
+        with pytest.raises(ExponentOverflow):
+            sum_of_products(terms)
+    else:
+        assert sum_of_products(terms) == expected
+
+
+def test_sum_of_products_edge_cases():
+    z1, h2 = jet_poly(1), DiffPoly.variable(par(2))
+    assert sum_of_products([]) == DiffPoly.zero() and sum_of_products([])._den == 1
+    # a sum that cancels is zero over denominator 1
+    half = Fraction(1, 2)
+    cancelled = sum_of_products([(z1, h2, half), (h2 * half, z1, -1)])
+    assert cancelled == DiffPoly.zero() and cancelled._den == 1
+    # a cancelled key is still checked: E^64 leaves the field even at weight 0
+    with pytest.raises(ExponentOverflow):
+        sum_of_products([(exp_poly(32), exp_poly(32), 0)])
+    with pytest.raises(ExponentOverflow):
+        sum_of_products([(exp_poly(40), exp_poly(30), 1), (exp_poly(40), exp_poly(30), -1)])
+    product = sum_of_products([(exp_poly(40) + z1, exp_poly(-50), Fraction(2, 3))])
+    assert product == Fraction(2, 3) * (exp_poly(-10) + z1 * exp_poly(-50))
