@@ -536,7 +536,12 @@ class DiffPoly:
         powers of the image denominators it lacks.  Unless E has a rule, a
         term's own E exponent is held above every field meanwhile, then
         added back and checked, so an intermediate product may leave E's
-        field where the result does not.  No image is substituted again.
+        field where the result does not.  The images' products among
+        themselves are checked as they are formed, though: when they leave
+        E's field, this raises ExponentOverflow even where the term's own E
+        power would bring the result back, as (E^-60 z_0 z_1) with
+        z_0 -> E^40 + t and z_1 -> E^40 + x does.  No image is substituted
+        again.
         """
         if not rules:
             return self

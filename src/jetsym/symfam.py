@@ -13,10 +13,13 @@ equations the translation is T = D_x + M, with M = 0, w_1 and -v/2
 and T B^k = B^k T + (k/2) B^(k-1).  The entries c(k,l) = B^k T^l (seed)
 are therefore built by this commutator ladder: the column c(0,l) takes
 one D_x per entry, kept on the entry it differentiates (see
-jetflow.x_derivative), and every entry off the column, like the Burgers
-member D_x c(k,l), is a sum of earlier entries shifted by t or x, with no
-derivation.  The heat operators on h_0 build the right sides of the
-parameter brackets by the same ladder.
+jetflow.x_derivative), and every entry off the column is a sum of earlier
+entries shifted by t or x, with no derivation.  Since D_x t = 0 and
+D_x x = 1, the Burgers members D_x c(k,l) follow the same ladder among
+themselves, plus c(k-1,l)/2: Q[0,l] is the D_x the column keeps on c(0,l),
+and an order-n Burgers table reads the chain off the column only through
+total n - 1.  Every body lives in one table, _LADDER.  The heat operators
+on h_0 build the right sides of the parameter brackets by the same ladder.
 
 The heat and potential-Burgers equations additionally admit the parameter
 families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
@@ -98,15 +101,21 @@ _CHAIN_SEEDS = {
     Family.HEAT_Z: (HEAT, par_poly(0)),
 }
 
-_CHAINS: dict[tuple[Family, int, int], DiffPoly] = {}
+# The commutator ladder of every chain, filled by _ladder: family ->
+# {(k, l, d): D_x^d c(k,l)}, where d = 1 only for the Burgers members.  Every
+# family body but POT_Z's is read from here; clearing it resets them all.
+_LADDER: dict[Family, dict[tuple[int, int, int], DiffPoly]] = {}
 
 _ONE, _T, _X = DiffPoly.const(1), t_poly(), x_poly()
+
+# The one POT_Z member, h e^{-w}.
+_POT_Z_BODY = par_poly(0) * exp_poly(-1)
 
 
 def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
     """c(k,l) = boost^k translation^l (seed) of a family, cached.
 
-    This is Q[k,l] for heat and potential Burgers, the value before the
+    This is Q[k,l] for heat and potential Burgers, the value under the
     leading D_x for Burgers, and boost^k D_x^l h for HEAT_Z (for which only
     (0, 0), the seed h, is a family member).  The entries are built by the
     commutator ladder: with T = D_x + M and B = t T + x/2, [T, B] = 1/2, so
@@ -118,48 +127,64 @@ def family_seed_chain(family: Family, k: int, l: int) -> DiffPoly:
     differentiates.  A request fills the column through c(0,k+l), then the
     triangle {i <= k, i + j <= k + l} by total, iteratively, so deep
     indices need no recursion and no entry depends on the order of requests.
+    The Burgers members D_x c(k,l) follow a ladder of their own in the same
+    table (see _ladder).
     """
-    body = _CHAINS.get((family, k, l))
+    return _ladder(family, k, l, 0)
+
+
+def _ladder(family: Family, k: int, l: int, d: int) -> DiffPoly:
+    """D_x^d c(k,l), d = 0 or 1, filling _LADDER by total as above.
+
+    D_x is a derivation with D_x t = 0 and D_x x = 1, so applied to the
+    ladder of c(k,l) it gives the ladder of the members Q[k,l] = D_x c(k,l):
+
+        Q[0,l] = D_x c(0,l)   (the D_x that the column keeps on c(0,l)),
+        Q[k,l] = t (Q[k-1,l+1] + (k-1)/2 Q[k-2,l]) + x/2 Q[k-1,l]
+                 + 1/2 c(k-1,l)   (k >= 1).
+
+    A member of total n reads the column through c(0,n) and the chain rows
+    off it only through total n - 1.
+    """
+    table = _LADDER.setdefault(family, {})
+    body = table.get((k, l, d))
     if body is not None:
         return body
     eq, seed = _CHAIN_SEEDS[family]
+    if d:
+        _ladder(family, 0, k + l, 0)
+        if k:
+            _ladder(family, k - 1, l, 0)
+    table.setdefault((0, 0, 0), seed)
     multiplier = TRANSLATION_MULTIPLIER[eq]
-    chain = _CHAINS
-    chain.setdefault((family, 0, 0), seed)
-    for j in range(1, k + l + 1):
-        if (family, 0, j) not in chain:
-            prev = chain[family, 0, j - 1]
-            chain[family, 0, j] = sum_of_products([(_ONE, eq.dx(prev), 1), (multiplier, prev, 1)])
+    for j in range(k + l + 1):
+        if (0, j, d) not in table:
+            if d:
+                table[0, j, d] = eq.dx(table[0, j, 0])
+            else:
+                prev = table[0, j - 1, 0]
+                table[0, j, 0] = sum_of_products([(_ONE, eq.dx(prev), 1), (multiplier, prev, 1)])
     for total in range(1, k + l + 1):
         for i in range(1, min(k, total) + 1):
             j = total - i
-            if (family, i, j) not in chain:
+            if (i, j, d) not in table:
                 terms = [
-                    (_T, chain[family, i - 1, j + 1], 1),
-                    (_X, chain[family, i - 1, j], Fraction(1, 2)),
+                    (_T, table[i - 1, j + 1, d], 1),
+                    (_X, table[i - 1, j, d], Fraction(1, 2)),
                 ]
                 if i > 1:
-                    terms.append((_T, chain[family, i - 2, j], Fraction(i - 1, 2)))
-                chain[family, i, j] = sum_of_products(terms)
-    return chain[family, k, l]
+                    terms.append((_T, table[i - 2, j, d], Fraction(i - 1, 2)))
+                if d:
+                    terms.append((_ONE, table[i - 1, j, 0], Fraction(1, 2)))
+                table[i, j, d] = sum_of_products(terms)
+    return table[k, l, d]
 
 
-@lru_cache(maxsize=None)
 def _q_body(family: Family, k: int, l: int) -> DiffPoly:
-    if family is Family.HEAT_Z:
-        return family_seed_chain(family, 0, 0)
+    """The body of a family member: an entry of the ladder, or POT_Z's."""
     if family is Family.POT_Z:
-        return par_poly(0) * exp_poly(-1)
-    if family is Family.BURGERS_Q:
-        # D_x = T - M, and T c(k,l) = c(k,l+1) + (k/2) c(k-1,l) by the ladder
-        terms = [
-            (_ONE, family_seed_chain(family, k, l + 1), 1),
-            (TRANSLATION_MULTIPLIER[BURGERS], family_seed_chain(family, k, l), -1),
-        ]
-        if k:
-            terms.append((_ONE, family_seed_chain(family, k - 1, l), Fraction(k, 2)))
-        return sum_of_products(terms)
-    return family_seed_chain(family, k, l)
+        return _POT_Z_BODY
+    return _ladder(family, k, l, int(family is Family.BURGERS_Q))
 
 
 def q_char(family: Family, k: int = 0, l: int = 0) -> Characteristic:

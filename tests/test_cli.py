@@ -179,6 +179,9 @@ def test_solve_bytes_are_pinned_at_orders_4_and_5(argv, digest, capsys):
 
 
 _GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
+# the nine order-12 tables of the gen benchmark, with the digests of
+# perfbench/expected.json
+_GEN_12_ARGS = ["gen", "--max-order", "12", "--eq"]
 
 
 @pytest.mark.parametrize(
@@ -206,9 +209,9 @@ _GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
          "20216dd407bf6875462df98dd65d85c715c5edf350640a67fc4b7fc18f9d0e21"),
         (["verify", "--suite", "commutators", "--max-order", "4"],
          "114fcda14a043668983f1d34588b1972d16149ec911f4bdee1ab1e3a85353576"),
-        (["gen", "--max-order", "12", "--eq", "potburgers", "--format", "json"],
+        (_GEN_12_ARGS + ["potburgers", "--format", "json"],
          "1ede1b62f33c247ac3aec2b3beb07358a6df18954f1937b370459dba434f53b2"),
-        (["gen", "--max-order", "12", "--eq", "burgers", "--format", "json"],
+        (_GEN_12_ARGS + ["burgers", "--format", "json"],
          "131692dc53f5eac3efce4f25323c5c032a987204e18ceea2cee43ea5b1810077"),
         (["verify", "--suite", "invariance", "--max-order", "9"],
          "9e5162e3be62c13654a1a16635f7bd9bee5ef8d9cdab29b1372c48ce5bc5eab2"),
@@ -220,6 +223,20 @@ _GEN_ARGS = ["gen", "--max-order", "8", "--eq"]
          "bdc366748d94a107f7c720aec4ccc2cd40f90122b3111f745c30d371facd2647"),
         (["verify", "--suite", "commutators", "--max-order", "5"],
          "095ecaa95e1e63ebb6c6b833051963fd43280b8b2b81f827284a641949e3c302"),
+        (_GEN_12_ARGS + ["heat", "--format", "text"],
+         "a696aaa42fbd9e9bdd910f4ea99c14b935525f5c7449b5e06f8ab8c117520b86"),
+        (_GEN_12_ARGS + ["heat", "--format", "latex"],
+         "e27c043b3bdefd488f7d1d0bd580a1582f7640f9541931aa6377cc8c691d2b84"),
+        (_GEN_12_ARGS + ["heat", "--format", "json"],
+         "8ae6f6ac9551434498698e58ec2d659568a1c1b4d5d28f9de5fe043c8f1aa4f2"),
+        (_GEN_12_ARGS + ["potburgers", "--format", "text"],
+         "e0e714c722a60df8d82ad4a50bfa20be64885c8bb505ab167325f2d277677ac1"),
+        (_GEN_12_ARGS + ["potburgers", "--format", "latex"],
+         "fbe49f8138b25fc76fdb762365d1207426d4f88f524d35ada0d7118e45486df0"),
+        (_GEN_12_ARGS + ["burgers", "--format", "text"],
+         "a2da14408f8ad8bfd820f5dca2819da3a33a789389f0b0ee1777e31e00bb978b"),
+        (_GEN_12_ARGS + ["burgers", "--format", "latex"],
+         "719f45e13f48ed236810fede2b7081466f80bc7e0f0c1f97d9fc8490bea164b4"),
     ],
 )
 def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
@@ -273,6 +290,12 @@ def run_child(argv, timeout=None):
     return int(code), digest, int(rss_kib) / 1024
 
 
+# Bounds on the whole-process peak of the order-16 Burgers tables: the peaks
+# measured with CPython 3.11 on x86-64 Linux (39.5 MB for JSON, 35.5 MB for
+# text) plus about 15 %.
+_ORDER_CAP_PEAK_MB = {"json": 46, "text": 41}
+
+
 @pytest.mark.parametrize(
     "fmt, digest",
     [
@@ -289,7 +312,7 @@ def test_gen_bytes_are_pinned_at_the_order_cap(fmt, digest):
     assert got == digest
     # gen streams the document; holding the 40.8 MB JSON text in memory
     # takes the process past 150 MB
-    assert peak_mb < 60
+    assert peak_mb < _ORDER_CAP_PEAK_MB[fmt]
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ from conftest import make_random_poly, term_by_term
 from jetsym.diffring import (
     EXP_VAR,
     DiffPoly,
+    ExponentOverflow,
     JetLimitError,
     NEG_INF,
     T_VAR,
     X_VAR,
+    exp_poly,
     jet,
     jet_poly,
     par,
@@ -53,6 +55,15 @@ def test_substitute_pushforward_step():
     w1sq = z1 * z1
     image = w1sq.substitute({jet(1): Fraction(-1, 2) * z0})
     assert image == Fraction(1, 4) * z0 * z0
+
+
+@pytest.mark.xfail(raises=ExponentOverflow, strict=True)
+def test_substitute_images_whose_products_leave_the_e_field():
+    # Horner's rule forms E^80 from the two images before the term's own
+    # E^-60 is added back; the result itself lies inside E's field
+    E = exp_poly
+    image = (E(-60) * z0 * z1).substitute({jet(0): E(40) + t, jet(1): E(40) + x})
+    assert image == t * x * E(-60) + (x + t) * E(-20) + E(20)
 
 
 def test_substitute_identity_and_zero():

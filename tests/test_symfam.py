@@ -275,8 +275,7 @@ def _ladder_entry(family, k, l):
 
 
 def _clear_family_caches():
-    symfam._q_body.cache_clear()
-    symfam._CHAINS.clear()
+    symfam._LADDER.clear()
 
 
 def test_family_entries_match_one_composed_operator():
@@ -341,8 +340,8 @@ def test_deep_family_index_stops_at_the_jet_cap():
 
 def test_ladder_takes_one_dx_per_column_entry(monkeypatch):
     # only the column differentiates: c(0,j) = T c(0,j-1) keeps D_x c(0,j-1)
-    # on c(0,j-1), and neither the entries with k >= 1 nor the Burgers
-    # member D_x c(k,l) take one
+    # on c(0,j-1), the Burgers member Q[0,j] is that kept D_x, and no entry
+    # with k >= 1, chain or member, takes one
     from jetsym import jetflow
 
     _clear_family_caches()
@@ -359,10 +358,47 @@ def test_ladder_takes_one_dx_per_column_entry(monkeypatch):
     entries = list(index_range(6))
     for k, l in entries:
         q_char(Family.BURGERS_Q, k, l)
-    # Q[k,l] reads c(k,l+1), so the column reaches c(0,7): 7 derivations
+    # the column reaches c(0,6), and Q[0,6] takes the seventh derivation
     column = [family_seed_chain(Family.BURGERS_Q, 0, j) for j in range(7)]
     assert len(derived) == 7
     assert all(p is c for p, c in zip(derived, column))
     monkeypatch.undo()
     for k, l in entries:
         assert q_char(Family.BURGERS_Q, k, l).body == _from_scratch(Family.BURGERS_Q, k, l)
+
+
+def test_burgers_members_are_the_x_derivatives_of_the_chain():
+    # the member ladder against the definition Q[k,l] = D_x c(k,l), whose
+    # D_x runs on the chain entry and shares no sum with the member ladder
+    for k, l in index_range(12):
+        member = q_char(Family.BURGERS_Q, k, l).body
+        assert member == BURGERS.dx(family_seed_chain(Family.BURGERS_Q, k, l)), (k, l)
+
+
+def test_burgers_member_sums_cancel_nothing(monkeypatch):
+    # no ring sum that builds the order-12 Burgers table cancels an entry:
+    # the member ladder, like the chain's, adds only terms that survive
+    from jetsym import diffring
+
+    _clear_family_caches()
+    real = diffring._nonzero
+    cancelled = []
+    monkeypatch.setattr(
+        diffring,
+        "_nonzero",
+        lambda nums: (0 in nums.values() and cancelled.append(nums)) or real(nums),
+    )
+    for k, l in index_range(12, include_origin=False):
+        q_char(Family.BURGERS_Q, k, l)
+    assert cancelled == []
+
+
+@pytest.mark.parametrize("order", [1, 6, 12])
+def test_burgers_table_builds_the_chain_only_below_its_order(order):
+    # the members of total n read the chain off the column through total
+    # n - 1 and the column through c(0,n), and the table holds nothing else
+    _clear_family_caches()
+    for k, l in index_range(order, include_origin=False):
+        q_char(Family.BURGERS_Q, k, l)
+    chain = {(k, l) for k, l, d in symfam._LADDER[Family.BURGERS_Q] if not d}
+    assert chain == set(index_range(order - 1)) | {(0, order)}
