@@ -6,8 +6,8 @@ given bounds and prints one PASS or FAIL line per check and a summary.  The
 default bound and the cap of each suite belong to the command line and live
 in jetsym.cli, which this module does not import: python -m jetsym.cli runs
 cli as __main__, and an import of jetsym.cli here would execute it again.
-Only the maps suite calls colemap and only the zeta suite calls zeta, so
-each imports its module itself.
+Only the recursion suite calls opcalc, only the maps suite colemap and
+only the zeta suite zeta, so each imports its module itself.
 """
 
 from __future__ import annotations
@@ -19,19 +19,6 @@ from typing import NamedTuple
 
 from .diffring import DiffPoly, T_VAR, X_VAR, jet, par
 from .jetflow import BURGERS, HEAT, invariance_residual
-from .opcalc import (
-    Compose,
-    Scale,
-    Sum,
-    apply,
-    boost_op,
-    commutator_op,
-    op_scale,
-    operator_identity_probe,
-    potential_defect_op,
-    recursion_ops,
-    translation_op,
-)
 from .symfam import (
     FAMILY_EQUATION,
     Q_FAMILIES,
@@ -158,6 +145,20 @@ def suite_commutators(max_order: int) -> list[CheckResult]:
 
 
 def suite_recursion(max_order: int) -> list[CheckResult]:
+    from .opcalc import (
+        Compose,
+        Scale,
+        Sum,
+        apply,
+        boost_op,
+        commutator_op,
+        op_scale,
+        operator_identity_probe,
+        potential_defect_op,
+        recursion_ops,
+        translation_op,
+    )
+
     out = []
     r1, r2 = recursion_ops()
 

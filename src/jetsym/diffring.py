@@ -30,7 +30,8 @@ by unit.  substitute maps v^e under a one-term image c n to c^e times a
 shift of the key by n^e, and evaluates the images with several terms by
 Horner's rule over the terms grouped by their part in those variables, so
 that sums are merged before they are multiplied; each term's own power
-of E is held above every field until the rule has run, so that only the
+of E is held above every field until the rule has run, and the images'
+powers too when their products leave E's field, so that only the
 result's exponents must fit.
 
 At the edges monomials appear as tuples of ((kind, index), exponent) pairs
@@ -173,8 +174,9 @@ _NSLOTS = len(_SLOT_VARS)
 _GUARD = int.from_bytes(bytes([1 << (_BITS - 1)]) * _NSLOTS, "little")
 _E_MASK = _MASK << _E_SHIFT
 _E_UNIT = 1 << _E_SHIFT
-# substitute holds a term's own E exponent e at e << _HELD_SHIFT, above every
-# field, while Horner's rule runs; adding e * _E_TO_HELD to a key moves it back.
+# substitute holds an E exponent e of a term or an image at e << _HELD_SHIFT,
+# above every field, while Horner's rule runs; adding e * _E_TO_HELD to a key
+# moves it back.
 _HELD_SHIFT = _NSLOTS * _BITS
 _E_TO_HELD = _E_UNIT - (1 << _HELD_SHIFT)
 # Valid exponents: [0, _FIELD_LIMIT) off E, [-_E_LIMIT, _E_LIMIT) on E.
@@ -536,16 +538,26 @@ class DiffPoly:
         powers of the image denominators it lacks.  Unless E has a rule, a
         term's own E exponent is held above every field meanwhile, then
         added back and checked, so an intermediate product may leave E's
-        field where the result does not.  The images' products among
-        themselves are checked as they are formed, though: when they leave
-        E's field, this raises ExponentOverflow even where the term's own E
-        power would bring the result back, as (E^-60 z_0 z_1) with
-        z_0 -> E^40 + t and z_1 -> E^40 + x does.  No image is substituted
-        again.
+        field where the result does not.  When the images' products among
+        themselves leave it, the rule runs again with each image's own E
+        exponent held too, so only the result must fit E's field, as in
+        (E^-60 z_0 z_1) with z_0 -> E^40 + t and z_1 -> E^40 + x.  A held
+        exponent makes every key a long integer, which is why the images'
+        are held only then.  No image is substituted again.
         """
         if not rules:
             return self
         by_unit = {unit(v): image for v, image in rules.items()}
+        try:
+            return self._substitute(by_unit, 0)
+        except ExponentOverflow:
+            held = {u: _held_exp(image) for u, image in by_unit.items() if image.has_kind(KIND_EXP)}
+            if not held:
+                raise
+            return self._substitute({**by_unit, **held}, 1)
+
+    def _substitute(self, by_unit: dict[int, "DiffPoly"], held: int) -> "DiffPoly":
+        """substitute by images keyed by unit; held is nonzero when they hold E."""
         # The fields of the rule variables other than E, of those whose
         # images have several terms, and of those whose powers have a step.
         fields = horner = walk = 0
@@ -557,7 +569,6 @@ class DiffPoly:
             if len(image._nums) < 2 or image._den != 1:
                 walk |= _MASK * u
         exp_rule = _E_UNIT in by_unit
-        held = 0  # nonzero when a term's own E exponent is held above its fields
         steps: dict[int, tuple] = {}  # e*u -> _power_step(image of u, e)
         groups: dict[int, dict[int, int]] = {}  # Horner part -> key -> numerator
         scaled = []  # (part, key, numerator, den) of the terms that need a den
@@ -670,6 +681,13 @@ def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
                 out[k] = get(k, 0) + cc * ic
     _check_fields(out)
     return DiffPoly._make(_nonzero(out), p._den * image_den)
+
+
+def _held_exp(image: DiffPoly) -> DiffPoly:
+    """image with the E exponent e of each key held at e << _HELD_SHIFT."""
+    return DiffPoly._make(
+        {m - _field(m, _E_SHIFT) * _E_TO_HELD: c for m, c in image._nums.items()}, image._den
+    )
 
 
 def _power_step(image: DiffPoly, e: int) -> tuple:

@@ -36,7 +36,7 @@ and each coefficient of t^a x^b reads the tails of the levels above it.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .diffring import (
@@ -99,6 +99,67 @@ def x_derivative(p: DiffPoly) -> DiffPoly:
     if dx is None:
         dx = p._dx = derive(p, _DX_IMAGES, _dx_image)
     return dx
+
+
+def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:
+    """A g with D_x g = p, or None when p is not a total x-derivative.
+
+    p must be free of h_j and E; g has no integration constant beyond what
+    the jets fix (opcalc.dx_preimage pins the kernel branch).  The
+    remainder is one numerator table over one denominator.  Per jet order
+    k, from the top down, one pass reads the terms that carry z_k (None if
+    one carries it squared) and integrates them in z_{k-1} into that
+    order's piece over one lcm of the divisors; D_x of the piece, taken in
+    place off the table, cancels them and brings no higher jet.  What is
+    left must be free of z_0, and its x-antiderivative is the last piece.
+    The piece of order k carries z_{k-1} and no higher jet, so the pieces
+    share no monomial and g is their union.
+    """
+    rest, den = dict(p._nums), p._den
+    pieces = []
+    top = p.order()
+    for k in range(top if top > 0 else 0, 0, -1):
+        u = unit(jet(k))
+        off = u.bit_length() - 1
+        below = off - 2 * _BITS  # z_{k-1}'s field
+        moved = []  # (key integrated in z_{k-1}, numerator, divisor)
+        for m, c in rest.items():
+            e = m >> off & _MASK
+            if e:
+                if e > 1:
+                    return None
+                moved.append((m - u + (1 << below), c, (m >> below & _MASK) + 1))
+        if not moved:
+            continue
+        lead = lcm(*(d for *_, d in moved))
+        nums = {m: c * (lead // d) for m, c, d in moved}
+        _check_fields(nums)
+        piece = DiffPoly._make(nums, den * lead)
+        pieces.append(piece)
+        dx = derive(piece, _DX_IMAGES, _dx_image)
+        d = dx._den
+        if den % d:
+            rest, den = _widened(rest, den, d)
+        f = den // d
+        get = rest.get
+        for m, c in dx._nums.items():
+            c = get(m, 0) - c * f
+            if c:
+                rest[m] = c
+            else:
+                del rest[m]
+    # The pass of order k leaves no jet above z_{k-1}, so only z_0 can be
+    # left, and a tail that carries it is not a derivative.
+    tail = DiffPoly._make(rest, den)
+    if tail.degree(jet(0)):
+        return None
+    pieces.append(tail.integrate(X_VAR))
+    lead = lcm(*(q._den for q in pieces))
+    nums = {}
+    for q in pieces:
+        f = lead // q._den
+        nums.update((m, c * f) for m, c in q._nums.items())
+    return DiffPoly._make(nums, lead)
 
 
 # d/dz_0: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}), every other

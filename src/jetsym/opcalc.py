@@ -17,7 +17,11 @@ families.
 D_x^{-1} is only ever applied to total x-derivatives; membership is
 certified by the Euler operator (variational derivative), which vanishes
 exactly on the image of D_x for polynomials with polynomial (t, x)
-coefficients.
+coefficients.  dx_preimage integrates from one numerator table, one pass
+per jet order (jetflow.x_antiderivative), and operator_identity_probe
+normalizes both sides first (normalize_op), so that a sum of terms that
+all start with D_x^{-1}, as the [R1, R2] commutator does, takes one
+preimage per probe.
 
 The kernel of D_x on this ring consists of the polynomials in t alone, so a
 preimage is only determined up to such terms.  dx_preimage pins the branch
@@ -40,7 +44,6 @@ from .diffring import (
     KIND_T,
     KIND_X,
     T_VAR,
-    X_VAR,
     Record,
     jet,
     t_poly,
@@ -51,6 +54,7 @@ from .jetflow import (
     EvolutionEquation,
     invariance_residual,
     jet_partials,
+    x_antiderivative,
     x_derivative,
 )
 from .symfam import TRANSLATION_MULTIPLIER
@@ -233,42 +237,18 @@ def integrability_certificate(p: DiffPoly) -> IntegrabilityCertificate:
 def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
     """Return g with D_x(g) = p, for p in the image of D_x.
 
-    The jet part is integrated by peeling the top jet variable (p must be
-    linear in it), the jet-free remainder is integrated with respect to x,
-    and the kernel branch is fixed as described in the module docstring.
-    Raises NotATotalDerivative when p is not a total x-derivative.
+    The jets are integrated from one numerator table, one pass per jet
+    order (jetflow.x_antiderivative: p must be linear in its top jet at
+    each step, and the jet-free rest is integrated with respect to x), and
+    the kernel branch is fixed as described in the module docstring.
+    Raises NotATotalDerivative, carrying euler_residual(p), when p is not a
+    total x-derivative.
     """
     if p.has_kind(KIND_PAR) or p.has_kind(KIND_EXP):
         raise ValueError("formal integration requires a polynomial free of h_j and e^w")
-
-    def fail() -> NotATotalDerivative:
-        return NotATotalDerivative(
-            "polynomial is not a total x-derivative", euler_residual(p)
-        )
-
-    g = DiffPoly.zero()
-    cur = p
-    while True:
-        top = cur.order()
-        if top < 0:
-            piece = cur.integrate(X_VAR)
-            g = g + piece
-            cur = cur - x_derivative(piece)
-            if not cur.is_zero():
-                raise fail()
-            break
-        if top == 0:
-            raise fail()
-        top = int(top)
-        v_top = jet(top)
-        if cur.degree(v_top) > 1:
-            raise fail()
-        coeff = cur.partial(v_top)
-        piece = coeff.integrate(jet(top - 1))
-        g = g + piece
-        cur = cur - x_derivative(piece)
-        if cur.order() >= top:
-            raise fail()
+    g = x_antiderivative(p)
+    if g is None:
+        raise NotATotalDerivative("polynomial is not a total x-derivative", euler_residual(p))
 
     # Fix the t-only kernel branch via the potential defect
     # D_t g - sum_{k>=1} (dL/dz_k) D_x^k g.  When every term of L carries a
@@ -287,7 +267,8 @@ def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
 
 
 def normalize_op(op: OperatorExpr) -> OperatorExpr:
-    """Flatten compositions and cancel D_x^{-1} D_x pairs.
+    """Flatten compositions, cancel D_x^{-1} D_x pairs, and apply a common
+    first node of a sum's terms once.
 
     On the reduced ring D_x has the nontrivial kernel of t-only
     polynomials, so a preimage followed by D_x recovers the input exactly
@@ -297,9 +278,19 @@ def normalize_op(op: OperatorExpr) -> OperatorExpr:
     which both cancellations are exact; this normalization realizes that
     convention at the AST level, leaving operator application itself
     untouched.
+
+    A sum whose terms are all compositions applying the same node X first
+    becomes (sum of the rests) X, which is exact for any X, since X(p) is
+    one value: the [R1, R2] probe takes one D_x^{-1} instead of two.
     """
     if isinstance(op, Sum):
-        return Sum(tuple(normalize_op(sub) for sub in op.ops))
+        ops = tuple(normalize_op(sub) for sub in op.ops)
+        if len(ops) > 1 and all(isinstance(sub, Compose) and sub.ops for sub in ops):
+            first = ops[0].ops[-1]
+            if all(sub.ops[-1] == first for sub in ops[1:]):
+                rests = Sum(tuple(Compose(sub.ops[:-1]) for sub in ops))
+                return normalize_op(Compose((rests, first)))
+        return Sum(ops)
     if isinstance(op, Compose):
         flat: list[OperatorExpr] = []
         for sub in op.ops:

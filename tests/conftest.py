@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 
 from jetsym.diffring import (
+    KIND_EXP,
+    KIND_PAR,
+    KIND_T,
+    KIND_X,
     DiffPoly,
     T_VAR,
     X_VAR,
@@ -14,8 +18,18 @@ from jetsym.diffring import (
     par,
     tx_factors,
 )
-from jetsym.jetflow import EvolutionEquation, invariance_residual
-from jetsym.opcalc import Compose, Dx, DxInv, MulBy, Sum, apply, op_power
+from jetsym.jetflow import EvolutionEquation, invariance_residual, x_derivative
+from jetsym.opcalc import (
+    Compose,
+    Dx,
+    DxInv,
+    MulBy,
+    NotATotalDerivative,
+    Sum,
+    apply,
+    euler_residual,
+    op_power,
+)
 
 # The Korteweg-de Vries equation u_t = u_xxx + u u_x: third order, so its
 # residual images carry the tails up to G_3.
@@ -47,6 +61,48 @@ def kdv_hierarchy(order):
     while hierarchy[-1].order() + 2 <= order:
         hierarchy.append(apply(LENARD, KDV, hierarchy[-1]))
     return hierarchy
+
+
+def dx_preimage_reference(eq, p):
+    """The reference for opcalc.dx_preimage, on immutable whole polynomials.
+
+    Peels the top jet one order at a time (p must be linear in it) by
+    partial, integrate and a subtraction of D_x of the piece, integrates
+    the jet-free remainder in x, and fixes the kernel branch as dx_preimage
+    does.  Raises as dx_preimage does, but leaves the D_x slot empty.
+    """
+    if p.has_kind(KIND_PAR) or p.has_kind(KIND_EXP):
+        raise ValueError("formal integration requires a polynomial free of h_j and e^w")
+
+    def fail():
+        return NotATotalDerivative("polynomial is not a total x-derivative", euler_residual(p))
+
+    g = DiffPoly.zero()
+    cur = p
+    while True:
+        top = cur.order()
+        if top < 0:
+            piece = cur.integrate(X_VAR)
+            g = g + piece
+            cur = cur - x_derivative(piece)
+            if not cur.is_zero():
+                raise fail()
+            break
+        if top == 0:
+            raise fail()
+        v_top = jet(top)
+        if cur.degree(v_top) > 1:
+            raise fail()
+        piece = cur.partial(v_top).integrate(jet(top - 1))
+        g = g + piece
+        cur = cur - x_derivative(piece)
+        if cur.order() >= top:
+            raise fail()
+    rhs_jet_free = eq.rhs.restrict_to_kinds((KIND_X, KIND_EXP))
+    part = g if rhs_jet_free else g.restrict_to_kinds((KIND_T, KIND_X))
+    defect = invariance_residual(eq, part) + eq.rhs.partial(jet(0)) * part
+    sigma = defect.restrict_to_kinds((KIND_T,))
+    return g - sigma.integrate(T_VAR) if sigma else g
 
 
 def make_random_poly(rng, max_jet=3, with_par=False, max_terms=4, max_exp=2, max_factors=3):

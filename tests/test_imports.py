@@ -125,10 +125,25 @@ def test_an_export_loads_only_its_module(module):
         ),
         (["solve", "--order", "2"], ["detsolve"], ["checks", "zeta", "colemap", "opcalc"]),
         (["map", "--k", "0", "--l", "1"], ["colemap"], ["checks", "zeta", "detsolve", "opcalc"]),
-        (["verify", "--suite", "maps", "--max-order", "1"], ["checks"], ["detsolve"]),
+        (["verify", "--suite", "maps", "--max-order", "1"], ["checks"], ["detsolve", "opcalc"]),
         (
             ["verify", "--suite", "commutators", "--max-order", "1"],
             ["checks"],
+            ["detsolve", "colemap", "zeta", "opcalc"],
+        ),
+        (
+            ["verify", "--suite", "invariance", "--max-order", "1"],
+            ["checks"],
+            ["detsolve", "colemap", "zeta", "opcalc"],
+        ),
+        (
+            ["verify", "--suite", "zeta", "--max-order", "1"],
+            ["checks", "zeta"],
+            ["detsolve", "colemap", "opcalc"],
+        ),
+        (
+            ["verify", "--suite", "recursion", "--max-order", "1"],
+            ["checks", "opcalc"],
             ["detsolve", "colemap", "zeta"],
         ),
     ],

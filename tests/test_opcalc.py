@@ -3,9 +3,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import KDV, kdv_hierarchy, make_random_poly, random_poly_stream
-from jetsym.diffring import KIND_T, T_VAR, DiffPoly, derive, exp_poly, jet, jet_poly, t_poly, x_poly
+import jetsym.jetflow as jetflow
+import jetsym.opcalc as opcalc
+from conftest import (
+    KDV,
+    dx_preimage_reference,
+    kdv_hierarchy,
+    make_random_poly,
+    random_poly_stream,
+)
+from jetsym.diffring import (
+    KIND_T,
+    T_VAR,
+    X_VAR,
+    DiffPoly,
+    derive,
+    exp_poly,
+    jet,
+    jet_poly,
+    t_poly,
+    x_poly,
+)
 from jetsym.jetflow import (
     _DX_IMAGES,
     BURGERS,
@@ -14,6 +35,7 @@ from jetsym.jetflow import (
     EvolutionEquation,
     _dx_image,
     invariance_residual,
+    x_antiderivative,
 )
 from jetsym.opcalc import (
     Compose,
@@ -178,6 +200,61 @@ def test_preimage_branch_when_the_equation_has_a_jet_free_term():
         assert dx_preimage(forced, forced.dx(g)) == _branch_from_full_defect(forced, g), str(g)
 
 
+_JET_POOL = [T_VAR, X_VAR, jet(0), jet(1), jet(2), jet(3)]
+_PREIMAGE_EQUATIONS = st.sampled_from([HEAT, POTBURGERS, BURGERS, KDV])
+
+
+@st.composite
+def _jet_polys(draw, max_terms=5, pool=_JET_POOL):
+    # t and x powers up to 3, jets squared at most, so that both the
+    # linear top jets of a derivative and the squared ones that refuse occur
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+        mono = [(v, draw(st.integers(1, 3 if v in (T_VAR, X_VAR) else 2))) for v in chosen]
+        num = draw(st.integers(-9, 9).filter(bool))
+        terms[tuple(sorted(mono))] = Fraction(num, draw(st.integers(1, 6)))
+    return DiffPoly(terms)
+
+
+def _preimage_outcome(preimage, eq, p):
+    """The preimage, or the Euler residual that its refusal carries."""
+    try:
+        return preimage(eq, p)
+    except NotATotalDerivative as exc:
+        return ("refused", exc.euler_residual)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PREIMAGE_EQUATIONS, _jet_polys())
+def test_preimage_of_a_derivative_matches_the_peel_oracle(eq, q):
+    p = eq.dx(q)
+    g = dx_preimage(eq, p)
+    assert g == dx_preimage_reference(eq, p)
+    assert g._dx is p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PREIMAGE_EQUATIONS, _jet_polys(), _jet_polys(max_terms=3))
+def test_preimage_off_the_derivatives_matches_the_peel_oracle(eq, q, r):
+    p = eq.dx(q) + r
+    outcome = _preimage_outcome(dx_preimage, eq, p)
+    assert outcome == _preimage_outcome(dx_preimage_reference, eq, p)
+    if isinstance(outcome, tuple):
+        assert outcome[1] == euler_residual(p) != 0
+    else:
+        assert eq.dx(outcome) == p
+
+
+def test_a_squared_top_jet_is_refused_before_any_derivative(monkeypatch):
+    # the refusal is the early exit: the z_0 check would refuse the same
+    # input, but only after a D_x per jet order
+    calls = []
+    monkeypatch.setattr(jetflow, "derive", lambda *args: calls.append(args))
+    assert x_antiderivative(z(3) ** 2 + z(2) * z(1)) is None
+    assert calls == []
+
+
 def test_kdv_lenard_hierarchy():
     # K_{j+2} = R K_j with the Lenard operator R (conftest.LENARD)
     k1, k3, k5, k7 = kdv_hierarchy(7)
@@ -297,6 +374,82 @@ def test_normalize_cancels_inverse_pairs():
     assert flat == Compose((Dx(), MulBy(z(0))))  # middle DxInv Dx pair collapsed
     p = z(0) * z(1) + t * z(2)
     assert apply(flat, BURGERS, p) == BURGERS.dx(z(0) * p)
+
+
+_FACTORS = st.sampled_from([t, x, z(0), z(1), 1 + z(0), x - t * z(1)])
+_SCALES = st.sampled_from([Fraction(-1), half, Fraction(3)])
+
+
+def _sharing_first(terms_and_node):
+    """A sum of the given operators, each then composed after one shared node."""
+    terms, node = terms_and_node
+    return Sum(tuple(Compose((term, node)) for term in terms))
+
+
+# Operators without D_x^{-1}, some of them sums whose terms apply the same node first.
+_LOCAL_OPS = st.recursive(
+    st.one_of(st.just(Dx()), st.builds(MulBy, _FACTORS), st.builds(Scale, _SCALES)),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda ops: Sum(tuple(ops))),
+        st.lists(kids, max_size=3).map(lambda ops: Compose(tuple(ops))),
+        st.tuples(st.lists(kids, min_size=2, max_size=3), kids).map(_sharing_first),
+    ),
+    max_leaves=6,
+)
+
+# D_x^{-1} only ever applied first, to the input: no D_x^{-1} D_x pair can
+# form, so normalization only flattens and shares first nodes, and no
+# preimage is asked of a non-derivative.
+_OPS = st.recursive(
+    st.one_of(_LOCAL_OPS, _LOCAL_OPS.map(lambda op: Compose((op, DxInv())))),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda ops: Sum(tuple(ops))),
+        st.tuples(_LOCAL_OPS, kids).map(Compose),
+        st.tuples(st.lists(_LOCAL_OPS, min_size=2, max_size=3), st.just(DxInv())).map(
+            _sharing_first
+        ),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_OPS, _jet_polys(max_terms=3, pool=[T_VAR, X_VAR, jet(0), jet(1)]))
+def test_normalize_keeps_the_value_on_derivatives(op, q):
+    p = BURGERS.dx(q)
+    assert apply(normalize_op(op), BURGERS, p) == apply(op, BURGERS, p)
+
+
+def test_normalize_applies_a_shared_first_node_once():
+    a, b = Compose((Dx(), MulBy(z(0)))), MulBy(x)
+    op = Sum((Compose((a, DxInv())), Compose((Scale(half), b, DxInv()))))
+    assert normalize_op(op) == Compose(
+        (Sum((Compose((Dx(), MulBy(z(0)))), Compose((Scale(half), b)))), DxInv())
+    )
+    # a term that is not a composition, or another first node, keeps the sum
+    assert normalize_op(Sum((DxInv(), Compose((b, DxInv()))))) == Sum(
+        (DxInv(), Compose((b, DxInv())))
+    )
+    assert normalize_op(Sum((Compose((b, Dx())), Compose((b, DxInv()))))) == Sum(
+        (Compose((b, Dx())), Compose((b, DxInv())))
+    )
+
+
+def test_recursion_commutator_probe_takes_one_preimage_per_probe(monkeypatch):
+    from jetsym.symfam import Family, q_char
+
+    calls = []
+
+    def spy(eq, p):
+        calls.append(p)
+        return dx_preimage(eq, p)
+
+    monkeypatch.setattr(opcalc, "dx_preimage", spy)
+    r1, r2 = recursion_ops()
+    probes = [q_char(Family.BURGERS_Q, k, l).body for k, l in ((1, 0), (0, 2), (2, 1))]
+    report = operator_identity_probe(commutator_op(r1, r2), op_scale(half), BURGERS, probes)
+    assert report.all_equal
+    assert calls == probes
 
 
 def test_probe_report_carries_residuals():

@@ -234,6 +234,11 @@ def test_substitute_holds_a_terms_own_exp_power_until_the_end():
     # the same through a one-term image, and with a power held below zero
     assert p.substitute({**images, jet(0): 2 * E(5)}) == 2 * E(60) * images[jet(1)] * E(5)
     assert (E(-60) * z0).substitute({jet(0): E(-3) + z1}) == E(-63) + E(-60) * z1
+    # the images' own powers are held too: E^40 E^40 leaves the field, E^-60 brings it back
+    x = x_poly()
+    assert (E(-60) * z0 * z1).substitute({jet(0): E(40), jet(1): E(40) + x}) == E(20) + x * E(-20)
+    square = E(20) + 2 * x * E(-20) + x**2 * E(-60)
+    assert (E(-60) * z0**2).substitute({jet(0): E(40) + x}) == square
 
 
 @pytest.mark.parametrize(
