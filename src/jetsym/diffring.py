@@ -26,10 +26,12 @@ one common denominator with one field check and one normalisation (the
 family ladder, the prolongation sums and the closed-form brackets), all
 run through it.  derive, the one loop behind every total derivative,
 reads the packed form directly; its tables of variable images are keyed
-by unit.  substitute maps v^e under a one-term image c n to c^e times a
-shift of the key by n^e, and evaluates the images with several terms by
-Horner's rule over the terms grouped by their part in those variables, so
-that sums are merged before they are multiplied; each term's own power
+by unit, and it applies a monomial image n of v as the key offset
+n - unit(v), one addition per factor.  substitute maps v^e under a
+one-term image c n to c^e times a shift of the key by e n, and evaluates
+the images with several terms by Horner's rule over the terms grouped by
+their part in those variables, so that sums are merged before they are
+multiplied; each term's own power
 of E is held above every field until the rule has run, and the images'
 powers too when their products leave E's field, so that only the
 result's exponents must fit.
@@ -643,15 +645,19 @@ def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
 
     A factor v^e of a monomial m contributes e (m - unit(v)) D(v), each
     term of D(v) by one integer addition; e may be negative (E^{-1}).  A
-    variable missing from images gets fill(unit), which is expected to
-    store the image in the table for the next call.  Each slot's image is
-    looked up once per call, and only the nonzero fields of a term are
-    visited.
+    monomial image n (one term, coefficient 1) is a key offset: the factor
+    adds e times the term's numerator at m + (n - unit(v)), one addition
+    and one table update.  Every image of D_x and of d/dz_0 is one, as are
+    D_t's images of t and h_j.  A variable missing from images gets
+    fill(unit), which is expected to store the image in the table for the
+    next call.  Each slot's image is looked up once per call, and only the
+    nonzero fields of a term are visited.
     """
     out: dict[int, int] = {}
     get = out.get
     image_den = 1  # common denominator of the images used so far
-    # per slot: (unit, image items, image den), () for a zero image, None unread
+    # per slot: the key offset of a monomial image, else (unit, image items,
+    # image den), () for a zero image, None unread
     slots: list = [None] * _NSLOTS
     for m, c in p._nums.items():
         b = m + _DIGITS_BIAS
@@ -663,11 +669,11 @@ def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
                     continue
             image = slots[slot]
             if image is None:
-                u = 1 << (_BITS * slot)
-                poly = images.get(u)
-                if poly is None:
-                    poly = fill(u)
-                image = slots[slot] = (u, poly._nums.items(), poly._den) if poly._nums else ()
+                image = slots[slot] = _slot_image(slot, images, fill)
+            if image.__class__ is int:
+                k = m + image
+                out[k] = get(k, 0) + c * e * image_den
+                continue
             if not image:
                 continue
             u, terms, d = image
@@ -683,6 +689,20 @@ def derive(p: DiffPoly, images: dict[int, DiffPoly], fill) -> DiffPoly:
     return DiffPoly._make(_nonzero(out), p._den * image_den)
 
 
+def _slot_image(slot: int, images: dict[int, DiffPoly], fill):
+    """How derive reads the image of the variable in slot: see its table."""
+    u = 1 << (_BITS * slot)
+    poly = images.get(u)
+    if poly is None:
+        poly = fill(u)
+    nums = poly._nums
+    if len(nums) == 1 and poly._den == 1:
+        ((n, c),) = nums.items()
+        if c == 1:
+            return n - u
+    return (u, nums.items(), poly._den) if nums else ()
+
+
 def _held_exp(image: DiffPoly) -> DiffPoly:
     """image with the E exponent e of each key held at e << _HELD_SHIFT."""
     return DiffPoly._make(
@@ -691,14 +711,25 @@ def _held_exp(image: DiffPoly) -> DiffPoly:
 
 
 def _power_step(image: DiffPoly, e: int) -> tuple:
-    """How image^e enters substitute: (None, 1, den^e) if image has several
-    terms, else the key shift, numerator and den of the power (numerator 0
-    for the zero image)."""
-    if len(image._nums) > 1:
+    """How image^e (e >= 1) enters substitute: (None, 1, den^e) if image
+    has several terms, else the key shift, numerator and den of the power
+    (numerator 0 for the zero image).
+
+    The power of a one-term image c n / d is c^e (e n) / d^e, already
+    reduced.  For e > 1 the keys n 2^i (2^i <= e) and e n are checked in
+    one pass, which raises exactly where image ** e does: while n 2^i is
+    valid every field of the next key is below twice its limit, so it
+    cannot wrap into the next field unseen.
+    """
+    nums = image._nums
+    if len(nums) > 1:
         return None, 1, image._den**e
-    power = image**e
-    ((shift, num),) = power._nums.items() or ((0, 0),)
-    return shift, num, power._den
+    if not nums:
+        return 0, 0, 1
+    ((n, c),) = nums.items()
+    if e > 1:
+        _check_fields([*(n << i for i in range(e.bit_length())), e * n])
+    return e * n, c**e, image._den**e
 
 
 def _horner(

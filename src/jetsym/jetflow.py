@@ -192,6 +192,14 @@ def jet_partials(F: DiffPoly) -> tuple[DiffPoly, ...]:
     return coeffs
 
 
+def x_tower(p: DiffPoly, n: int) -> list[DiffPoly]:
+    """[p, D_x p, ..., D_x^(n-1) p], each D_x kept on the value before it."""
+    tower = [p] if n else []
+    for _ in range(n - 1):
+        tower.append(x_derivative(tower[-1]))
+    return tower
+
+
 def prolongation_sums(F: DiffPoly, eta: DiffPoly, count: int) -> list[DiffPoly]:
     """G_0, ..., G_{count-1}: G_i = sum_{k >= i} C(k, i) dF/dz_k * D_x^{k-i} eta.
 
@@ -200,9 +208,7 @@ def prolongation_sums(F: DiffPoly, eta: DiffPoly, count: int) -> list[DiffPoly]:
     derivative F'[eta].
     """
     partials = jet_partials(F)
-    tower = [eta]
-    for _ in partials[1:]:
-        tower.append(x_derivative(tower[-1]))
+    tower = x_tower(eta, len(partials))
     return [
         sum_of_products((partials[k], tower[k - i], comb(k, i)) for k in range(i, len(partials)))
         for i in range(count)

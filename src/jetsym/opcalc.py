@@ -20,8 +20,8 @@ exactly on the image of D_x for polynomials with polynomial (t, x)
 coefficients.  dx_preimage integrates from one numerator table, one pass
 per jet order (jetflow.x_antiderivative), and operator_identity_probe
 normalizes both sides first (normalize_op), so that a sum of terms that
-all start with D_x^{-1}, as the [R1, R2] commutator does, takes one
-preimage per probe.
+all start with D_x^{-1} and end with D_x, as the [R1, R2] commutator
+does, takes one preimage and one D_x per probe.
 
 The kernel of D_x on this ring consists of the polynomials in t alone, so a
 preimage is only determined up to such terms.  dx_preimage pins the branch
@@ -281,7 +281,12 @@ def normalize_op(op: OperatorExpr) -> OperatorExpr:
 
     A sum whose terms are all compositions applying the same node X first
     becomes (sum of the rests) X, which is exact for any X, since X(p) is
-    one value: the [R1, R2] probe takes one D_x^{-1} instead of two.
+    one value: the [R1, R2] probe takes one D_x^{-1} instead of two.  A sum
+    whose terms all apply D_x last, after at most a leading Scale (the
+    term's coefficient), becomes D_x (sum of the rests, each keeping its
+    Scale), which is exact because D_x is linear: the [R1, R2] probe then
+    takes one D_x of T B g - B T g instead of one per term.  No other
+    last-applied node is factored.
     """
     if isinstance(op, Sum):
         ops = tuple(normalize_op(sub) for sub in op.ops)
@@ -290,6 +295,9 @@ def normalize_op(op: OperatorExpr) -> OperatorExpr:
             if all(sub.ops[-1] == first for sub in ops[1:]):
                 rests = Sum(tuple(Compose(sub.ops[:-1]) for sub in ops))
                 return normalize_op(Compose((rests, first)))
+            rests = tuple(_after_dx(sub.ops) for sub in ops)
+            if None not in rests:
+                return normalize_op(Compose((Dx(), Sum(rests))))
         return Sum(ops)
     if isinstance(op, Compose):
         flat: list[OperatorExpr] = []
@@ -308,6 +316,16 @@ def normalize_op(op: OperatorExpr) -> OperatorExpr:
                 out.append(node)
         return Compose(tuple(out))
     return op
+
+
+def _after_dx(ops: tuple) -> Compose | None:
+    """The composition ops without the D_x it applies last, after at most
+    a leading Scale, which stays; None when ops does not apply D_x last."""
+    lead = ops[:1] if isinstance(ops[0], Scale) else ()
+    rest = ops[len(lead):]
+    if rest and isinstance(rest[0], Dx):
+        return Compose(lead + rest[1:])
+    return None
 
 
 # -- identity probing ---------------------------------------------------------

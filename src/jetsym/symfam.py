@@ -26,13 +26,13 @@ families h(t,x) and h(t,x) e^{-w} with h a symbolic heat solution; e^{-w}
 is the ring variable E^{-1} (see diffring).
 
 Brackets of evolutionary vector fields are computed as
-[eta, zeta] = zeta'[eta] - eta'[zeta] through EvolutionEquation.frechet,
-the one prolongation sum zeta'[eta] = sum_k (dzeta/dz_k) D_x^k(eta); the
-parameter symbols are coefficients, and E = e^{z_0} enters through
-dE/dz_0 = E.  The closed-form structure constants of the families
-are binomial sums, checked exactly against the brute-force brackets;
-structure_sweep checks every ordered pair of a family with one bracket per
-unordered pair.
+[eta, zeta] = zeta'[eta] - eta'[zeta], both prolongation sums
+zeta'[eta] = sum_k (dzeta/dz_k) D_x^k(eta) read as jetflow reads one and
+formed as one sum of products; the parameter symbols are coefficients, and
+E = e^{z_0} enters through dE/dz_0 = E.  The closed-form structure
+constants of the families are binomial sums, checked exactly against the
+brute-force brackets, each residual one sum; structure_sweep checks every
+ordered pair of a family with one bracket per unordered pair.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
@@ -52,7 +53,15 @@ from .diffring import (
     t_poly,
     x_poly,
 )
-from .jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, EvolutionEquation
+from .jetflow import (
+    BURGERS,
+    HEAT,
+    POTBURGERS,
+    Characteristic,
+    EvolutionEquation,
+    jet_partials,
+    x_tower,
+)
 
 
 class Family(Enum):
@@ -210,19 +219,30 @@ def index_range(max_sum: int, include_origin: bool = True):
 def commutator(
     eq: EvolutionEquation, eta: Characteristic, zeta: Characteristic
 ) -> Characteristic:
-    """The evolutionary bracket [eta, zeta] = zeta'[eta] - eta'[zeta]."""
+    """The evolutionary bracket [eta, zeta] = zeta'[eta] - eta'[zeta], one sum.
+
+    Both Frechet sums are read off jet_partials and the D_x towers of the
+    two bodies, as jetflow.prolongation_sums reads one, and their products
+    are formed as one sum_of_products; the ring refuses the h_j as
+    EvolutionEquation.frechet does.
+    """
     if eta.equation is not eq or zeta.equation is not eq:
         raise ValueError("both characteristics must belong to the given equation")
-    a, b = eta.body, zeta.body
-    return Characteristic(eq, eq.frechet(b, a) - eq.frechet(a, b))
+    return Characteristic(eq, sum_of_products(_bracket_terms(eq, eta.body, zeta.body)))
+
+
+def _bracket_terms(eq: EvolutionEquation, a: DiffPoly, b: DiffPoly) -> list:
+    """The sum_of_products triples of [a, b] = b'[a] - a'[b]."""
+    eq._check_par(b)
+    eq._check_par(a)
+    pa, pb = jet_partials(a), jet_partials(b)
+    return [
+        *zip(pb, x_tower(a, len(pb)), repeat(1)),
+        *zip(pa, x_tower(b, len(pa)), repeat(-1)),
+    ]
 
 
 # -- closed-form structure constants -------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _binomial_weight(i: int, a: int, b: int) -> Fraction:
-    return Fraction(factorial(i), 2**i) * comb(a, i) * comb(b, i)
 
 
 # The Burgers generators are the (-1/2)-scaled images of the potential ones
@@ -236,16 +256,31 @@ _BRACKET_SCALE = {
 }
 
 
-def closed_form_bracket(family: Family, kl1, kl2):
-    """The closed-form right side for [Q[k,l], Q[k',l']] in one family."""
+def _binomial_weight(i: int, a: int, b: int) -> Fraction:
+    return Fraction(factorial(i), 2**i) * comb(a, i) * comb(b, i)
+
+
+@lru_cache(maxsize=None)
+def _bracket_weight(scale: Fraction, sign: int, i: int, a: int, b: int) -> Fraction:
+    """A signed, scaled weight of the closed form, formed once per argument."""
+    return sign * scale * _binomial_weight(i, a, b)
+
+
+def _closed_form_terms(family: Family, kl1, kl2, sign: int = 1) -> list:
+    """The sum_of_products triples of sign times the closed-form bracket."""
     k, l = kl1
     kp, lp = kl2
     scale = _BRACKET_SCALE[family]
-    return sum_of_products(
-        (_ONE, _q_body(family, k + kp - i, l + lp - i), sign * _binomial_weight(i, a, b))
-        for sign, a, b in ((scale, k, lp), (-scale, kp, l))
+    return [
+        (_ONE, _q_body(family, k + kp - i, l + lp - i), _bracket_weight(scale, s, i, a, b))
+        for s, a, b in ((sign, k, lp), (-sign, kp, l))
         for i in range(min(a, b) + 1)
-    )
+    ]
+
+
+def closed_form_bracket(family: Family, kl1, kl2):
+    """The closed-form right side for [Q[k,l], Q[k',l']] in one family."""
+    return sum_of_products(_closed_form_terms(family, kl1, kl2))
 
 
 def structure_check(family: Family, idx1, idx2=None):
@@ -253,42 +288,46 @@ def structure_check(family: Family, idx1, idx2=None):
 
     For the Q families pass two index pairs: the brute-force bracket is
     compared with the binomial sum.  For the parameter families pass the Q
-    index pair: [z(h), Q[k,l]] is compared with z(boost^k D_x^l h).
+    index pair: [z(h), Q[k,l]] is compared with z(boost^k D_x^l h).  The
+    bracket's products and the right side's are formed as one sum.
     """
     eq = FAMILY_EQUATION[family]
     if family in Z_FAMILIES:
         kl = idx1 if idx2 is None else idx2
         k, l = kl
-        z = q_char(family)
-        q = q_char(_Q_OF_Z[family], k, l)
-        brute = commutator(eq, z, q).body
+        bracket = _bracket_terms(eq, q_char(family).body, q_char(_Q_OF_Z[family], k, l).body)
         h_image = family_seed_chain(Family.HEAT_Z, k, l)
-        expected = h_image if family is Family.HEAT_Z else h_image * exp_poly(-1)
-        return brute - expected
+        factor = _ONE if family is Family.HEAT_Z else exp_poly(-1)
+        return sum_of_products([*bracket, (h_image, factor, -1)])
     (k, l), (kp, lp) = idx1, idx2
-    brute = commutator(eq, q_char(family, k, l), q_char(family, kp, lp)).body
-    return brute - closed_form_bracket(family, idx1, idx2)
+    bracket = _bracket_terms(eq, q_char(family, k, l).body, q_char(family, kp, lp).body)
+    return sum_of_products([*bracket, *_closed_form_terms(family, idx1, idx2, -1)])
 
 
 def structure_sweep(family: Family, indices) -> dict[tuple, DiffPoly]:
     """structure_check of a Q family on every ordered pair of the indices.
 
     Returns {(kl1, kl2): residual}.  One brute-force bracket is computed
-    per unordered pair: [Q_b, Q_a] is the exact negation of [Q_a, Q_b],
-    being the same two Frechet derivatives subtracted the other way, and
-    [Q_a, Q_a] is zero.  The closed form is compared on every ordered pair.
+    per unordered pair, as one sum: [Q_b, Q_a] is the exact negation of
+    [Q_a, Q_b], being the same two Frechet derivatives subtracted the other
+    way, and [Q_a, Q_a] is zero.  The closed form is evaluated on every
+    ordered pair, and each residual, the bracket minus it, is one sum.
     """
     eq = FAMILY_EQUATION[family]
     indices = list(indices)
     chars = [q_char(family, k, l) for k, l in indices]
     residuals = {}
     for i, kl1 in enumerate(indices):
-        residuals[kl1, kl1] = -closed_form_bracket(family, kl1, kl1)
+        residuals[kl1, kl1] = sum_of_products(_closed_form_terms(family, kl1, kl1, -1))
         for j in range(i + 1, len(indices)):
             kl2 = indices[j]
             brute = commutator(eq, chars[i], chars[j]).body
-            residuals[kl1, kl2] = brute - closed_form_bracket(family, kl1, kl2)
-            residuals[kl2, kl1] = -brute - closed_form_bracket(family, kl2, kl1)
+            residuals[kl1, kl2] = sum_of_products(
+                [(brute, _ONE, 1), *_closed_form_terms(family, kl1, kl2, -1)]
+            )
+            residuals[kl2, kl1] = sum_of_products(
+                [(brute, _ONE, -1), *_closed_form_terms(family, kl2, kl1, -1)]
+            )
     return residuals
 
 

@@ -15,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import KDV
 from jetsym.diffring import (
     EXP_VAR,
     KIND_JET,
@@ -34,11 +35,13 @@ from jetsym.diffring import (
 from jetsym.colemap import heat_to_potential
 from jetsym.jetflow import (
     _DX_IMAGES,
+    _DZ0_IMAGES,
     BURGERS,
     HEAT,
     POTBURGERS,
     Characteristic,
     _dx_image,
+    _dz0_image,
     x_derivative,
 )
 
@@ -93,6 +96,78 @@ def test_kept_dx_equals_the_derivation(p):
     assert x_derivative(p) == fresh
     assert x_derivative(p) == fresh
     assert x_derivative(x_derivative(p)) == derive(fresh, _DX_IMAGES, _dx_image)
+
+
+# -- a tuple-level Leibniz reference ---------------------------------------------
+
+
+def _leibniz(p: DiffPoly, image) -> DiffPoly:
+    """sum over the terms c m of p and the factors v^e of m of
+    e c (m / v) image(v), formed on tuple monomials by ring products."""
+    total = DiffPoly.zero()
+    for mono, c in p.terms.items():
+        for i, (v, e) in enumerate(mono):
+            rest = mono[:i] + ((v, e - 1),) * (e != 1) + mono[i + 1 :]
+            total = total + DiffPoly({rest: c * e}) * image(v)
+    return total
+
+
+def _dx_reference(p: DiffPoly) -> DiffPoly:
+    def image(v):
+        kind, idx = v
+        if kind == KIND_T:
+            return DiffPoly.zero()
+        if kind == KIND_X:
+            return DiffPoly.const(1)
+        if kind == KIND_JET:
+            return jet_poly(idx + 1)
+        if kind == KIND_PAR:
+            return par_poly(idx + 1)
+        return jet_poly(1) * exp_poly(1)
+
+    return _leibniz(p, image)
+
+
+def _dt_reference(eq, p: DiffPoly) -> DiffPoly:
+    def image(v):
+        kind, idx = v
+        if kind == KIND_T:
+            return DiffPoly.const(1)
+        if kind == KIND_X:
+            return DiffPoly.zero()
+        if kind == KIND_JET:
+            flow = eq.rhs
+            for _ in range(idx):
+                flow = _dx_reference(flow)
+            return flow
+        if kind == KIND_PAR:
+            return par_poly(idx + 2)
+        return eq.rhs * exp_poly(1)
+
+    return _leibniz(p, image)
+
+
+def _dz0_reference(p: DiffPoly) -> DiffPoly:
+    def image(v):
+        if v == jet(0):
+            return DiffPoly.const(1)
+        return exp_poly(1) if v == EXP_VAR else DiffPoly.zero()
+
+    return _leibniz(p, image)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_images_table_matches_the_leibniz_reference(data):
+    # derive reads a monomial image as a key offset and the others term by
+    # term; both against ring products on tuple monomials, with E^{+-m}
+    # out to m = 6 and the h_j where the ring has them
+    p = data.draw(exp_polys(max_terms=5, max_exp=6))
+    assert derive(p, _DX_IMAGES, _dx_image) == _dx_reference(p)
+    assert derive(p, _DZ0_IMAGES, _dz0_image) == _dz0_reference(p)
+    for eq in (HEAT, POTBURGERS, BURGERS, KDV):
+        q = p if eq.allows_par else data.draw(exp_polys(with_par=False, max_exp=6))
+        assert eq.dt(q) == _dt_reference(eq, q), eq.name
 
 
 # -- sympy oracle ----------------------------------------------------------------

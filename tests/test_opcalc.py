@@ -1,6 +1,10 @@
 """Operator application, the Euler certificate, formal integration, probes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +65,8 @@ from jetsym.opcalc import (
     recursion_ops,
     translation_op,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 t, x = t_poly(), x_poly()
 half = Fraction(1, 2)
@@ -386,20 +392,33 @@ def _sharing_first(terms_and_node):
     return Sum(tuple(Compose((term, node)) for term in terms))
 
 
-# Operators without D_x^{-1}, some of them sums whose terms apply the same node first.
+def _sharing_last_dx(scaled_terms):
+    """A sum of D_x after each given operator, some terms led by a Scale."""
+    return Sum(
+        tuple(Compose((*((Scale(c),) if c else ()), Dx(), term)) for c, term in scaled_terms)
+    )
+
+
+def _dx_last_terms(kids):
+    return st.lists(st.tuples(st.one_of(st.none(), _SCALES), kids), min_size=2, max_size=3)
+
+
+# Operators without D_x^{-1}, some of them sums whose terms apply the same
+# node first, or D_x last.
 _LOCAL_OPS = st.recursive(
     st.one_of(st.just(Dx()), st.builds(MulBy, _FACTORS), st.builds(Scale, _SCALES)),
     lambda kids: st.one_of(
         st.lists(kids, min_size=1, max_size=3).map(lambda ops: Sum(tuple(ops))),
         st.lists(kids, max_size=3).map(lambda ops: Compose(tuple(ops))),
         st.tuples(st.lists(kids, min_size=2, max_size=3), kids).map(_sharing_first),
+        _dx_last_terms(kids).map(_sharing_last_dx),
     ),
     max_leaves=6,
 )
 
 # D_x^{-1} only ever applied first, to the input: no D_x^{-1} D_x pair can
-# form, so normalization only flattens and shares first nodes, and no
-# preimage is asked of a non-derivative.
+# form, so normalization only flattens and shares first nodes and last
+# D_x's, and no preimage is asked of a non-derivative.
 _OPS = st.recursive(
     st.one_of(_LOCAL_OPS, _LOCAL_OPS.map(lambda op: Compose((op, DxInv())))),
     lambda kids: st.one_of(
@@ -408,6 +427,7 @@ _OPS = st.recursive(
         st.tuples(st.lists(_LOCAL_OPS, min_size=2, max_size=3), st.just(DxInv())).map(
             _sharing_first
         ),
+        _dx_last_terms(kids).map(_sharing_last_dx),
     ),
     max_leaves=4,
 )
@@ -433,6 +453,70 @@ def test_normalize_applies_a_shared_first_node_once():
     assert normalize_op(Sum((Compose((b, Dx())), Compose((b, DxInv()))))) == Sum(
         (Compose((b, Dx())), Compose((b, DxInv())))
     )
+
+
+def test_normalize_factors_a_shared_last_dx():
+    a, b = MulBy(x), Compose((Dx(), MulBy(z(0))))
+    # a term's leading Scale is its coefficient and stays with its rest
+    op = Sum((Compose((Dx(), a)), Compose((Scale(-half), Dx(), b))))
+    assert normalize_op(op) == Compose(
+        (Dx(), Sum((Compose((a,)), Compose((Scale(-half), Dx(), MulBy(z(0)))))))
+    )
+    # no other last-applied node is factored: D_x^{-1} is not linear on the
+    # ring, and a Scale or a MulBy without a D_x behind it is not D_x
+    c = MulBy(t)  # each sum's terms apply a and c first, so share no first node
+    for kept in (
+        Sum((Compose((DxInv(), a)), Compose((DxInv(), c)))),
+        Sum((Compose((Scale(half), a)), Compose((Dx(), c)))),
+        Sum((Compose((a, Dx(), a)), Compose((Dx(), c)))),
+        Sum((Compose((a, Dx(), a)), Compose((a, Dx(), c)))),
+        Sum((Compose((Scale(half), Scale(half), Dx(), a)), Compose((Dx(), c)))),
+        Sum((Dx(), Compose((Dx(), c)))),
+    ):
+        assert normalize_op(kept) == kept
+    # [R1, R2] is D_x (T B - B T) D_x^{-1}: one D_x and one preimage per probe
+    r1, r2 = recursion_ops()
+    bracket = normalize_op(commutator_op(r1, r2))
+    assert isinstance(bracket, Compose) and len(bracket.ops) == 3
+    assert bracket.ops[0] == Dx() and bracket.ops[2] == DxInv()
+    local_t, local_b = translation_op(BURGERS), boost_op(BURGERS)
+    assert bracket.ops[1] == Sum(
+        (Compose((local_t, local_b)), Compose((Scale(Fraction(-1)), local_b, local_t)))
+    )
+
+
+# The D_x derivations of verify --suite recursion --max-order 7, counted in
+# a fresh process, where no value holds a kept D_x yet.
+_COUNT_RECURSION_DX = """
+from jetsym import checks, jetflow
+
+calls = terms = 0
+derive = jetflow.derive
+
+
+def spy(p, images, fill):
+    global calls, terms
+    if images is jetflow._DX_IMAGES:
+        calls += 1
+        terms += len(p.terms)
+    return derive(p, images, fill)
+
+
+jetflow.derive = spy
+assert all(result.ok for result in checks.suite_recursion(7))
+print(calls, terms)
+"""
+
+
+def test_recursion_suite_takes_one_dx_per_bracket_probe():
+    # each [R1, R2] probe takes one D_x, of T B g - B T g; a D_x of each
+    # term would make 959 calls over 14 275 input terms
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_RECURSION_DX],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.split() == ["924", "10494"]
 
 
 def test_recursion_commutator_probe_takes_one_preimage_per_probe(monkeypatch):

@@ -24,12 +24,14 @@ from jetsym.diffring import (
     JetLimitError,
     T_VAR,
     X_VAR,
+    _power_step,
     exp_poly,
     jet,
     jet_poly,
     par,
     sum_of_products,
     t_poly,
+    unit,
     x_poly,
 )
 from jetsym.jetflow import HEAT, EvolutionEquation, x_derivative
@@ -223,6 +225,64 @@ def test_substitute_rejects_a_negative_power_under_a_one_term_exp_rule(image):
 def test_substitute_raises_instead_of_wrapping(p, rules):
     with pytest.raises(ExponentOverflow):
         p.substitute(rules)
+
+
+@st.composite
+def one_term_images(draw):
+    """c n / d with up to three non-E fields in [1, 127] and an E digit of
+    either sign, from small to the edge of its field."""
+    chosen = draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+    small = st.integers(1, 3)
+    mono = [(v, draw(st.one_of(small, st.integers(1, 127)))) for v in chosen]
+    m = draw(st.one_of(st.integers(-3, 3), st.integers(-64, 63)))
+    if m:
+        mono.append((EXP_VAR, m))
+    return DiffPoly({tuple(sorted(mono)): draw(_coeffs)})
+
+
+def _power_or_overflow(step, *args):
+    try:
+        return step(*args)
+    except ExponentOverflow:
+        return ExponentOverflow
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_images(), st.one_of(st.integers(1, 4), st.integers(1, 130)))
+def test_power_step_is_the_power_of_a_one_term_image(image, e):
+    # the key shift, numerator and denominator of image ** e, or the same raise
+    power = _power_or_overflow(image.__pow__, e)
+    step = _power_or_overflow(_power_step, image, e)
+    if power is ExponentOverflow:
+        assert step is ExponentOverflow
+    else:
+        ((shift, num),) = power._nums.items()
+        assert step == (shift, num, power._den)
+
+
+@pytest.mark.parametrize(
+    "image, e",
+    [
+        (jet_poly(0) ** 64, 4),  # 256 would carry one into the next field unseen
+        (jet_poly(0) ** 100, 3),  # 300 = 256 + 44
+        (exp_poly(-1), 65),
+        (exp_poly(-32) * jet_poly(1), 4),  # -128 would borrow unseen
+        (exp_poly(32), 2),
+    ],
+)
+def test_power_step_raises_where_a_field_would_wrap(image, e):
+    with pytest.raises(ExponentOverflow):
+        image**e
+    with pytest.raises(ExponentOverflow):
+        _power_step(image, e)
+
+
+def test_power_step_edges():
+    assert _power_step(exp_poly(-1), 64) == (-64 * unit(EXP_VAR), 1, 1)
+    assert _power_step(DiffPoly.zero(), 5) == (0, 0, 1)
+    assert _power_step(Fraction(-2, 3) * jet_poly(1), 3) == (unit(jet(1)) * 3, -8, 27)
+    assert _power_step(jet_poly(1) + 1, 2) == (None, 1, 1)
+    assert _power_step(jet_poly(1) + Fraction(1, 2), 3) == (None, 1, 8)
 
 
 def test_substitute_holds_a_terms_own_exp_power_until_the_end():

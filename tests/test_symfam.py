@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import make_random_poly, random_poly_stream, rank_of_bodies
 from jetsym import symfam
-from jetsym.diffring import DiffPoly, JetLimitError, jet_poly, par_poly, t_poly, x_poly
+from jetsym.diffring import (
+    DiffPoly,
+    JetLimitError,
+    exp_poly,
+    jet_poly,
+    par_poly,
+    t_poly,
+    x_poly,
+)
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, invariance_residual
 from jetsym.opcalc import Compose, Dx, apply, boost_op, translation_op
 from jetsym.symfam import (
@@ -118,6 +126,32 @@ def test_commutator_antisymmetric_and_bilinear(rng):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize(
+    "eq, with_par, exp_powers",
+    [(HEAT, True, (0,)), (POTBURGERS, True, (-1, 0, 2)), (BURGERS, False, (0,))],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_commutator_is_the_difference_of_the_frechet_derivatives(eq, with_par, exp_powers):
+    # one sum over both prolongation sums against the two Frechet
+    # derivatives formed apart, in each equation's ring
+    bodies = [
+        p * exp_poly(m)
+        for p, m in zip(
+            random_poly_stream(31, 24, with_par=with_par, max_jet=4),
+            exp_powers * 24,
+        )
+    ]
+    for a, b in zip(bodies[::2], bodies[1::2]):
+        got = commutator(eq, Characteristic(eq, a), Characteristic(eq, b)).body
+        assert got == eq.frechet(b, a) - eq.frechet(a, b)
+
+
+def test_commutator_refuses_parameters_in_the_burgers_ring():
+    for a, b in ((par_poly(0), z(1)), (z(1), par_poly(0) * z(2))):
+        with pytest.raises(ValueError, match="parameter symbols"):
+            commutator(BURGERS, Characteristic(BURGERS, a), Characteristic(BURGERS, b))
+
+
 def test_structure_check_heat_example():
     assert structure_check(Family.HEAT_Q, (0, 1), (1, 0)) == 0
     assert closed_form_bracket(Family.HEAT_Q, (0, 1), (1, 0)) == -half * z(0)
@@ -158,13 +192,15 @@ def test_sweep_residuals_match_structure_check(monkeypatch):
                 assert residual == structure_check(family, a, b), (family, a, b)
 
     compare()
-    true_form = symfam.closed_form_bracket
+    true_form = symfam._closed_form_terms
 
-    def skewed(family, kl1, kl2):
-        return true_form(family, kl1, kl2) + symfam._q_body(family, *kl1) * (kl2[0] + 1)
+    def skewed(family, kl1, kl2, sign=1):
+        extra = (DiffPoly.const(1), symfam._q_body(family, *kl1), sign * (kl2[0] + 1))
+        return [*true_form(family, kl1, kl2, sign), extra]
 
-    monkeypatch.setattr(symfam, "closed_form_bracket", skewed)
+    monkeypatch.setattr(symfam, "_closed_form_terms", skewed)
     compare()
+    assert any(structure_sweep(Family.HEAT_Q, indices).values())
 
 
 def test_burgers_brackets_match_rescaled_binomial_form():
