@@ -178,42 +178,38 @@ def suite_recursion(max_order: int) -> list[CheckResult]:
             _probe_detail(report),
         )
     )
-    out.append(
-        CheckResult(
-            "R2 Q[0,1] = R1 Q[1,0]",
-            apply(r2, BURGERS, burgers_body(0, 1))
-            == apply(r1, BURGERS, burgers_body(1, 0)),
-        )
-    )
-    ok = True
-    cur = burgers_body(0, 1)
-    for l in range(2, max_order + 1):
-        cur = apply(r1, BURGERS, cur)
-        ok = ok and cur == burgers_body(0, l)
+    # Route a: R2^k R1^(l-1) Q[0,1] = Q[k,l]; route b: R2^(k-1) R1^l Q[1,0] =
+    # Q[k,l] + (l-1)/2 Q[k-1,l-1], in one walk over k + l <= max_order.  Route
+    # b's l = 0 column is the chain Q[k,0], route a's k = 0 row the chain
+    # Q[0,l], and cell (1, 1) of both is R2 Q[0,1] = R1 Q[1,0].  Each R1 power
+    # is formed once per l, and R2 steps over k from it.
+    chains = mixed = True
+    cross = None
     cur = burgers_body(1, 0)
     for k in range(2, max_order + 1):
         cur = apply(r2, BURGERS, cur)
-        ok = ok and cur == burgers_body(k, 0)
-    out.append(CheckResult(f"generation chains Q[0,l] and Q[k,0] up to {max_order}", ok))
-    # Route a: R2^k R1^(l-1) Q[0,1] = Q[k,l]; route b: R2^(k-1) R1^l Q[1,0] =
-    # Q[k,l] + (l-1)/2 Q[k-1,l-1].  Each R1 power is formed once per l, and
-    # R2 steps over k from it.
-    ok = True
+        chains = chains and cur == burgers_body(k, 0)
     r1_a, r1_b = burgers_body(0, 1), burgers_body(1, 0)
-    for l in range(1, max_order):
+    for l in range(1, max_order + 1):
         if l > 1:
             r1_a = apply(r1, BURGERS, r1_a)
-        r1_b = apply(r1, BURGERS, r1_b)
+            chains = chains and r1_a == burgers_body(0, l)
+        if l < max_order:
+            r1_b = apply(r1, BURGERS, r1_b)
         cur_a, cur_b = r1_a, r1_b
         for k in range(1, max_order - l + 1):
             cur_a = apply(r2, BURGERS, cur_a)
             if k > 1:
                 cur_b = apply(r2, BURGERS, cur_b)
             expected = burgers_body(k, l) + Fraction(l - 1, 2) * burgers_body(k - 1, l - 1)
-            ok = ok and cur_a == burgers_body(k, l) and cur_b == expected
-    out.append(
-        CheckResult(f"mixed generation routes k,l>=1, k+l<={max_order}", ok)
-    )
+            mixed = mixed and cur_a == burgers_body(k, l) and cur_b == expected
+            if k == l == 1:
+                cross = cur_a == cur_b
+    if cross is None:  # below bound 2 the walk has no cell (1, 1)
+        cross = apply(r2, BURGERS, burgers_body(0, 1)) == apply(r1, BURGERS, burgers_body(1, 0))
+    out.append(CheckResult("R2 Q[0,1] = R1 Q[1,0]", cross))
+    out.append(CheckResult(f"generation chains Q[0,l] and Q[k,0] up to {max_order}", chains))
+    out.append(CheckResult(f"mixed generation routes k,l>=1, k+l<={max_order}", mixed))
 
     rng = random.Random(20240607)
     flow = potential_defect_op(BURGERS)

@@ -56,6 +56,7 @@ from .diffring import (
     T_VAR,
     X_VAR,
     _decode,
+    _subtract,
     jet,
     order_key,
     unit,
@@ -376,17 +377,6 @@ def _dependencies(vectors):
     table: dict = {}
     for index, vec in enumerate(vectors):
         yield _insert(vec, index, table)
-
-
-def _subtract(target: dict, a: int, source: dict) -> None:
-    """target -= a * source, dropping cancelled entries."""
-    get = target.get
-    for key, v in source.items():
-        s = get(key, 0) - a * v
-        if s:
-            target[key] = s
-        else:
-            del target[key]
 
 
 def family_bodies(order: int) -> list[DiffPoly]:

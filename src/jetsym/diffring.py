@@ -31,10 +31,10 @@ n - unit(v), one addition per factor.  substitute maps v^e under a
 one-term image c n to c^e times a shift of the key by e n, and evaluates
 the images with several terms by Horner's rule over the terms grouped by
 their part in those variables, so that sums are merged before they are
-multiplied; each term's own power
-of E is held above every field until the rule has run, and the images'
-powers too when their products leave E's field, so that only the
-result's exponents must fit.
+multiplied.  Its first pass holds nothing; only when that pass leaves a
+field and the body or an image carries E does it run once more, with
+every power of E, the body's and the images' alike, held above the
+fields, so that only the result's exponents must fit.
 
 At the edges monomials appear as tuples of ((kind, index), exponent) pairs
 sorted by variable, with no zero exponent, and coefficients as Fractions:
@@ -176,9 +176,9 @@ _NSLOTS = len(_SLOT_VARS)
 _GUARD = int.from_bytes(bytes([1 << (_BITS - 1)]) * _NSLOTS, "little")
 _E_MASK = _MASK << _E_SHIFT
 _E_UNIT = 1 << _E_SHIFT
-# substitute holds an E exponent e of a term or an image at e << _HELD_SHIFT,
-# above every field, while Horner's rule runs; adding e * _E_TO_HELD to a key
-# moves it back.
+# After an overflow, substitute holds the E exponent e of each term of the
+# body and the images at e << _HELD_SHIFT, above every field, while the rule
+# runs again; adding e * _E_TO_HELD to a key moves it back.
 _HELD_SHIFT = _NSLOTS * _BITS
 _E_TO_HELD = _E_UNIT - (1 << _HELD_SHIFT)
 # Valid exponents: [0, _FIELD_LIMIT) off E, [-_E_LIMIT, _E_LIMIT) on E.
@@ -380,19 +380,13 @@ class DiffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        b = other._nums
-        if not b:
+        if not other._nums:
             return self
         if not self._nums:
             return other
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        out = dict(self._nums) if fa == 1 else {m: c * fa for m, c in self._nums.items()}
-        get = out.get
-        for m, c in b.items():
-            out[m] = get(m, 0) + c * fb
-        return DiffPoly._make(_nonzero(out), da * fa)
+        out, den = _widened(self._nums, self._den, other._den)
+        _subtract(out, -(den // other._den), other._nums)
+        return DiffPoly._make(out, den)
 
     __radd__ = __add__
 
@@ -537,35 +531,40 @@ class DiffPoly:
         product.  The terms are grouped by their part in the variables
         whose images have several terms, which Horner's rule then applies
         (see _horner) to integer numerators, each term pre-scaled by the
-        powers of the image denominators it lacks.  Unless E has a rule, a
-        term's own E exponent is held above every field meanwhile, then
-        added back and checked, so an intermediate product may leave E's
-        field where the result does not.  When the images' products among
-        themselves leave it, the rule runs again with each image's own E
-        exponent held too, so only the result must fit E's field, as in
-        (E^-60 z_0 z_1) with z_0 -> E^40 + t and z_1 -> E^40 + x.  A held
-        exponent makes every key a long integer, which is why the images'
-        are held only then.  No image is substituted again.
+        powers of the image denominators it lacks.  The first pass holds
+        nothing.  Only when it leaves a field and the body (unless E has a
+        rule) or an image carries E does it run once more, on the body and
+        the images with their E exponents held above every field (see
+        _held_exp); one pass then moves the held exponents back and checks
+        them, so only the result must fit E's field, as in (E^-60 z_0 z_1)
+        with z_0 -> E^40 + t and z_1 -> E^40 + x.  A held exponent makes
+        every key a long integer, which is why nothing is held before an
+        overflow.  No image is substituted again.
         """
         if not rules:
             return self
         by_unit = {unit(v): image for v, image in rules.items()}
         try:
-            return self._substitute(by_unit, 0)
+            return self._substitute(by_unit)
         except ExponentOverflow:
             held = {u: _held_exp(image) for u, image in by_unit.items() if image.has_kind(KIND_EXP)}
-            if not held:
+            body = self if _E_UNIT in by_unit else _held_exp(self)
+            if not held and body == self:  # nothing carries E
                 raise
-            return self._substitute({**by_unit, **held}, 1)
+            p = body._substitute({**by_unit, **held})
+        # every key is e << _HELD_SHIFT plus its fields, E's 0
+        if any(not -_E_LIMIT <= m >> _HELD_SHIFT < _E_LIMIT for m in p._nums):
+            raise ExponentOverflow("a power of E leaves its packed field: E^m needs -64 <= m < 64")
+        nums = {m + (m >> _HELD_SHIFT) * _E_TO_HELD: c for m, c in p._nums.items()}
+        return DiffPoly._make(nums, p._den)
 
-    def _substitute(self, by_unit: dict[int, "DiffPoly"], held: int) -> "DiffPoly":
-        """substitute by images keyed by unit; held is nonzero when they hold E."""
-        # The fields of the rule variables other than E, of those whose
-        # images have several terms, and of those whose powers have a step.
+    def _substitute(self, by_unit: dict[int, "DiffPoly"]) -> "DiffPoly":
+        """substitute by images keyed by unit, in one pass."""
+        # The fields of the rule variables, of those whose images have
+        # several terms, and of those whose powers have a step.
         fields = horner = walk = 0
         for u, image in by_unit.items():
-            if u != _E_UNIT:
-                fields |= _MASK * u
+            fields |= _MASK * u
             if len(image._nums) > 1:
                 horner |= _MASK * u
             if len(image._nums) < 2 or image._den != 1:
@@ -577,14 +576,11 @@ class DiffPoly:
         for m, c in self._nums.items():
             b = m + _DIGITS_BIAS
             rel = b & fields
-            e = (b >> _E_SHIFT & _MASK) - _E_DIGIT_BIAS
-            if exp_rule:
-                if e < 0:
+            if exp_rule:  # rel holds E's digit raised by _E_DIGIT_BIAS
+                if (b & _E_MASK) < _DIGITS_BIAS:
                     raise ValueError("negative powers are not defined in the ring")
-                rel += e * _E_UNIT
-                e = 0
-            held |= e
-            key = m - rel - e * _E_TO_HELD  # every rule variable removed, E held
+                rel -= _DIGITS_BIAS
+            key = m - rel  # every rule variable removed
             dt = 1
             todo = rel & walk
             if todo:
@@ -621,14 +617,6 @@ class DiffPoly:
                 table = groups.setdefault(part, {})
                 table[key] = table.get(key, 0) + c * (den // dt)
         out = _horner(sorted(groups.items(), reverse=True), by_unit) if groups else {}
-        if held:
-            restored: dict[int, int] = {}
-            get = restored.get
-            for key, c in out.items():
-                key += ((key + _DIGITS_BIAS) >> _HELD_SHIFT) * _E_TO_HELD
-                restored[key] = get(key, 0) + c
-            _check_fields(restored)
-            out = restored
         return DiffPoly._make(_nonzero(out), self._den * den)
 
     # -- ordering and display ------------------------------------------------
@@ -703,10 +691,10 @@ def _slot_image(slot: int, images: dict[int, DiffPoly], fill):
     return (u, nums.items(), poly._den) if nums else ()
 
 
-def _held_exp(image: DiffPoly) -> DiffPoly:
-    """image with the E exponent e of each key held at e << _HELD_SHIFT."""
+def _held_exp(p: DiffPoly) -> DiffPoly:
+    """p with each E exponent e held at e << _HELD_SHIFT, for substitute's retry."""
     return DiffPoly._make(
-        {m - _field(m, _E_SHIFT) * _E_TO_HELD: c for m, c in image._nums.items()}, image._den
+        {m - _field(m, _E_SHIFT) * _E_TO_HELD: c for m, c in p._nums.items()}, p._den
     )
 
 
@@ -806,9 +794,20 @@ def _scatter(out: dict[int, int], a: dict[int, int], b: dict[int, int], f: int) 
 
 
 def _widened(nums: dict[int, int], den: int, d: int) -> tuple[dict[int, int], int]:
-    """nums over den rewritten over lcm(den, d)."""
+    """nums over den rewritten over lcm(den, d), in a new table."""
     grow = d // gcd(den, d)
-    return {m: c * grow for m, c in nums.items()}, den * grow
+    return ({m: c * grow for m, c in nums.items()} if grow != 1 else dict(nums)), den * grow
+
+
+def _subtract(target: dict, a: int, source: dict) -> None:
+    """target -= a * source, dropping cancelled entries."""
+    get = target.get
+    for key, v in source.items():
+        s = get(key, 0) - a * v
+        if s:
+            target[key] = s
+        else:
+            del target[key]
 
 
 def _nonzero(nums: dict[int, int]) -> dict[int, int]:

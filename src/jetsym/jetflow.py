@@ -54,6 +54,7 @@ from .diffring import (
     Record,
     _check_fields,
     _nonzero,
+    _subtract,
     _widened,
     derive,
     exp_poly,
@@ -140,14 +141,7 @@ def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:
         d = dx._den
         if den % d:
             rest, den = _widened(rest, den, d)
-        f = den // d
-        get = rest.get
-        for m, c in dx._nums.items():
-            c = get(m, 0) - c * f
-            if c:
-                rest[m] = c
-            else:
-                del rest[m]
+        _subtract(rest, den // d, dx._nums)
     # The pass of order k leaves no jet above z_{k-1}, so only z_0 can be
     # left, and a tail that carries it is not a derivative.
     tail = DiffPoly._make(rest, den)

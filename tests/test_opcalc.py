@@ -510,13 +510,13 @@ print(calls, terms)
 
 def test_recursion_suite_takes_one_dx_per_bracket_probe():
     # each [R1, R2] probe takes one D_x, of T B g - B T g; a D_x of each
-    # term would make 959 calls over 14 275 input terms
+    # term would make 35 calls more, one per probe
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", _COUNT_RECURSION_DX],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.split() == ["924", "10494"]
+    assert out.stdout.split() == ["900", "10439"]
 
 
 def test_recursion_commutator_probe_takes_one_preimage_per_probe(monkeypatch):
@@ -534,6 +534,18 @@ def test_recursion_commutator_probe_takes_one_preimage_per_probe(monkeypatch):
     report = operator_identity_probe(commutator_op(r1, r2), op_scale(half), BURGERS, probes)
     assert report.all_equal
     assert calls == probes
+
+
+def test_recursion_suite_walks_the_generation_routes_once(monkeypatch):
+    # the chains, R2 Q[0,1] = R1 Q[1,0] and both mixed routes come from one
+    # walk: 54 R1/R2 applications at bound 7, and one D_x^{-1} for each of
+    # the 35 [R1, R2] probes
+    from jetsym import checks
+
+    calls = []
+    monkeypatch.setattr(opcalc, "dx_preimage", lambda eq, p: calls.append(p) or dx_preimage(eq, p))
+    assert all(result.ok for result in checks.suite_recursion(7))
+    assert len(calls) == 89
 
 
 def test_probe_report_carries_residuals():

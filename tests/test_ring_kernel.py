@@ -219,8 +219,19 @@ def test_substitute_rejects_a_negative_power_under_a_one_term_exp_rule(image):
         (jet_poly(0) ** 100 * jet_poly(1) ** 100, {jet(0): jet_poly(2), jet(1): jet_poly(2)}),
         # E^-65 leaves E's field from below
         (t_poly() * exp_poly(-64), {T_VAR: Fraction(1, 2) * exp_poly(-1)}),
+        # z_2^200 beside E: the retry holds E and still overflows in z_2
+        (exp_poly(1) * jet_poly(1) ** 100, {jet(1): jet_poly(2) ** 2 + 1}),
+        # E^-200 and E^200, once held, would wrap into E's field on the way back
+        (
+            exp_poly(-60) * jet_poly(0) * jet_poly(1) ** 2 * jet_poly(2),
+            {jet(1): exp_poly(-40) * x_poly(), jet(2): exp_poly(-60) * t_poly()},
+        ),
+        (
+            exp_poly(60) * jet_poly(0) * jet_poly(1) ** 2 * jet_poly(2),
+            {jet(1): exp_poly(40) * x_poly(), jet(2): exp_poly(60) * t_poly()},
+        ),
     ],
-    ids=["shift", "horner", "two-shifts", "exp"],
+    ids=["shift", "horner", "two-shifts", "exp", "horner-beside-exp", "held-below", "held-above"],
 )
 def test_substitute_raises_instead_of_wrapping(p, rules):
     with pytest.raises(ExponentOverflow):
@@ -299,6 +310,26 @@ def test_substitute_holds_a_terms_own_exp_power_until_the_end():
     assert (E(-60) * z0 * z1).substitute({jet(0): E(40), jet(1): E(40) + x}) == E(20) + x * E(-20)
     square = E(20) + 2 * x * E(-20) + x**2 * E(-60)
     assert (E(-60) * z0**2).substitute({jet(0): E(40) + x}) == square
+
+
+def test_substitute_holds_no_exp_power_while_the_products_fit(monkeypatch):
+    # nothing is held before an overflow, so an E-bearing body reaches
+    # Horner's rule with keys below every held exponent
+    from jetsym import diffring
+
+    keys = []
+    real = diffring._horner
+
+    def spy(parts, images):
+        keys.extend(abs(key) for _, table in parts for key in table)
+        return real(parts, images)
+
+    monkeypatch.setattr(diffring, "_horner", spy)
+    z0, z1, z2, E = jet_poly(0), jet_poly(1), jet_poly(2), exp_poly
+    images = {jet(0): x_poly() + t_poly(), jet(1): z2 + 1}
+    p = E(3) * z0 * z1 + z2
+    assert p.substitute(images) == E(3) * images[jet(0)] * images[jet(1)] + z2
+    assert keys and max(keys) < 1 << diffring._HELD_SHIFT
 
 
 @pytest.mark.parametrize(
