@@ -62,9 +62,11 @@ def test_gen_burgers_text(capsys):
 
 
 def test_gen_heat_order_zero(capsys):
-    code, out, _ = run(["gen", "--eq", "heat", "--max-order", "0"], capsys)
-    assert code == 0
-    assert out.strip() == "Q[0,0] = u"
+    # an order-0 table is the origin alone, where the member (0, 0) is nonzero
+    for eq, origin in [("heat", "u"), ("potburgers", "1")]:
+        code, out, _ = run(["gen", "--eq", eq, "--max-order", "0"], capsys)
+        assert code == 0
+        assert out.strip() == f"Q[0,0] = {origin}"
 
 
 def test_gen_json_round_trip(capsys):
@@ -94,9 +96,12 @@ def test_gen_latex_fragment(capsys):
 
 
 def test_gen_rejects_bad_order(capsys):
+    # the Burgers member (0, 0) is D_x 1 = 0, so its table starts at order 1
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--eq", "burgers", "--max-order", "0"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "jetsym: error: --max-order 0 is invalid for --eq burgers"
     with pytest.raises(SystemExit):
         main(["gen", "--eq", "heat", "--max-order", "-1"])
 
@@ -251,6 +256,8 @@ def test_gen_and_verify_bytes_are_pinned(argv, digest, capsys):
     [
         (["--help"], "165d73f006236c4ca71d54423f25e666a921e90c56c2fa6fc7085131e9e18617"),
         (["verify", "--help"], "76f5680d25e0cd3966e3c441f50ebc1a17a31aaf2287b2e686267c5e05c45276"),
+        (["gen", "--help"], "25fcd5ef19b5fb4d3a0970ae914f1ff11a7b271a2f0a3ed20593993dafe0f566"),
+        (["map", "--help"], "d8411b04cfbd29f90468e27d36f18c1fa201234d747b7cc75898cad7081bf519"),
     ],
 )
 def test_help_bytes_are_pinned(argv, digest, monkeypatch, capsys):
