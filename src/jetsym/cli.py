@@ -45,18 +45,14 @@ from .diffring import (
     render_terms,
     tx_factors,
 )
-from .jetflow import BURGERS, invariance_residual
-from .symfam import FAMILY_EQUATION, Q_FAMILIES, Family, index_range, q_char
+from .jetflow import BURGERS, EQUATIONS, invariance_residual
+from .symfam import Family, index_range, q_char
 
 # invariance_residual is not called here.  It stays importable from
 # jetsym.cli, where perfbench/tests checks that the layer tracer's wrappers
 # reach it; every command loads jetflow anyway.
 
 MONOMIAL_ORDER_ID = "graded:t<x<z<h"
-
-DEP_LETTER = {"heat": "u", "potburgers": "w", "burgers": "v"}
-
-_EQ_FAMILY = {FAMILY_EQUATION[f].name: f for f in Q_FAMILIES}
 
 _KIND_LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h", KIND_EXP: "e"}
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
@@ -109,9 +105,9 @@ def render_latex(p: DiffPoly, dep: str, parts: dict | None = None) -> str:
 
 
 _FAMILY_TEX = {
-    "heat": "\\mathfrak{Q}",
-    "potburgers": "\\tilde{\\mathfrak{Q}}",
-    "burgers": "\\hat{\\mathfrak{Q}}",
+    Family.HEAT_Q: "\\mathfrak{Q}",
+    Family.POT_Q: "\\tilde{\\mathfrak{Q}}",
+    Family.BURGERS_Q: "\\hat{\\mathfrak{Q}}",
 }
 
 
@@ -306,8 +302,8 @@ class SymmetryTableDoc(Record):
         payload = json.loads(text)
         _require_keys(payload, ("equation", "metadata", "entries"), "a table document")
         equation = payload["equation"]
-        if not (isinstance(equation, str) and equation in DEP_LETTER):
-            raise ValueError(f"unknown equation {equation!r}; expected one of {sorted(DEP_LETTER)}")
+        if not (isinstance(equation, str) and equation in EQUATIONS):
+            raise ValueError(f"unknown equation {equation!r}; expected one of {sorted(EQUATIONS)}")
         if not isinstance(payload["metadata"], dict):
             raise ValueError("the metadata of a table document must be a JSON object")
         if not isinstance(payload["entries"], list):
@@ -326,11 +322,16 @@ class SymmetryTableDoc(Record):
         return SymmetryTableDoc(equation, entries, payload["metadata"])
 
 
+def _has_origin(family: Family) -> bool:
+    """Whether a Q family's member (0, 0) is nonzero; Burgers' is D_x 1 = 0."""
+    return not q_char(family).body.is_zero()
+
+
 def family_table(equation: str, max_order: int) -> SymmetryTableDoc:
-    family = _EQ_FAMILY[equation]
+    family = EQUATIONS[equation].q_family
     entries = [
         TableEntry("Q", k, l, q_char(family, k, l).body)
-        for k, l in index_range(max_order, include_origin=equation != "burgers")
+        for k, l in index_range(max_order, include_origin=_has_origin(family))
     ]
     metadata = {
         "engine": f"jetsym {__version__}",
@@ -348,13 +349,13 @@ def _table_fragments(doc: SymmetryTableDoc, fmt: str) -> Iterator[str]:
         return
     if not doc.entries:
         yield "\n"
-    dep = DEP_LETTER[doc.equation]
-    parts: dict = {}
+    eq = EQUATIONS[doc.equation]
+    dep, parts = eq.letter, {}
     if fmt == "text":
         for e in doc.entries:
             yield f"Q[{e.k},{e.l}] = {render_text(e.body, dep, parts)}\n"
     else:
-        sym = _FAMILY_TEX[doc.equation]
+        sym = _FAMILY_TEX[eq.q_family]
         for e in doc.entries:
             yield f"{sym}^{{{e.k},{e.l}}} = {render_latex(e.body, dep, parts)}\n"
 
@@ -420,7 +421,7 @@ MAP_MAX_ORDER = 16
 
 
 def _cmd_gen(args, parser) -> int:
-    if args.max_order < 0 or (args.eq == "burgers" and args.max_order < 1):
+    if args.max_order < (0 if _has_origin(EQUATIONS[args.eq].q_family) else 1):
         parser.error(f"--max-order {args.max_order} is invalid for --eq {args.eq}")
     if args.max_order > GEN_MAX_ORDER:
         return _order_too_large(f"gen --max-order {args.max_order}", GEN_MAX_ORDER)
@@ -496,7 +497,7 @@ def _cmd_solve(args, parser) -> int:
         verdict = "MATCH" if report.family_span_matches else "MISMATCH"
         print(f"family span: {verdict}")
         for i, c in enumerate(report.basis):
-            print(f"  basis[{i}] = {render_text(c.body, 'v')}")
+            print(f"  basis[{i}] = {render_text(c.body, c.equation.letter)}")
     return 0 if report.family_span_matches else 1
 
 
@@ -505,15 +506,17 @@ def _cmd_map(args, parser) -> int:
 
     if args.k < 0 or args.l < 0:
         parser.error("--k and --l must be nonnegative")
+    if args.family == "z" and (args.k or args.l):
+        parser.error("--family z takes no --k or --l: the parameter family has no indices")
     if args.k + args.l > MAP_MAX_ORDER:
         return _order_too_large(f"map --k {args.k} --l {args.l}", MAP_MAX_ORDER)
     if args.family == "z":
         eta, label = q_char(Family.HEAT_Z), "Z(h)"
     else:
         eta, label = q_char(Family.HEAT_Q, args.k, args.l), f"Q[{args.k},{args.l}]"
-    print(f"heat: {label} = {render_text(eta.body, 'u')}")
+    print(f"heat: {label} = {render_text(eta.body, eta.equation.letter)}")
     mid = heat_to_potential(eta)
-    print(f"potential: {render_text(mid.body, 'w')}")
+    print(f"potential: {render_text(mid.body, mid.equation.letter)}")
     if args.to == "potburgers":
         return 0
     try:
@@ -521,12 +524,9 @@ def _cmd_map(args, parser) -> int:
     except NotProjectable as exc:
         print(f"NOT PROJECTABLE: {exc}")
         return 1
-    if args.normalize:
-        body = final.body * Fraction(-1, 2)
-        print(f"burgers (normalized): {render_text(body, 'v')}")
-    else:
-        body = final.body
-        print(f"burgers: {render_text(body, 'v')}")
+    body = final.body * Fraction(-1, 2) if args.normalize else final.body
+    name = "burgers (normalized)" if args.normalize else "burgers"
+    print(f"{name}: {render_text(body, final.equation.letter)}")
     if final.body.is_zero():
         print("KERNEL: the image vanishes")
     return 0
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a symmetry family table")
-    gen.add_argument("--eq", choices=("heat", "potburgers", "burgers"), required=True)
+    gen.add_argument("--eq", choices=tuple(EQUATIONS), required=True)
     gen.add_argument(
         "--max-order",
         type=int,

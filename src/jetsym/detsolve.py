@@ -32,11 +32,11 @@ Identical inputs always produce identical bases, each checked by
 invariance_residual.
 
 Every equation solves (an EvolutionEquation's right-hand side is free of
-t).  The family span is compared for Burgers only, the one equation with a
-reference family: there the solver reproduces the graded dimension count
-n + 1 at each order, the cumulative dimension through order n is
-n (n + 3) / 2, and the solution space coincides with the span of the
-symmetry family members of order <= n.
+t).  The family span is compared where the equation's record names a
+reference family, as Burgers' names its own Q family: there the solver
+reproduces the graded dimension count n + 1 at each order, the cumulative
+dimension through order n is n (n + 3) / 2, and the solution space
+coincides with the span of the symmetry family members of order <= n.
 """
 
 from __future__ import annotations
@@ -61,12 +61,7 @@ from .diffring import (
     order_key,
     unit,
 )
-from .jetflow import (
-    BURGERS,
-    Characteristic,
-    EvolutionEquation,
-    invariance_residual,
-)
+from .jetflow import Characteristic, EvolutionEquation, invariance_residual
 from .symfam import Family, index_range, q_char
 
 # the most parts (the columns of R) that one solve factors: the jet parts,
@@ -379,12 +374,9 @@ def _dependencies(vectors):
         yield _insert(vec, index, table)
 
 
-def family_bodies(order: int) -> list[DiffPoly]:
-    """The Burgers family members with 1 <= k + l <= order, in index order."""
-    return [
-        q_char(Family.BURGERS_Q, k, l).body
-        for k, l in index_range(order, include_origin=False)
-    ]
+def family_bodies(family: Family, order: int) -> list[DiffPoly]:
+    """The members of a Q family with 1 <= k + l <= order, in index order."""
+    return [q_char(family, k, l).body for k, l in index_range(order, include_origin=False)]
 
 
 class SolveReport(NamedTuple):
@@ -405,8 +397,9 @@ def solve_symmetries(
     """Solve the determining equation over a bounded polynomial ansatz.
 
     Any equation whose right-hand side is free of t solves.  The span of
-    the basis is compared with a reference family for Burgers only, the one
-    equation that has one; family_span_matches is None for the others.
+    the basis is compared with the members of the equation's reference
+    family with 1 <= k + l <= order; family_span_matches is None for an
+    equation with no reference.
     """
     ansatz = Ansatz(eq, order, jet_degree, x_degree, t_degree)
     system = _level_system(ansatz)
@@ -416,9 +409,9 @@ def solve_symmetries(
             raise RuntimeError("internal error: kernel vector fails the residual check")
         basis.append(Characteristic(eq, body))
     span_matches: Optional[bool] = None
-    if eq is BURGERS:
+    if eq.reference is not None:
         # one reduction: the family's own rank is read off its first vectors
-        family = family_bodies(order)
+        family = family_bodies(eq.reference, order)
         bodies = family + [c.body for c in basis]
         independent = [dep is None for dep in _dependencies(b._nums for b in bodies)]
         family_rank = sum(independent[: len(family)])

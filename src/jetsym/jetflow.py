@@ -10,7 +10,8 @@ where the parameter symbols h_j differentiate by index shift because the
 symbolic parameter function h(t, x) solves the linear heat equation
 (h_t = h_xx), and E = e^{z_0} by the chain rule.  Both are the one
 routine diffring.derive, driven by a table of the images of the variables
-kept here.  Three equations are built in:
+kept here.  Three equations are built in, each a record that also holds
+its letter, translation multiplier and families (see EvolutionEquation):
 
     HEAT         z_t = z_2             (u_t = u_xx)
     POTBURGERS   z_t = z_2 + z_1^2     (w_t = w_xx + w_x^2)
@@ -36,6 +37,8 @@ and each coefficient of t^a x^b reads the tails of the levels above it.
 
 from __future__ import annotations
 
+from enum import Enum
+from fractions import Fraction
 from math import comb, lcm
 from typing import Optional
 
@@ -209,28 +212,39 @@ def prolongation_sums(F: DiffPoly, eta: DiffPoly, count: int) -> list[DiffPoly]:
     ]
 
 
-class EvolutionEquation:
-    """A named evolution equation z_t = rhs.
+class EvolutionEquation(Record):
+    """An evolution equation z_t = rhs, and what the package knows of it.
 
-    Instances are effectively immutable: the tables of D_t images and of
-    jet-part residual images only ever extend, and every public operation
-    is a pure function of its inputs.
+    letter names z in output; multiplier is the M of the translation
+    T = D_x + M behind the recursion operators and the families, None when
+    the equation has none built in; q_family, z_family and reference are
+    its Q family, its parameter family and the family whose span the
+    solver compares with, each None where it has none.  A Record whose
+    fields are read-only, and which equals only itself, as Characteristic
+    compares it.  The tables of D_t images and of jet-part residual images
+    only ever extend, and every public operation is a pure function of its
+    inputs.
     """
 
-    def __init__(self, name: str, rhs: DiffPoly, allows_par: bool = True):
+    __slots__ = ("name", "rhs", "allows_par", "letter", "multiplier", "q_family", "z_family",
+                 "reference", "_dt_images", "_jet_images")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, name: str, rhs: DiffPoly, allows_par: bool = True, letter: str = "z",
+        multiplier: Optional[DiffPoly] = None, q_family: Optional[Family] = None,
+        z_family: Optional[Family] = None, reference: Optional[Family] = None,
+    ):
         if rhs.has_kind(KIND_PAR) or rhs.has_kind(KIND_T):
             raise ValueError("equation right-hand side must involve jets (and x) only")
-        self.name = name
-        self.rhs = rhs
-        self.allows_par = allows_par
-        # D_t: t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2}, E -> rhs E.
-        self._dt_images: Images = {
-            unit(T_VAR): DiffPoly.const(1),
-            unit(X_VAR): DiffPoly.zero(),
-            _E_UNIT: rhs * exp_poly(1),
-        }
-        # Res(J) and its Leibniz tails (G_1(J), ...) by packed jet part J
-        self._jet_images: dict[int, tuple[DiffPoly, tuple[DiffPoly, ...]]] = {}
+        # the images of D_t (t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2},
+        # E -> rhs E), then Res(J) and its Leibniz tails (G_1(J), ...) by
+        # packed jet part J
+        super().__init__(
+            name, rhs, allows_par, letter, multiplier, q_family, z_family, reference,
+            {_T_UNIT: DiffPoly.const(1), _X_UNIT: DiffPoly.zero(), _E_UNIT: rhs * exp_poly(1)},
+            {},
+        )
 
     def __repr__(self) -> str:
         return f"EvolutionEquation({self.name}: z_t = {self.rhs})"
@@ -380,12 +394,28 @@ def invariance_residual(eq: EvolutionEquation, eta) -> DiffPoly:
     return DiffPoly._make(nums, eta._den * den)
 
 
-HEAT = EvolutionEquation("heat", jet_poly(2), allows_par=True)
+class Family(Enum):
+    HEAT_Q = "heat_q"
+    POT_Q = "pot_q"
+    BURGERS_Q = "burgers_q"
+    HEAT_Z = "heat_z"
+    POT_Z = "pot_z"
+
+
+Q_FAMILIES = (Family.HEAT_Q, Family.POT_Q, Family.BURGERS_Q)
+Z_FAMILIES = (Family.HEAT_Z, Family.POT_Z)
+
+# M = 0, w_1 and -v/2; Burgers' solutions are compared with its own family.
+HEAT = EvolutionEquation(
+    "heat", jet_poly(2), True, "u", DiffPoly.zero(), Family.HEAT_Q, Family.HEAT_Z
+)
 POTBURGERS = EvolutionEquation(
-    "potburgers", jet_poly(2) + jet_poly(1) * jet_poly(1), allows_par=True
+    "potburgers", jet_poly(2) + jet_poly(1) * jet_poly(1), True, "w", jet_poly(1),
+    Family.POT_Q, Family.POT_Z,
 )
 BURGERS = EvolutionEquation(
-    "burgers", jet_poly(2) - jet_poly(0) * jet_poly(1), allows_par=False
+    "burgers", jet_poly(2) - jet_poly(0) * jet_poly(1), False, "v",
+    jet_poly(0) * Fraction(-1, 2), Family.BURGERS_Q, reference=Family.BURGERS_Q,
 )
 
 EQUATIONS = {eq.name: eq for eq in (HEAT, POTBURGERS, BURGERS)}

@@ -10,9 +10,9 @@ built-in constructors cover the recursion operators of the three equations:
     Burgers:            D_x - v/2          and  t (D_x - v/2) + x/2
     Burgers, nonlocal:  D_x (D_x - v/2) D_x^{-1}   and   D_x (t (D_x - v/2) + x/2) D_x^{-1}
 
-that is, a translation T = D_x + M and the boost t T + x/2, with the
-multipliers M of symfam.TRANSLATION_MULTIPLIER, which also build the
-families.
+that is, a translation T = D_x + M and the boost t T + x/2, with M the
+multiplier of the equation's record (jetflow.EvolutionEquation), which
+also builds its families.
 
 D_x^{-1} is only ever applied to total x-derivatives; membership is
 certified by the Euler operator (variational derivative), which vanishes
@@ -57,7 +57,6 @@ from .jetflow import (
     x_antiderivative,
     x_derivative,
 )
-from .symfam import TRANSLATION_MULTIPLIER
 
 
 class NotATotalDerivative(ValueError):
@@ -145,9 +144,10 @@ def commutator_op(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
 def translation_op(eq: EvolutionEquation) -> OperatorExpr:
     """The first-order recursion operator tied to space translations.
 
-    T = D_x + M, with M from symfam.TRANSLATION_MULTIPLIER.
+    T = D_x + M, with M the equation's multiplier; an equation whose
+    multiplier is None has no built-in recursion operators.
     """
-    shift = TRANSLATION_MULTIPLIER.get(eq)
+    shift = eq.multiplier
     if shift is None:
         raise ValueError(f"no built-in recursion operators for {eq.name}")
     return Sum((Dx(), MulBy(shift))) if shift else Dx()

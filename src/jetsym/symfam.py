@@ -8,8 +8,8 @@ built from its recursion operators applied to a seed:
     Burgers:           Q[k,l] = D_x boost^k translation^l (1)
 
 (the Burgers (0,0) entry is the zero characteristic).  On all three
-equations the translation is T = D_x + M, with M = 0, w_1 and -v/2
-(TRANSLATION_MULTIPLIER), and the boost is B = t T + x/2, so [T, B] = 1/2
+equations the translation is T = D_x + M, with M = 0, w_1 and -v/2 (the
+multiplier of each EvolutionEquation), and the boost is B = t T + x/2, so [T, B] = 1/2
 and T B^k = B^k T + (k/2) B^(k-1).  The entries c(k,l) = B^k T^l (seed)
 are therefore built by this commutator ladder: the column c(0,l) takes
 one D_x per entry, kept on the entry it differentiates (see
@@ -37,7 +37,6 @@ ordered pair of a family with one bracket per unordered pair.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -53,37 +52,22 @@ from .diffring import (
     t_poly,
     x_poly,
 )
+
+# Family, Q_FAMILIES and Z_FAMILIES live beside the equations that name them.
 from .jetflow import (
-    BURGERS,
+    EQUATIONS,
     HEAT,
-    POTBURGERS,
+    Q_FAMILIES,
+    Z_FAMILIES,
     Characteristic,
     EvolutionEquation,
+    Family,
     jet_partials,
     x_tower,
 )
 
-
-class Family(Enum):
-    HEAT_Q = "heat_q"
-    POT_Q = "pot_q"
-    BURGERS_Q = "burgers_q"
-    HEAT_Z = "heat_z"
-    POT_Z = "pot_z"
-
-
-Q_FAMILIES = (Family.HEAT_Q, Family.POT_Q, Family.BURGERS_Q)
-Z_FAMILIES = (Family.HEAT_Z, Family.POT_Z)
-
-FAMILY_EQUATION = {
-    Family.HEAT_Q: HEAT,
-    Family.POT_Q: POTBURGERS,
-    Family.BURGERS_Q: BURGERS,
-    Family.HEAT_Z: HEAT,
-    Family.POT_Z: POTBURGERS,
-}
-
-_Q_OF_Z = {Family.HEAT_Z: Family.HEAT_Q, Family.POT_Z: Family.POT_Q}
+# The equation of each family, read off its record.
+FAMILY_EQUATION = {f: eq for eq in EQUATIONS.values() for f in (eq.q_family, eq.z_family) if f}
 
 
 class FamilyIndex(NamedTuple):
@@ -92,22 +76,14 @@ class FamilyIndex(NamedTuple):
     l: int = 0
 
 
-# The multiplier M of each equation's translation T = D_x + M; its boost is
-# B = t T + x/2.  opcalc builds both operators from these.
-TRANSLATION_MULTIPLIER = {
-    HEAT: DiffPoly.zero(),
-    POTBURGERS: jet_poly(1),
-    BURGERS: jet_poly(0) * Fraction(-1, 2),
-}
-
-# The equation whose recursion operators build each chain, and its seed.
-# The HEAT_Z chain, boost^k D_x^l h, is the parameter function of the bracket
-# [Z(h), Q[k,l]] in both parameter families.
+# The seed of each chain, on which the recursion operators of its family's
+# equation act.  The HEAT_Z chain, boost^k D_x^l h, is the parameter
+# function of the bracket [Z(h), Q[k,l]] in both parameter families.
 _CHAIN_SEEDS = {
-    Family.HEAT_Q: (HEAT, jet_poly(0)),
-    Family.POT_Q: (POTBURGERS, DiffPoly.const(1)),
-    Family.BURGERS_Q: (BURGERS, DiffPoly.const(1)),
-    Family.HEAT_Z: (HEAT, par_poly(0)),
+    Family.HEAT_Q: jet_poly(0),
+    Family.POT_Q: DiffPoly.const(1),
+    Family.BURGERS_Q: DiffPoly.const(1),
+    Family.HEAT_Z: par_poly(0),
 }
 
 # The commutator ladder of every chain, filled by _ladder: family ->
@@ -159,13 +135,13 @@ def _ladder(family: Family, k: int, l: int, d: int) -> DiffPoly:
     body = table.get((k, l, d))
     if body is not None:
         return body
-    eq, seed = _CHAIN_SEEDS[family]
+    eq = FAMILY_EQUATION[family]
     if d:
         _ladder(family, 0, k + l, 0)
         if k:
             _ladder(family, k - 1, l, 0)
-    table.setdefault((0, 0, 0), seed)
-    multiplier = TRANSLATION_MULTIPLIER[eq]
+    table.setdefault((0, 0, 0), _CHAIN_SEEDS[family])
+    multiplier = eq.multiplier
     for j in range(k + l + 1):
         if (0, j, d) not in table:
             if d:
@@ -295,7 +271,7 @@ def structure_check(family: Family, idx1, idx2=None):
     if family in Z_FAMILIES:
         kl = idx1 if idx2 is None else idx2
         k, l = kl
-        bracket = _bracket_terms(eq, q_char(family).body, q_char(_Q_OF_Z[family], k, l).body)
+        bracket = _bracket_terms(eq, q_char(family).body, q_char(eq.q_family, k, l).body)
         h_image = family_seed_chain(Family.HEAT_Z, k, l)
         factor = _ONE if family is Family.HEAT_Z else exp_poly(-1)
         return sum_of_products([*bracket, (h_image, factor, -1)])

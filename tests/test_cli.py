@@ -520,6 +520,15 @@ def test_map_parameter_family_not_projectable(capsys):
     assert "NOT PROJECTABLE" in out
 
 
+@pytest.mark.parametrize("indices", [["--k", "3", "--l", "2"], ["--l", "1"], ["--k", "20"]])
+def test_map_parameter_family_refuses_indices(indices, capsys):
+    # Z(h) has no (k, l), as q_char says; the refusal comes before the cap
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--family", "z", *indices])
+    assert exc.value.code == 2
+    assert "--family z takes no --k or --l" in capsys.readouterr().err
+
+
 def test_map_stdout_goldens(capsys):
     code, out, _ = run(["map", "--family", "z", "--to", "potburgers"], capsys)
     assert code == 0

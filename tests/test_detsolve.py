@@ -578,7 +578,7 @@ def test_heat_solves_without_a_reference_family():
 
 
 def test_family_rank_matches_count():
-    bodies = family_bodies(3)
+    bodies = family_bodies(Family.BURGERS_Q, 3)
     assert len(bodies) == 9
     assert rank_of_bodies(bodies) == 9
 

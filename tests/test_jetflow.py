@@ -1,6 +1,9 @@
-"""On-shell derivations, the Frechet derivative, and invariance residuals."""
+"""Equation records, on-shell derivations, the Frechet derivative, and
+invariance residuals."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +14,17 @@ from jetsym.detsolve import solve_symmetries
 from jetsym.diffring import EXP_VAR, T_VAR, X_VAR, DiffPoly, jet, jet_poly, par, par_poly, t_poly, x_poly
 from jetsym.jetflow import (
     BURGERS,
+    EQUATIONS,
     HEAT,
     POTBURGERS,
     Characteristic,
     EvolutionEquation,
     invariance_residual,
 )
+from jetsym.opcalc import translation_op
+from jetsym.symfam import Family
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 t, x = t_poly(), x_poly()
 half = Fraction(1, 2)
@@ -34,6 +42,63 @@ def test_builtin_right_hand_sides():
     assert HEAT.rhs == z(2)
     assert POTBURGERS.rhs == z(2) + z(1) * z(1)
     assert BURGERS.rhs == z(2) - z(0) * z(1)
+
+
+def test_equation_records_hold_what_each_equation_knows():
+    # in gen --eq's order: the letter, M of T = D_x + M, the Q and parameter
+    # families and the family the solver's span is compared with
+    assert [
+        (eq.name, eq.letter, eq.multiplier, eq.q_family, eq.z_family, eq.reference)
+        for eq in EQUATIONS.values()
+    ] == [
+        ("heat", "u", DiffPoly.zero(), Family.HEAT_Q, Family.HEAT_Z, None),
+        ("potburgers", "w", z(1), Family.POT_Q, Family.POT_Z, None),
+        ("burgers", "v", -half * z(0), Family.BURGERS_Q, None, Family.BURGERS_Q),
+    ]
+    # an equation built in a test takes the defaults
+    assert (KDV.letter, KDV.multiplier, KDV.q_family, KDV.z_family, KDV.reference) == (
+        "z", None, None, None, None
+    )
+    with pytest.raises(ValueError, match="no built-in recursion operators for kdv"):
+        translation_op(KDV)
+
+
+# The comparisons that belong to the Hopf-Cole chain itself: the argument
+# checks of its two maps, and the stop of map --to potburgers.
+_CHAIN_COMPARES = {
+    ("colemap.py", "heat_to_potential"),
+    ("colemap.py", "potential_to_burgers"),
+    ("cli.py", "_cmd_map"),
+}
+
+
+def _names_an_equation(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in ("HEAT", "POTBURGERS", "BURGERS")
+    return isinstance(node, ast.Constant) and node.value in ("heat", "potburgers", "burgers")
+
+
+def test_no_equation_is_compared_by_name_or_identity():
+    # what sets one equation apart is read off its record
+    sites, chain = [], set()
+    for path in sorted((SRC / "jetsym").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scope = {}
+        for fn in ast.walk(tree):  # breadth first, so the outermost function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    scope.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                map(_names_an_equation, [node.left, *node.comparators])
+            ):
+                where = (path.name, scope.get(node))
+                if where in _CHAIN_COMPARES:
+                    chain.add(where)
+                else:
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+    assert chain == _CHAIN_COMPARES
 
 
 def test_dx_examples():

@@ -20,7 +20,7 @@ from jetsym.checks import CheckResult
 from jetsym.cli import SymmetryTableDoc, TableEntry
 from jetsym.detsolve import Ansatz, SolveReport, solve_symmetries
 from jetsym.diffring import DiffPoly, Record, jet_poly, t_poly, x_poly
-from jetsym.jetflow import BURGERS, HEAT, Characteristic
+from jetsym.jetflow import BURGERS, HEAT, Characteristic, EvolutionEquation
 from jetsym.opcalc import (
     Compose,
     Dt,
@@ -99,6 +99,22 @@ def test_records_with_equal_fields_are_equal_and_hash_alike(record):
     else:
         assert hash(twin) == hash(record)
         assert len({record, twin}) == 1
+
+
+def test_equation_fields_are_read_only():
+    # an equation keeps the D_t images of its rhs, so no field may change
+    eq = EvolutionEquation("burgers_copy", BURGERS.rhs, allows_par=False)
+    for field in EvolutionEquation.__slots__:
+        value = getattr(eq, field)
+        with pytest.raises(AttributeError):
+            setattr(eq, field, jet_poly(2) if field == "rhs" else value)
+        with pytest.raises(AttributeError):
+            delattr(eq, field)
+        assert getattr(eq, field) is value
+    assert eq.dt(jet_poly(3)) == BURGERS.dt(jet_poly(3)) != jet_poly(5)
+    # equal only to itself, as Characteristic compares it
+    twin = EvolutionEquation("burgers_copy", BURGERS.rhs, allows_par=False)
+    assert eq == eq != twin and len({eq, twin}) == 2
 
 
 def test_record_types_with_equal_fields_are_unequal():

@@ -243,7 +243,7 @@ def test_jacobi_identity_low_order():
 def test_family_linearly_independent():
     from jetsym.detsolve import family_bodies
 
-    bodies = family_bodies(4)
+    bodies = family_bodies(Family.BURGERS_Q, 4)
     assert rank_of_bodies(bodies) == len(bodies)
 
 
@@ -347,7 +347,7 @@ def test_ladder_bodies_do_not_depend_on_the_order_of_requests(requests):
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS, BURGERS], ids=lambda e: e.name)
 def test_operators_are_built_from_the_ladder_multiplier(eq):
     # the ladder's M is the one the operators of the verify suites carry
-    m = symfam.TRANSLATION_MULTIPLIER[eq]
+    m = eq.multiplier
     for p in random_poly_stream(4242, 12, with_par=eq.allows_par):
         translated = eq.dx(p) + m * p
         assert apply(translation_op(eq), eq, p) == translated
@@ -382,7 +382,7 @@ def test_ladder_takes_one_dx_per_column_entry(monkeypatch):
 
     _clear_family_caches()
     # a fresh seed: the module's own may already hold its D_x
-    monkeypatch.setitem(symfam._CHAIN_SEEDS, Family.BURGERS_Q, (BURGERS, DiffPoly.const(1)))
+    monkeypatch.setitem(symfam._CHAIN_SEEDS, Family.BURGERS_Q, DiffPoly.const(1))
     derived = []
     real = jetflow.derive
     monkeypatch.setattr(
