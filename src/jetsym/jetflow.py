@@ -405,7 +405,8 @@ class Family(Enum):
 Q_FAMILIES = (Family.HEAT_Q, Family.POT_Q, Family.BURGERS_Q)
 Z_FAMILIES = (Family.HEAT_Z, Family.POT_Z)
 
-# M = 0, w_1 and -v/2; Burgers' solutions are compared with its own family.
+# The translation multipliers are M = 0, w_1 and -v/2, and the solver
+# compares Burgers' solutions with its own family.
 HEAT = EvolutionEquation(
     "heat", jet_poly(2), True, "u", DiffPoly.zero(), Family.HEAT_Q, Family.HEAT_Z
 )

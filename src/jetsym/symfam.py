@@ -8,13 +8,13 @@ built from its recursion operators applied to a seed:
     Burgers:           Q[k,l] = D_x boost^k translation^l (1)
 
 (the Burgers (0,0) entry is the zero characteristic).  On all three
-equations the translation is T = D_x + M, with M = 0, w_1 and -v/2 (the
-multiplier of each EvolutionEquation), and the boost is B = t T + x/2, so [T, B] = 1/2
-and T B^k = B^k T + (k/2) B^(k-1).  The entries c(k,l) = B^k T^l (seed)
-are therefore built by this commutator ladder: the column c(0,l) takes
-one D_x per entry, kept on the entry it differentiates (see
-jetflow.x_derivative), and every entry off the column is a sum of earlier
-entries shifted by t or x, with no derivation.  Since D_x t = 0 and
+equations the translation is T = D_x + M, M = 0, w_1 and -v/2 being each
+EvolutionEquation's multiplier, and the boost is B = t T + x/2, so
+[T, B] = 1/2 and T B^k = B^k T + (k/2) B^(k-1).  The entries
+c(k,l) = B^k T^l (seed) are therefore built by this commutator ladder: the
+column c(0,l) takes one D_x per entry, kept on the entry it differentiates
+(see jetflow.x_derivative), and every entry off the column is a sum of
+earlier entries shifted by t or x, with no derivation.  Since D_x t = 0 and
 D_x x = 1, the Burgers members D_x c(k,l) follow the same ladder among
 themselves, plus c(k-1,l)/2: Q[0,l] is the D_x the column keeps on c(0,l),
 and an order-n Burgers table reads the chain off the column only through
@@ -141,14 +141,13 @@ def _ladder(family: Family, k: int, l: int, d: int) -> DiffPoly:
         if k:
             _ladder(family, k - 1, l, 0)
     table.setdefault((0, 0, 0), _CHAIN_SEEDS[family])
-    multiplier = eq.multiplier
     for j in range(k + l + 1):
         if (0, j, d) not in table:
             if d:
                 table[0, j, d] = eq.dx(table[0, j, 0])
             else:
                 prev = table[0, j - 1, 0]
-                table[0, j, 0] = sum_of_products([(_ONE, eq.dx(prev), 1), (multiplier, prev, 1)])
+                table[0, j, 0] = sum_of_products([(_ONE, eq.dx(prev), 1), (eq.multiplier, prev, 1)])
     for total in range(1, k + l + 1):
         for i in range(1, min(k, total) + 1):
             j = total - i

@@ -85,7 +85,7 @@ def test_no_equation_is_compared_by_name_or_identity():
         tree = ast.parse(path.read_text(), str(path))
         scope = {}
         for fn in ast.walk(tree):  # breadth first, so the outermost function wins
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
                     scope.setdefault(node, fn.name)
         for node in ast.walk(tree):
