@@ -17,7 +17,7 @@ The verify suites live in jetsym.checks; this module keeps their default
 bounds and caps.  A module that only one command uses is imported in that
 command's handler (detsolve for solve, colemap for map, checks for verify),
 so each process compiles no more of the package than its command runs;
-the json module is likewise imported only where JSON is written or read.
+the json module is likewise imported only where JSON is written.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .diffring import (
     KIND_PAR,
     KIND_T,
     KIND_X,
-    Monomial,
     JetLimitError,
     Record,
     jet_rows,
@@ -55,7 +54,6 @@ from .symfam import Family, index_range, q_char
 MONOMIAL_ORDER_ID = "graded:t<x<z<h"
 
 _KIND_LETTER = {KIND_T: "t", KIND_X: "x", KIND_JET: "z", KIND_PAR: "h", KIND_EXP: "e"}
-_LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
 
 
 # -- rendering ------------------------------------------------------------------
@@ -112,27 +110,6 @@ _FAMILY_TEX = {
 
 
 # -- lossless JSON documents -----------------------------------------------------
-
-
-def _mono_from_json(data) -> Monomial:
-    if not isinstance(data, list):
-        raise ValueError(f"a monomial must be a list of factors, got {data!r}")
-    exps: dict = {}
-    for factor in data:
-        if not (isinstance(factor, list) and len(factor) == 3):
-            raise ValueError(f"a factor must be [letter, index, exponent], got {factor!r}")
-        letter, idx, e = factor
-        kind = _LETTER_KIND.get(letter) if isinstance(letter, str) else None
-        if kind is None:
-            raise ValueError(f"unknown variable kind letter {letter!r}")
-        if type(idx) is not int:
-            raise ValueError(f"index {idx!r} of kind {letter!r} is not an int")
-        if e == 0:
-            raise ValueError(f"zero exponent on {letter}{idx}")
-        if (kind, idx) in exps:
-            raise ValueError(f"variable {letter}{idx} occurs twice in one monomial")
-        exps[(kind, idx)] = e
-    return tuple(sorted(exps.items()))
 
 
 def _json_array(items: Iterable[str | Iterable[str]], depth: int) -> Iterator[str]:
@@ -206,39 +183,6 @@ def _body_json(p: DiffPoly, depth: int, parts: dict | None = None) -> str:
     return f"[{i1}" + f",{i1}".join(texts) + "\n" + "  " * depth + "]"
 
 
-def _body_from_json(data) -> DiffPoly:
-    """Parse a body written by _body_json; malformed input raises ValueError."""
-    if not isinstance(data, list):
-        raise ValueError(f"a body must be a list of terms, got {data!r}")
-    terms: dict = {}
-    for term in data:
-        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], str)):
-            raise ValueError(f"a term must be [monomial, coefficient string], got {term!r}")
-        mono = _mono_from_json(term[0])
-        try:
-            coeff = Fraction(term[1])
-        except ZeroDivisionError as exc:
-            raise ValueError(f"invalid coefficient {term[1]!r}") from exc
-        if not coeff:
-            raise ValueError(f"zero coefficient on {term[0]!r}")
-        if mono in terms:
-            raise ValueError(f"monomial {term[0]!r} occurs twice")
-        terms[mono] = coeff
-    # The constructor checks each variable and exponent.
-    try:
-        return DiffPoly(terms)
-    except JetLimitError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def _require_keys(obj, keys, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"{what} lacks the keys {missing}")
-
-
 class TableEntry(NamedTuple):
     family: str
     k: int
@@ -247,10 +191,12 @@ class TableEntry(NamedTuple):
 
 
 class SymmetryTableDoc(Record):
-    """A family table that round-trips losslessly through JSON.
+    """A family table, as gen writes it.
 
-    A Record whose fields are read-only; each document gets its own
-    metadata dict unless one is given.
+    Its JSON is lossless: each coefficient is its exact num/den string, each
+    factor [letter, index, exponent], and a power of E is ["e", 0, m].  A
+    Record whose fields are read-only; each document gets its own metadata
+    dict unless one is given.
     """
 
     __slots__ = ("equation", "entries", "metadata")
@@ -258,19 +204,15 @@ class SymmetryTableDoc(Record):
     def __init__(self, equation: str, entries: list, metadata: dict | None = None):
         super().__init__(equation, entries, {} if metadata is None else metadata)
 
-    def to_json(self) -> str:
-        """The document as JSON, written directly.
-
-        The bytes equal json.dumps(payload, indent=2, sort_keys=True) + "\\n"
-        of the dict payload (tests/test_cli.py compares the two on random
-        documents); the standard library's indenting encoder is pure Python
-        and several times slower on large tables.
-        """
-        return "".join(self._json_fragments())
-
     def _json_fragments(self) -> Iterator[str]:
-        """The text of to_json in fragments, a few per entry with each body
-        whole; the bodies share one jet-part table."""
+        """The document as JSON, written directly, in fragments: a few per
+        entry with each body whole; the bodies share one jet-part table.
+
+        The joined bytes equal json.dumps(payload, indent=2, sort_keys=True)
+        + "\\n" of the dict payload (tests/test_cli.py compares the two on
+        random documents); the standard library's indenting encoder is pure
+        Python and several times slower on large tables.
+        """
         import json
 
         parts: dict = {}
@@ -294,32 +236,6 @@ class SymmetryTableDoc(Record):
         }
         yield from _json_object(fields, 0)
         yield "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "SymmetryTableDoc":
-        import json
-
-        payload = json.loads(text)
-        _require_keys(payload, ("equation", "metadata", "entries"), "a table document")
-        equation = payload["equation"]
-        if not (isinstance(equation, str) and equation in EQUATIONS):
-            raise ValueError(f"unknown equation {equation!r}; expected one of {sorted(EQUATIONS)}")
-        if not isinstance(payload["metadata"], dict):
-            raise ValueError("the metadata of a table document must be a JSON object")
-        if not isinstance(payload["entries"], list):
-            raise ValueError("the entries of a table document must be a list")
-        for e in payload["entries"]:
-            _require_keys(e, ("family", "k", "l", "body"), "a table entry")
-            if not isinstance(e["family"], str):
-                raise ValueError(f"the family of a table entry must be a string: {e['family']!r}")
-            for key in ("k", "l"):
-                if type(e[key]) is not int or e[key] < 0:
-                    raise ValueError(f"{key} of a table entry must be an int >= 0: {e[key]!r}")
-        entries = [
-            TableEntry(e["family"], e["k"], e["l"], _body_from_json(e["body"]))
-            for e in payload["entries"]
-        ]
-        return SymmetryTableDoc(equation, entries, payload["metadata"])
 
 
 def _has_origin(family: Family) -> bool:

@@ -231,14 +231,10 @@ _BRACKET_SCALE = {
 }
 
 
-def _binomial_weight(i: int, a: int, b: int) -> Fraction:
-    return Fraction(factorial(i), 2**i) * comb(a, i) * comb(b, i)
-
-
 @lru_cache(maxsize=None)
 def _bracket_weight(scale: Fraction, sign: int, i: int, a: int, b: int) -> Fraction:
     """A signed, scaled weight of the closed form, formed once per argument."""
-    return sign * scale * _binomial_weight(i, a, b)
+    return sign * scale * Fraction(factorial(i), 2**i) * comb(a, i) * comb(b, i)
 
 
 def _closed_form_terms(family: Family, kl1, kl2, sign: int = 1) -> list:

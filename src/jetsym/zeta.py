@@ -61,10 +61,6 @@ class ZetaIdentityReport(NamedTuple):
     derivative_ok: tuple[bool, ...]  # D_x zeta_k = zeta_{k+1} - zeta_0 zeta_k
     flow_ok: tuple[bool, ...]  # (D_t + v D_x - D_x^2) zeta_k = 0
 
-    @property
-    def all_ok(self) -> bool:
-        return all(self.derivative_ok) and all(self.flow_ok)
-
 
 def verify_zeta_identities(max_index: int) -> ZetaIdentityReport:
     """Check both defining identities exactly for all k <= max_index."""

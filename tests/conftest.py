@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -61,6 +62,15 @@ def kdv_hierarchy(order):
     while hierarchy[-1].order() + 2 <= order:
         hierarchy.append(apply(LENARD, KDV, hierarchy[-1]))
     return hierarchy
+
+
+def binomial_weight(i, a, b):
+    """The binomial structure constant w(i, a, b) = i!/2^i C(a, i) C(b, i).
+
+    [Q[k,l], Q[k',l']] is the sum over i of (w(i, k, l') - w(i, k', l))
+    Q[k+k'-i, l+l'-i]; written here apart from symfam, whose closed form
+    the tests check against it."""
+    return Fraction(factorial(i), 2**i) * comb(a, i) * comb(b, i)
 
 
 def dx_preimage_reference(eq, p):

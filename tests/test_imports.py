@@ -188,3 +188,44 @@ def test_a_ring_client_reads_no_ring_internals(module):
     ]
     assert private_imports == []
     assert internal_reads == []
+
+
+# Definitions that only tests and the benchmark reach, each with its reason.
+_REACHED_ONLY_OUTSIDE = {
+    "cli.render_table": "perfbench's layer tracer wraps it as the table renderer",
+}
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # each top-level function, class and method of the package is named in
+    # the package or a demo: as a name, an attribute or an imported name.
+    # Dunders, the public names and their classes' methods are exempt: the
+    # interpreter calls the first, and the others are the library's API.
+    sources = sorted((SRC / "jetsym").glob("*.py"))
+    demos = sorted((SRC.parent / "demos").glob("*.py"))
+    defined = {}
+    referenced = set()
+    for path in sources + demos:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+        if path in demos:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in jetsym.__all__:
+                continue
+            defined[f"{path.stem}.{node.name}"] = node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    unreached = sorted(
+        qualname
+        for qualname, name in defined.items()
+        if name not in referenced and not name.startswith("__")
+    )
+    assert unreached == sorted(_REACHED_ONLY_OUTSIDE)

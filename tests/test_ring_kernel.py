@@ -544,12 +544,23 @@ def test_derive_widens_to_images_with_denominators():
 
 
 def test_constructor_rejects_what_it_cannot_pack():
-    with pytest.raises(ValueError):
-        DiffPoly({((jet(0), -1),): 1})
-    with pytest.raises(ValueError):
-        DiffPoly({((jet(0), Fraction(1, 2)),): 1})
-    with pytest.raises(JetLimitError):
-        DiffPoly({(((KIND_JET, 65), 1),): 1})
+    # each (variable, exponent) as the one factor of a monomial: _encode's
+    # exponent checks, unit's variable checks and the packed fields' ranges
+    for v, e, error, message in [
+        (jet(0), -1, ValueError, r"negative exponent -1 on \(2, 0\)"),
+        (jet(0), Fraction(1, 2), ValueError, "must be an int"),
+        (jet(0), 1.5, ValueError, r"exponent of \(2, 0\) must be an int, got 1.5"),
+        ((KIND_JET, 65), 1, JetLimitError, "exceeds the cap"),
+        ((KIND_PAR, 65), 1, JetLimitError, "exceeds the cap"),
+        ((KIND_JET, -1), 1, ValueError, "not a ring variable"),
+        ((KIND_T, 1), 1, ValueError, "not a ring variable"),
+        (jet(0), 200, ExponentOverflow, "exponent 200"),
+        (X_VAR, 256, ExponentOverflow, "exponent 256"),
+        (EXP_VAR, 192, ExponentOverflow, "exponent 192"),
+        (EXP_VAR, -65, ExponentOverflow, "exponent -65"),
+    ]:
+        with pytest.raises(error, match=message):
+            DiffPoly({((v, e),): 1})
 
 
 _weights = st.one_of(

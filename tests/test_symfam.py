@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_poly, random_poly_stream, rank_of_bodies
+from conftest import binomial_weight, make_random_poly, random_poly_stream, rank_of_bodies
 from jetsym import symfam
 from jetsym.diffring import (
     DiffPoly,
@@ -205,7 +205,7 @@ def test_sweep_residuals_match_structure_check(monkeypatch):
 
 def test_burgers_brackets_match_rescaled_binomial_form():
     # the unscaled binomial constants hold verbatim for the images -2 Q[k,l]
-    from jetsym.symfam import _binomial_weight, _q_body
+    from jetsym.symfam import _q_body
 
     pairs = [(k, l) for k in range(3) for l in range(3) if 1 <= k + l <= 2]
     for k, l in pairs:
@@ -215,11 +215,11 @@ def test_burgers_brackets_match_rescaled_binomial_form():
             brute = commutator(BURGERS, a, b).body
             expected = DiffPoly.zero()
             for i in range(min(k, lp) + 1):
-                expected = expected + _binomial_weight(i, k, lp) * (
+                expected = expected + binomial_weight(i, k, lp) * (
                     -2 * _q_body(Family.BURGERS_Q, k + kp - i, l + lp - i)
                 )
             for i in range(min(kp, l) + 1):
-                expected = expected - _binomial_weight(i, kp, l) * (
+                expected = expected - binomial_weight(i, kp, l) * (
                     -2 * _q_body(Family.BURGERS_Q, k + kp - i, l + lp - i)
                 )
             assert brute == expected
