@@ -10,7 +10,8 @@ binomial sums.
 
 from jetsym import BURGERS, HEAT, DiffPoly, apply, boost_op, invariance_residual, translation_op
 from jetsym.opcalc import Compose, Dx
-from jetsym.symfam import Family, closed_form_bracket, commutator, q_char, structure_check
+from jetsym.structure import closed_form_bracket, structure_check
+from jetsym.symfam import Family, commutator, q_char
 
 print("Low-order Burgers family members:")
 for k, l in [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]:

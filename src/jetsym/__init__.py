@@ -37,10 +37,11 @@ _EXPORTS = {
         "op_compose op_power op_scale op_sum operator_identity_probe potential_defect_op "
         "recursion_ops translation_op"
     ),
-    "symfam": (
-        "Family FamilyIndex LieGenerator LieMatch commutator evolution_form "
-        "family_seed_chain heat_point_symmetries lie_correspondence q_char structure_check"
+    "structure": (
+        "LieGenerator LieMatch evolution_form heat_point_symmetries lie_correspondence "
+        "structure_check"
     ),
+    "symfam": "Family FamilyIndex commutator family_seed_chain q_char",
     "zeta": (
         "OrderExceeded ZetaBasis ZetaPoly build_zetas from_zeta_coordinates "
         "to_zeta_coordinates verify_zeta_identities"

@@ -6,8 +6,9 @@ given bounds and prints one PASS or FAIL line per check and a summary.  The
 default bound and the cap of each suite belong to the command line and live
 in jetsym.cli, which this module does not import: python -m jetsym.cli runs
 cli as __main__, and an import of jetsym.cli here would execute it again.
-Only the recursion suite calls opcalc, only the maps suite colemap and
-only the zeta suite zeta, so each imports its module itself.
+Only the recursion suite calls opcalc, only the maps suite colemap, only
+the zeta suite zeta, and only the commutator and invariance suites
+structure, so each imports its module itself.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from .symfam import (
     commutator,
     family_seed_chain,
     index_range,
-    lie_correspondence,
     q_char,
-    structure_check,
-    structure_sweep,
 )
 
 
@@ -81,6 +79,8 @@ def _random_polys(rng: random.Random, count: int, with_par: bool = False):
 
 
 def suite_invariance(max_order: int) -> list[CheckResult]:
+    from .structure import lie_correspondence
+
     out = []
     for family in Q_FAMILIES:
         eq = FAMILY_EQUATION[family]
@@ -115,6 +115,8 @@ def suite_invariance(max_order: int) -> list[CheckResult]:
 
 
 def suite_commutators(max_order: int) -> list[CheckResult]:
+    from .structure import structure_check, structure_sweep
+
     out = []
     pairs = list(index_range(max_order))
     for family in Q_FAMILIES:

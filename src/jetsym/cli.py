@@ -17,7 +17,8 @@ The verify suites live in jetsym.checks; this module keeps their default
 bounds and caps.  A module that only one command uses is imported in that
 command's handler (detsolve for solve, colemap for map, checks for verify),
 so each process compiles no more of the package than its command runs;
-the json module is likewise imported only where JSON is written.
+the json module is likewise imported only where gen writes JSON, and
+solve writes its JSON without it.
 """
 
 from __future__ import annotations
@@ -397,14 +398,15 @@ def _cmd_solve(args, parser) -> int:
         print(f"ansatz too large: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        import json
-
+        # written without the json module: three ints, a bool or null, and
+        # the bodies
+        span = report.family_span_matches
         fields = {
-            "ansatz_size": json.dumps(report.ansatz_size),
+            "ansatz_size": str(report.ansatz_size),
             "basis": _json_array((_body_json(c.body, 2) for c in report.basis), 1),
-            "dimension": json.dumps(report.dimension),
-            "family_span_matches": json.dumps(report.family_span_matches),
-            "order": json.dumps(report.order),
+            "dimension": str(report.dimension),
+            "family_span_matches": "null" if span is None else "true" if span else "false",
+            "order": str(report.order),
         }
         sys.stdout.write("".join([*_json_object(fields, 0), "\n"]))
     else:

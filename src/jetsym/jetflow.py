@@ -28,22 +28,34 @@ t^a x^b J, J a jet part (a packed monomial free of t and x), is
 
 with Res(J) = D_t J - L'[J] and the tails
 G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
-Each equation keeps Res(J) and its tails per jet part, computed once from
-D_t J and one tower J, D_x J, ..., D_x^top J, with G_0(J) = L'[J]; the
-powers of t and x only shift packed keys.  The solver reads the same
-expansion level by level: detsolve factors Res over the jet parts alone,
-and each coefficient of t^a x^b reads the tails of the levels above it.
+Each equation keeps Res(J), its tails and the tower D_x J, ...,
+D_x^(top-1) J per jet part, computed once, by the product rule: with f the
+z_k or h_j of lowest index in J and J' = J / f,
+
+    Res(f J') = f Res(J') + J' D_t f
+                - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
+
+and D_x^j(f J') by the Leibniz rule, so that each part's images are key
+shifts of a smaller part's (Goktas and Hereman 1997 build their ansaetze
+weight by weight the same way).  Only the parts E^m, 1 included
+(Res(1) = -dL/dz_0), are derived whole, from D_t J and prolongation_sums.
+The powers of t and x only shift packed keys too.  The solver reads the
+same expansion level by level: detsolve factors Res over the jet parts
+alone, and each coefficient of t^a x^b reads the tails of the levels above
+it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from itertools import chain
+from math import comb
 from typing import Optional
 
 from .diffring import (
     _BITS,
+    _DIGITS_BIAS,
     _MASK,
     _TX_MASK,
     DiffPoly,
@@ -57,7 +69,6 @@ from .diffring import (
     Record,
     _check_fields,
     _nonzero,
-    _subtract,
     _widened,
     derive,
     exp_poly,
@@ -76,6 +87,9 @@ Images = dict[int, DiffPoly]
 _E_UNIT = unit(EXP_VAR)
 _T_UNIT = unit(T_VAR)
 _X_UNIT = unit(X_VAR)
+# the offset of z_0's field: a jet part J + _DIGITS_BIAS shifted down by it
+# holds J's z_k and h_j fields alone
+_Z0_SHIFT = unit(jet(0)).bit_length() - 1
 
 
 # D_x: x -> 1, t -> 0, z_k -> z_{k+1}, h_j -> h_{j+1}, E -> z_1 E.
@@ -103,60 +117,6 @@ def x_derivative(p: DiffPoly) -> DiffPoly:
     if dx is None:
         dx = p._dx = derive(p, _DX_IMAGES, _dx_image)
     return dx
-
-
-def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:
-    """A g with D_x g = p, or None when p is not a total x-derivative.
-
-    p must be free of h_j and E; g has no integration constant beyond what
-    the jets fix (opcalc.dx_preimage pins the kernel branch).  The
-    remainder is one numerator table over one denominator.  Per jet order
-    k, from the top down, one pass reads the terms that carry z_k (None if
-    one carries it squared) and integrates them in z_{k-1} into that
-    order's piece over one lcm of the divisors; D_x of the piece, taken in
-    place off the table, cancels them and brings no higher jet.  What is
-    left must be free of z_0, and its x-antiderivative is the last piece.
-    The piece of order k carries z_{k-1} and no higher jet, so the pieces
-    share no monomial and g is their union.
-    """
-    rest, den = dict(p._nums), p._den
-    pieces = []
-    top = p.order()
-    for k in range(top if top > 0 else 0, 0, -1):
-        u = unit(jet(k))
-        off = u.bit_length() - 1
-        below = off - 2 * _BITS  # z_{k-1}'s field
-        moved = []  # (key integrated in z_{k-1}, numerator, divisor)
-        for m, c in rest.items():
-            e = m >> off & _MASK
-            if e:
-                if e > 1:
-                    return None
-                moved.append((m - u + (1 << below), c, (m >> below & _MASK) + 1))
-        if not moved:
-            continue
-        lead = lcm(*(d for *_, d in moved))
-        nums = {m: c * (lead // d) for m, c, d in moved}
-        _check_fields(nums)
-        piece = DiffPoly._make(nums, den * lead)
-        pieces.append(piece)
-        dx = derive(piece, _DX_IMAGES, _dx_image)
-        d = dx._den
-        if den % d:
-            rest, den = _widened(rest, den, d)
-        _subtract(rest, den // d, dx._nums)
-    # The pass of order k leaves no jet above z_{k-1}, so only z_0 can be
-    # left, and a tail that carries it is not a derivative.
-    tail = DiffPoly._make(rest, den)
-    if tail.degree(jet(0)):
-        return None
-    pieces.append(tail.integrate(X_VAR))
-    lead = lcm(*(q._den for q in pieces))
-    nums = {}
-    for q in pieces:
-        f = lead // q._den
-        nums.update((m, c * f) for m, c in q._nums.items())
-    return DiffPoly._make(nums, lead)
 
 
 # d/dz_0: z_0 -> 1, E -> E (the chain rule for E = e^{z_0}), every other
@@ -212,6 +172,48 @@ def prolongation_sums(F: DiffPoly, eta: DiffPoly, count: int) -> list[DiffPoly]:
     ]
 
 
+def _shift_rule(terms) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """A sum of shifted tower levels, w D_x^s P with its keys offset, as _shift_sum reads it.
+
+    terms are (s, offset, w), s >= 0; those with s = 0, one term each, are
+    merged by offset, so that terms that cancel are never formed, and the
+    others come highest level first.
+    """
+    at: dict[int, int] = {}
+    shifts: dict[tuple[int, int], int] = {}
+    for s, offset, w in terms:
+        if s:
+            shifts[s, offset] = shifts.get((s, offset), 0) + w
+        else:
+            at[offset] = at.get(offset, 0) + w
+    return (
+        [(offset, w) for offset, w in at.items() if w],
+        sorted(((s, offset, w) for (s, offset), w in shifts.items() if w), key=lambda t: -t[0]),
+    )
+
+
+def _shift_sum(out: dict[int, int], part: int, tower, rule) -> dict[int, int]:
+    """out plus a _shift_rule read at the packed part P, tower[s - 1] being D_x^s P.
+
+    The first level shifted into an empty table fills it whole.  The keys
+    are not checked, and cancelled entries are kept.
+    """
+    at, shifts = rule
+    for s, offset, w in shifts:
+        if out:
+            get = out.get
+            for k, c in tower[s - 1].items():
+                k += offset
+                out[k] = get(k, 0) + w * c
+        else:
+            out = {k + offset: w * c for k, c in tower[s - 1].items()}
+    get = out.get
+    for offset, w in at:
+        k = part + offset
+        out[k] = get(k, 0) + w
+    return out
+
+
 class EvolutionEquation(Record):
     """An evolution equation z_t = rhs, and what the package knows of it.
 
@@ -221,13 +223,13 @@ class EvolutionEquation(Record):
     its Q family, its parameter family and the family whose span the
     solver compares with, each None where it has none.  A Record whose
     fields are read-only, and which equals only itself, as Characteristic
-    compares it.  The tables of D_t images and of jet-part residual images
-    only ever extend, and every public operation is a pure function of its
-    inputs.
+    compares it.  The tables of D_t images, of jet-part images and of the
+    product rule's factor rules only ever extend, and every public
+    operation is a pure function of its inputs.
     """
 
     __slots__ = ("name", "rhs", "allows_par", "letter", "multiplier", "q_family", "z_family",
-                 "reference", "_dt_images", "_jet_images")
+                 "reference", "_dt_images", "_jet_images", "_factor_rules")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
@@ -238,11 +240,12 @@ class EvolutionEquation(Record):
         if rhs.has_kind(KIND_PAR) or rhs.has_kind(KIND_T):
             raise ValueError("equation right-hand side must involve jets (and x) only")
         # the images of D_t (t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2},
-        # E -> rhs E), then Res(J) and its Leibniz tails (G_1(J), ...) by
-        # packed jet part J
+        # E -> rhs E); Res(J), its Leibniz tails (G_1(J), ...) and J's D_x
+        # tower by packed jet part J; the product rule's shifts by factor
         super().__init__(
             name, rhs, allows_par, letter, multiplier, q_family, z_family, reference,
             {_T_UNIT: DiffPoly.const(1), _X_UNIT: DiffPoly.zero(), _E_UNIT: rhs * exp_poly(1)},
+            {},
             {},
         )
 
@@ -292,30 +295,140 @@ class EvolutionEquation(Record):
     def jet_part_images(self, jet_part: int) -> tuple[DiffPoly, tuple[DiffPoly, ...]]:
         """Res(J) and the Leibniz tails (G_1(J), ..., G_top(J)) of a packed jet part J.
 
-        G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, all read off
-        one tower J, D_x J, ..., D_x^top J by prolongation_sums, top the
-        order of L; G_0(J) is the Frechet derivative L'[J], so
-        Res(J) = D_t J - G_0(J).
-        Computed on first request and kept, so each jet part's images are
-        built once however many residuals and solver columns read them.
+        G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, top the order
+        of L, and Res(J) = D_t J - L'[J].  Computed on first request, by the
+        product rule from the images of a smaller part (see _build_images),
+        and kept, so each jet part's images are built once however many
+        residuals and solver columns read them.
         """
         images = self._jet_images.get(jet_part)
         if images is None:
-            J = DiffPoly._make({jet_part: 1})
-            # D_t first: it refuses an h_j outside a ring that allows them
-            residual = self.dt(J)
-            # G_0(J), G_1(J), ..., G_top(J)
-            gs = prolongation_sums(self.rhs, J, len(jet_partials(self.rhs)))
-            if gs:
-                residual = residual - gs[0]
-            images = self._jet_images[jet_part] = (residual, tuple(gs[1:]))
-        return images
+            images = self._build_images(jet_part)
+        return images[0], images[1]
+
+    def _build_images(self, jet_part: int) -> tuple:
+        """Store and return (Res(J), its tails, J's D_x tower) for J = jet_part.
+
+        The tower is D_x J, ..., D_x^(top-1) J as numerator tables over 1,
+        all that a product f J needs of J besides Res(J).  J = f J', f the
+        z_k or h_j of lowest index in J, is built from J' (see
+        _product_images), and J' the same way from the table, down to a
+        part already there or to E^m, whose images come from D_t and
+        prolongation_sums.  A part with an h_j is refused in a ring without
+        them before anything is built.
+        """
+        if not self.allows_par:
+            self._check_par(DiffPoly._make({jet_part: 1}))
+        table = self._jet_images
+        steps = []  # (J, the unit of its lowest factor), from jet_part down
+        J = jet_part
+        while J not in table:
+            factors = (J + _DIGITS_BIAS) >> _Z0_SHIFT
+            if not factors:
+                table[J] = self._base_images(J)
+                break
+            low = (factors & -factors).bit_length() - 1  # a bit of the lowest field
+            u = 1 << (low - low % _BITS + _Z0_SHIFT)
+            steps.append((J, u))
+            J -= u
+        for J, u in reversed(steps):
+            table[J] = self._product_images(J - u, u, table[J - u])
+        return table[jet_part]
+
+    def _base_images(self, J: int) -> tuple:
+        """The images of J = E^m (m = 0 included) by D_t and prolongation_sums."""
+        p = DiffPoly._make({J: 1})
+        residual = self.dt(p)
+        count = len(jet_partials(self.rhs))
+        # G_0(J), G_1(J), ..., G_top(J), read off the tower J, ..., D_x^top J
+        gs = prolongation_sums(self.rhs, p, count)
+        if gs:
+            residual = residual - gs[0]
+        # D_x J .. D_x^(top-1) J, kept on p by prolongation_sums
+        tower = x_tower(p, count)[1:-1]
+        return residual, tuple(gs[1:]), tuple(q._nums for q in tower)
+
+    def _product_images(self, Jp: int, u: int, images: tuple) -> tuple:
+        """The images of J = f J', f of unit u, from J''s images, by the product rule.
+
+        With D_x^i f = z_{k+i} (or h_{j+i}) and D_t f = D_x^k L (or h_{j+2}),
+
+            Res(f J') = f Res(J') + J' D_t f
+                        - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
+            D_x^j(f J') = sum_{i=0}^{j} C(j, i) D_x^i f D_x^(j-i) J',
+
+        and the tails are read off J's tower.  f and J' are monomials, so
+        every product is a shift of packed keys; the residual and the tails
+        are numerator tables over the denominator of L.
+        """
+        res_rule, tower_rules, tail_rules = self._factor_rule(u)
+        residual, _, tower = images
+        den = self.rhs._den
+        g = den // residual._den
+        out = {k + u: g * c for k, c in residual._nums.items()}
+        residual = _shift_sum(out, Jp, tower, res_rule)
+        tower = [_shift_sum({}, Jp, tower, rule) for rule in tower_rules]
+        J = Jp + u
+        tails = [_shift_sum({}, J, tower, rule) for rule in tail_rules]
+        # every key, the cancelled ones too, as derive checks them
+        _check_fields(chain(residual, *tower, *tails))
+        return (
+            DiffPoly._make(_nonzero(residual), den),
+            tuple(DiffPoly._make(_nonzero(tail), den) for tail in tails),
+            tuple(map(_nonzero, tower)),
+        )
+
+    def _factor_rule(self, u: int) -> tuple:
+        """What _product_images reads for a factor f of unit u, kept per u.
+
+        The _shift_rule of Res(f J') - f Res(J') and of each level
+        D_x^j(f J'), j = 1 .. top-1, over the tower of J', and of each tail
+        G_i(J) over the tower of J = f J', every weight a numerator over the
+        denominator of L.
+        """
+        rule = self._factor_rules.get(u)
+        if rule is not None:
+            return rule
+        kind, idx = unit_var(u)
+        var = jet if kind == KIND_JET else par
+        den = self.rhs._den
+        partials = [
+            [(m, c * (den // p._den)) for m, c in p._nums.items()] for p in jet_partials(self.rhs)
+        ]
+        top = len(partials) - 1
+        # D_x^i f for i = 0 .. top, each one variable
+        dx_f = [unit(var(idx + i)) for i in range(top + 1)]
+        image = self._dt_images.get(u)
+        if image is None:
+            image = self._dt_image(u)
+        # J' D_t f, then the terms with i >= 1 of each dL/dz_m D_x^m(f J')
+        res_terms = [(0, m, c * (den // image._den)) for m, c in image._nums.items()]
+        res_terms += [
+            (m - i, pm + dx_f[i], -comb(m, i) * c)
+            for m in range(1, top + 1)
+            for i in range(1, m + 1)
+            for pm, c in partials[m]
+        ]
+        rule = self._factor_rules[u] = (
+            _shift_rule(res_terms),
+            [
+                _shift_rule((j - i, dx_f[i], comb(j, i)) for i in range(j + 1))
+                for j in range(1, top)
+            ],
+            [
+                _shift_rule(
+                    (k - i, pm, comb(k, i) * c) for k in range(i, top + 1) for pm, c in partials[k]
+                )
+                for i in range(1, top + 1)
+            ],
+        )
+        return rule
 
     def _leibniz_residual(self, nums: dict[int, int]) -> tuple[dict[int, int], int]:
         """The invariance residual of sum_m nums[m] m, as (numerators, denominator).
 
         Each term c t^a x^b J adds c times the Leibniz expansion of the
-        module docstring, read from jet_part_images(J); the images'
+        module docstring, read from J's images (see jet_part_images); the images'
         denominators are widened into one as derive does.  The result's
         numerators are nonzero and its fields checked; the caller divides
         by the input's own denominator.
@@ -328,8 +441,8 @@ class EvolutionEquation(Record):
             tx = m & _TX_MASK
             images = table.get(m - tx)
             if images is None:
-                images = self.jet_part_images(m - tx)
-            residual, tails = images
+                images = self._build_images(m - tx)
+            residual, tails, _ = images
             b = tx >> _BITS
             weight, shift = c, tx
             for i, image in enumerate((residual, *tails[:b])):

@@ -18,7 +18,7 @@ D_x^{-1} is only ever applied to total x-derivatives; membership is
 certified by the Euler operator (variational derivative), which vanishes
 exactly on the image of D_x for polynomials with polynomial (t, x)
 coefficients.  dx_preimage integrates from one numerator table, one pass
-per jet order (jetflow.x_antiderivative), and operator_identity_probe
+per jet order (x_antiderivative), and operator_identity_probe
 normalizes both sides first (normalize_op), so that a sum of terms that
 all start with D_x^{-1} and end with D_x, as the [R1, R2] commutator
 does, takes one preimage and one D_x per probe.
@@ -35,7 +35,8 @@ identities between the operator powers and the symmetry families exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from math import lcm
+from typing import NamedTuple, Optional
 
 from .diffring import (
     DiffPoly,
@@ -44,9 +45,12 @@ from .diffring import (
     KIND_T,
     KIND_X,
     T_VAR,
+    X_VAR,
     Record,
+    derive,
     jet,
     t_poly,
+    unit,
     x_poly,
 )
 from .jetflow import (
@@ -54,7 +58,6 @@ from .jetflow import (
     EvolutionEquation,
     invariance_residual,
     jet_partials,
-    x_antiderivative,
     x_derivative,
 )
 
@@ -234,11 +237,69 @@ def integrability_certificate(p: DiffPoly) -> IntegrabilityCertificate:
     return IntegrabilityCertificate(res, res.is_zero())
 
 
+def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:
+    """A g with D_x g = p, or None when p is not a total x-derivative.
+
+    p must be free of h_j and E; g has no integration constant beyond what
+    the jets fix (dx_preimage pins the kernel branch).  The remainder is
+    one numerator table over one denominator.  Per jet order k, from the
+    top down, one pass reads the terms that carry z_k (None if one carries
+    it squared) and integrates them in z_{k-1} into that order's piece over
+    one lcm of the divisors; D_x of the piece, taken in place off the
+    table, cancels them and brings no higher jet.  What is left must be
+    free of z_0, and its x-antiderivative is the last piece.  The piece of
+    order k carries z_{k-1} and no higher jet, so the pieces share no
+    monomial and g is their union.  The one function of this module that
+    walks packed keys, so it imports the ring's internals itself.
+    """
+    from .diffring import _BITS, _MASK, _check_fields, _subtract, _widened
+    from .jetflow import _DX_IMAGES, _dx_image
+
+    rest, den = dict(p._nums), p._den
+    pieces = []
+    top = p.order()
+    for k in range(top if top > 0 else 0, 0, -1):
+        u = unit(jet(k))
+        off = u.bit_length() - 1
+        below = off - 2 * _BITS  # z_{k-1}'s field
+        moved = []  # (key integrated in z_{k-1}, numerator, divisor)
+        for m, c in rest.items():
+            e = m >> off & _MASK
+            if e:
+                if e > 1:
+                    return None
+                moved.append((m - u + (1 << below), c, (m >> below & _MASK) + 1))
+        if not moved:
+            continue
+        lead = lcm(*(d for *_, d in moved))
+        nums = {m: c * (lead // d) for m, c, d in moved}
+        _check_fields(nums)
+        piece = DiffPoly._make(nums, den * lead)
+        pieces.append(piece)
+        dx = derive(piece, _DX_IMAGES, _dx_image)
+        d = dx._den
+        if den % d:
+            rest, den = _widened(rest, den, d)
+        _subtract(rest, den // d, dx._nums)
+    # The pass of order k leaves no jet above z_{k-1}, so only z_0 can be
+    # left, and a tail that carries it is not a derivative.
+    tail = DiffPoly._make(rest, den)
+    if tail.degree(jet(0)):
+        return None
+    pieces.append(tail.integrate(X_VAR))
+    lead = lcm(*(q._den for q in pieces))
+    nums = {}
+    for q in pieces:
+        f = lead // q._den
+        nums.update((m, c * f) for m, c in q._nums.items())
+    return DiffPoly._make(nums, lead)
+
+
 def dx_preimage(eq: EvolutionEquation, p: DiffPoly) -> DiffPoly:
     """Return g with D_x(g) = p, for p in the image of D_x.
 
     The jets are integrated from one numerator table, one pass per jet
-    order (jetflow.x_antiderivative: p must be linear in its top jet at
+    order (x_antiderivative: p must be linear in its top jet at
     each step, and the jet-free rest is integrated with respect to x), and
     the kernel branch is fixed as described in the module docstring.
     Raises NotATotalDerivative, carrying euler_residual(p), when p is not a

@@ -46,6 +46,14 @@ XDEP = EvolutionEquation(
     + DiffPoly.variable(X_VAR, 2) * jet_poly(1),
 )
 
+# z_t = z_2 + (1/3) z_1^2: potential Burgers with z rescaled by 3, whose
+# residual images have the denominator 3
+THIRD = EvolutionEquation("potburgers_third", jet_poly(2) + Fraction(1, 3) * jet_poly(1) ** 2)
+
+# z_t = x: jet-free, so its images carry no Leibniz tails, and x-dependent,
+# so the solver folds the powers of x into its parts
+LIN = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
+
 # The Lenard recursion operator R = D_x^2 + (2/3) u + (1/3) u_x D_x^{-1} of KdV.
 LENARD = Sum(
     (

@@ -25,13 +25,8 @@ from jetsym.opcalc import (
     recursion_ops,
     translation_op,
 )
-from jetsym.symfam import (
-    Family,
-    commutator,
-    lie_correspondence,
-    q_char,
-    structure_check,
-)
+from jetsym.structure import lie_correspondence, structure_check
+from jetsym.symfam import Family, commutator, q_char
 from jetsym.zeta import build_zetas, from_zeta_coordinates, to_zeta_coordinates, verify_zeta_identities
 
 HALF = Fraction(1, 2)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     KDV,
+    LIN,
+    THIRD,
     XDEP,
     direct_residuals,
     kdv_hierarchy,
@@ -41,16 +43,8 @@ from jetsym.diffring import (
     order_key,
     unit,
 )
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, invariance_residual
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, invariance_residual
 from jetsym.symfam import Family, q_char
-
-# z_t = z_2 + (1/3) z_1^2: potential Burgers with z rescaled by 3, whose
-# residual images have the denominator 3
-THIRD = EvolutionEquation("potburgers_third", jet_poly(2) + Fraction(1, 3) * jet_poly(1) ** 2)
-
-# z_t = x: jet-free, so its images carry no Leibniz tails, and x-dependent,
-# so the solver folds the powers of x into its parts
-LIN = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
 
 
 def _integer_columns(matrix, ncols, label=lambda pos: pos):

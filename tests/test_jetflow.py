@@ -9,9 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KDV, XDEP, make_random_poly
+from conftest import KDV, LIN, THIRD, XDEP, make_random_poly
 from jetsym.detsolve import solve_symmetries
-from jetsym.diffring import EXP_VAR, T_VAR, X_VAR, DiffPoly, jet, jet_poly, par, par_poly, t_poly, x_poly
+from jetsym.diffring import (
+    EXP_VAR,
+    T_VAR,
+    X_VAR,
+    DiffPoly,
+    jet,
+    jet_poly,
+    par,
+    par_poly,
+    t_poly,
+    unit,
+    x_poly,
+)
 from jetsym.jetflow import (
     BURGERS,
     EQUATIONS,
@@ -20,6 +32,8 @@ from jetsym.jetflow import (
     Characteristic,
     EvolutionEquation,
     invariance_residual,
+    jet_partials,
+    prolongation_sums,
 )
 from jetsym.opcalc import translation_op
 from jetsym.symfam import Family
@@ -222,13 +236,27 @@ def test_burgers_residual_rejects_parameter_symbols():
 
 
 def test_residual_images_are_built_once_per_jet_part(monkeypatch):
-    dt = EvolutionEquation.dt
-    calls = []
+    # each part's images are built once, by D_t and prolongation_sums for
+    # the base part 1 and by the product rule for every other part
+    built, dt_calls = [], []
+    base, product, dt = (
+        EvolutionEquation._base_images, EvolutionEquation._product_images, EvolutionEquation.dt
+    )
+
+    def counting_base(self, J):
+        built.append(J)
+        return base(self, J)
+
+    def counting_product(self, Jp, u, images):
+        built.append(Jp + u)
+        return product(self, Jp, u, images)
 
     def counting_dt(self, p):
-        calls.append(p)
+        dt_calls.append(p)
         return dt(self, p)
 
+    monkeypatch.setattr(EvolutionEquation, "_base_images", counting_base)
+    monkeypatch.setattr(EvolutionEquation, "_product_images", counting_product)
     monkeypatch.setattr(EvolutionEquation, "dt", counting_dt)
     # 48 terms over 3 jet parts
     eq = EvolutionEquation("burgers_copy", BURGERS.rhs, allows_par=False)
@@ -239,16 +267,59 @@ def test_residual_images_are_built_once_per_jet_part(monkeypatch):
             for J in parts:
                 body = body + Fraction(a + 1, b + 2) * t**a * x**b * J
     residual = invariance_residual(eq, body)
-    assert len(calls) <= len(parts)
-    calls.clear()
+    assert len(built) == len(set(built))
+    assert {m for J in parts for m in J._nums} <= set(built)
+    assert dt_calls == [DiffPoly.const(1)]
+    built.clear()
     assert invariance_residual(eq, body) == residual
-    assert calls == []
+    assert built == []
 
     # the solver leaves the images of its ansatz's jet parts on the equation
     report = solve_symmetries(BURGERS, 3)
     body = t**3 * x**3 * z(0) * z(3) ** 2
     for i, c in enumerate(report.basis, start=1):
         body = body + Fraction(1, i) * c.body
-    calls.clear()
+    built.clear()
     invariance_residual(BURGERS, body)
-    assert calls == []
+    assert built == []
+
+
+@st.composite
+def _equation_and_parts(draw):
+    """A fresh copy of an equation, and jet parts in a random order.
+
+    Each part has degree <= 4 and indices <= 6, with h_j where the ring
+    allows them and E^(+-1) on potential Burgers.
+    """
+    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, KDV, XDEP, THIRD, LIN]))
+    pool = [jet(k) for k in range(7)]
+    if eq.allows_par:
+        pool += [par(j) for j in range(7)]
+    exps = [0, -1, 1] if eq is POTBURGERS else [0]
+    part = st.builds(
+        lambda factors, e: sum(map(unit, factors)) + e * unit(EXP_VAR),
+        st.lists(st.sampled_from(pool), max_size=4),
+        st.sampled_from(exps),
+    )
+    parts = draw(st.lists(part, min_size=1, max_size=12, unique=True))
+    return EvolutionEquation(eq.name, eq.rhs, eq.allows_par), parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_equation_and_parts())
+def test_product_rule_images_match_dt_and_prolongation_sums(case):
+    # each part's images, built from a smaller part's by the product rule,
+    # equal those of D_t and the prolongation sums applied to the part
+    eq, parts = case
+    for J in parts:
+        p = DiffPoly._make({J: 1})
+        G = prolongation_sums(eq.rhs, p, len(jet_partials(eq.rhs)))
+        assert eq.jet_part_images(J) == (eq.dt(p) - (G[0] if G else 0), tuple(G[1:]))
+
+
+def test_a_parameter_part_is_refused_before_anything_is_built():
+    eq = EvolutionEquation("burgers_copy", BURGERS.rhs, allows_par=False)
+    for J in (h(0) * z(1) * z(2), z(0) * h(3)):
+        with pytest.raises(ValueError, match="parameter symbols"):
+            eq.jet_part_images(next(iter(J._nums)))
+    assert eq._jet_images == {}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import jetsym.jetflow as jetflow
+import jetsym.opcalc as opcalc
 import jetsym.opcalc as opcalc
 from conftest import (
     KDV,
@@ -39,7 +39,6 @@ from jetsym.jetflow import (
     EvolutionEquation,
     _dx_image,
     invariance_residual,
-    x_antiderivative,
 )
 from jetsym.opcalc import (
     Compose,
@@ -64,6 +63,7 @@ from jetsym.opcalc import (
     potential_defect_op,
     recursion_ops,
     translation_op,
+    x_antiderivative,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -256,7 +256,7 @@ def test_a_squared_top_jet_is_refused_before_any_derivative(monkeypatch):
     # the refusal is the early exit: the z_0 check would refuse the same
     # input, but only after a D_x per jet order
     calls = []
-    monkeypatch.setattr(jetflow, "derive", lambda *args: calls.append(args))
+    monkeypatch.setattr(opcalc, "derive", lambda *args: calls.append(args))
     assert x_antiderivative(z(3) ** 2 + z(2) * z(1)) is None
     assert calls == []
 
@@ -486,9 +486,10 @@ def test_normalize_factors_a_shared_last_dx():
 
 
 # The D_x derivations of verify --suite recursion --max-order 7, counted in
-# a fresh process, where no value holds a kept D_x yet.
+# a fresh process, where no value holds a kept D_x yet: x_derivative's in
+# jetflow and x_antiderivative's in opcalc.
 _COUNT_RECURSION_DX = """
-from jetsym import checks, jetflow
+from jetsym import checks, jetflow, opcalc
 
 calls = terms = 0
 derive = jetflow.derive
@@ -502,7 +503,7 @@ def spy(p, images, fill):
     return derive(p, images, fill)
 
 
-jetflow.derive = spy
+jetflow.derive = opcalc.derive = spy
 assert all(result.ok for result in checks.suite_recursion(7))
 print(calls, terms)
 """

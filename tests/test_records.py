@@ -34,7 +34,8 @@ from jetsym.opcalc import (
     Sum,
     integrability_certificate,
 )
-from jetsym.symfam import Family, FamilyIndex, LieGenerator, LieMatch, q_char
+from jetsym.structure import LieGenerator, LieMatch
+from jetsym.symfam import Family, FamilyIndex, q_char
 from jetsym.zeta import ZetaBasis, ZetaIdentityReport, ZetaPoly, build_zetas
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import binomial_weight, make_random_poly, random_poly_stream, rank_of_bodies
-from jetsym import symfam
+from jetsym import structure, symfam
 from jetsym.diffring import (
     DiffPoly,
     JetLimitError,
@@ -20,21 +20,16 @@ from jetsym.diffring import (
 )
 from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, Characteristic, invariance_residual
 from jetsym.opcalc import Compose, Dx, apply, boost_op, translation_op
-from jetsym.symfam import (
-    Family,
-    FamilyIndex,
+from jetsym.structure import (
     LieGenerator,
     closed_form_bracket,
-    commutator,
     evolution_form,
-    family_seed_chain,
     heat_point_symmetries,
-    index_range,
     lie_correspondence,
-    q_char,
     structure_check,
     structure_sweep,
 )
+from jetsym.symfam import Family, FamilyIndex, commutator, family_seed_chain, index_range, q_char
 
 t, x = t_poly(), x_poly()
 half = Fraction(1, 2)
@@ -192,13 +187,13 @@ def test_sweep_residuals_match_structure_check(monkeypatch):
                 assert residual == structure_check(family, a, b), (family, a, b)
 
     compare()
-    true_form = symfam._closed_form_terms
+    true_form = structure._closed_form_terms
 
     def skewed(family, kl1, kl2, sign=1):
         extra = (DiffPoly.const(1), symfam._q_body(family, *kl1), sign * (kl2[0] + 1))
         return [*true_form(family, kl1, kl2, sign), extra]
 
-    monkeypatch.setattr(symfam, "_closed_form_terms", skewed)
+    monkeypatch.setattr(structure, "_closed_form_terms", skewed)
     compare()
     assert any(structure_sweep(Family.HEAT_Q, indices).values())
 
