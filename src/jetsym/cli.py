@@ -312,11 +312,10 @@ def write_table(doc: SymmetryTableDoc, fmt: str, stream) -> None:
 # -- verification suites ----------------------------------------------------------
 
 # suite name (see jetsym.checks) -> (default sweep bound, largest --max-order
-# the CLI accepts).  At its cap each suite runs in 0.3-0.6 s, whole process
+# the CLI accepts).  At its cap each suite runs in 0.2-0.5 s, whole process
 # (python -m jetsym.cli verify --suite NAME --max-order CAP, CPython 3.11.7,
-# no bytecode cache, one pinned CPU of a loaded 2-core x86-64 host, medians
-# of 10 runs): invariance 0.49 s, commutators 0.55 s, recursion 0.37 s,
-# zeta 0.31 s, maps 0.61 s.
+# no bytecode cache, a 2-core x86-64 host, medians of 5 runs): invariance
+# 0.25 s, commutators 0.31 s, recursion 0.33 s, zeta 0.25 s, maps 0.47 s.
 _SUITE_ORDERS = {
     "invariance": (6, 12),
     "commutators": (3, 5),

@@ -11,7 +11,8 @@ t^a x^b in the residual vanishes exactly when
     R(eta_ab) = sum_{i >= 1} (b+i)!/b! G_i(eta_{a,b+i}) - (a+1) eta_{a+1,b},
 
 with R(J) = Res(J) and the tails G_i(J) that the equation keeps per jet
-part (jetflow.EvolutionEquation.jet_part_images).  So each level (a, b)
+part (jetflow.EvolutionEquation.jet_part_images), integer tables over the
+denominator of L that the walk reads as kept.  So each level (a, b)
 reads only the levels above it.  R is factored once, over the jet parts
 alone, and the levels are walked down from (t_degree, x_degree), keeping
 a basis of partial solutions: at each level their right-hand sides are
@@ -147,9 +148,9 @@ class _LevelSystem(NamedTuple):
     parts are the packed parts R acts on: the jet parts J, or, when L has
     x, the x^b J.  images[j] = scale R(parts[j]) and tails[j][i - 1] =
     scale G_i(parts[j]) are integer vectors {packed row monomial: int},
-    scale the least common denominator; a part's tails are () when L has
-    x.  The levels are t^a x^b for a <= t_degree, b <= x_degree, and
-    x_degree is 0 when L has x.
+    scale the denominator of L, read as the equation keeps them and never
+    modified; a part's tails are () when L has x.  The levels are t^a x^b
+    for a <= t_degree, b <= x_degree, and x_degree is 0 when L has x.
     """
 
     parts: list[int]
@@ -161,7 +162,7 @@ class _LevelSystem(NamedTuple):
 
 
 def _level_system(ansatz: Ansatz) -> _LevelSystem:
-    """The walk's inputs for an ansatz, read from the equation's images."""
+    """The walk's inputs for an ansatz, the equation's image tables as kept."""
     eq = ansatz.equation
     jet_parts = ansatz._jet_parts()
     if eq.rhs.has_kind(KIND_X):
@@ -174,25 +175,11 @@ def _level_system(ansatz: Ansatz) -> _LevelSystem:
         x_degree = 0
     else:
         parts = jet_parts
-        found = [eq.jet_part_images(J) for J in parts]
-        images = [(residual._nums, residual._den) for residual, _ in found]
-        tails = [tuple((g._nums, g._den) for g in gs) for _, gs in found]
+        found = list(map(eq.jet_part_images, parts))
+        images = [residual for residual, _ in found]
+        tails = [gs for _, gs in found]
         x_degree = ansatz.x_degree
-    scale = lcm(*(den for _, den in images), *(den for gs in tails for _, den in gs))
-
-    def scaled(nums: dict[int, int], den: int) -> dict[int, int]:
-        # shared when already over scale: the reducer never modifies its input
-        factor = scale // den
-        return nums if factor == 1 else {m: c * factor for m, c in nums.items()}
-
-    return _LevelSystem(
-        parts,
-        [scaled(*image) for image in images],
-        [tuple(scaled(*g) for g in gs) for gs in tails],
-        scale,
-        ansatz.t_degree,
-        x_degree,
-    )
+    return _LevelSystem(parts, images, tails, eq.rhs._den, ansatz.t_degree, x_degree)
 
 
 def _kernel_span(system: _LevelSystem) -> list[dict[int, int]]:

@@ -28,9 +28,11 @@ t^a x^b J, J a jet part (a packed monomial free of t and x), is
 
 with Res(J) = D_t J - L'[J] and the tails
 G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
-Each equation keeps Res(J), its tails and the tower D_x J, ...,
-D_x^(top-1) J per jet part, computed once, by the product rule: with f the
-z_k or h_j of lowest index in J and J' = J / f,
+Each equation keeps, per jet part, Res(J) and its tails as integer
+numerator tables over the denominator of L, and the tower D_x J, ...,
+D_x^(top-1) J as tables over 1; the residual and the solver read these
+tables as they are built.  They are computed once, by the product rule:
+with f the z_k or h_j of lowest index in J and J' = J / f,
 
     Res(f J') = f Res(J') + J' D_t f
                 - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
@@ -69,7 +71,6 @@ from .diffring import (
     Record,
     _check_fields,
     _nonzero,
-    _widened,
     derive,
     exp_poly,
     jet,
@@ -292,14 +293,15 @@ class EvolutionEquation(Record):
         self._check_par(eta)
         return prolongation_sums(F, eta, 1)[0]
 
-    def jet_part_images(self, jet_part: int) -> tuple[DiffPoly, tuple[DiffPoly, ...]]:
+    def jet_part_images(self, jet_part: int) -> tuple[dict[int, int], tuple[dict[int, int], ...]]:
         """Res(J) and the Leibniz tails (G_1(J), ..., G_top(J)) of a packed jet part J.
 
         G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, top the order
-        of L, and Res(J) = D_t J - L'[J].  Computed on first request, by the
-        product rule from the images of a smaller part (see _build_images),
-        and kept, so each jet part's images are built once however many
-        residuals and solver columns read them.
+        of L, and Res(J) = D_t J - L'[J], each a table of integer numerators
+        over the denominator of L, nonzero and not to be modified.  Computed
+        on first request, by the product rule from the images of a smaller
+        part (see _build_images), and kept, so each jet part's images are
+        built once however many residuals and solver columns read them.
         """
         images = self._jet_images.get(jet_part)
         if images is None:
@@ -309,13 +311,13 @@ class EvolutionEquation(Record):
     def _build_images(self, jet_part: int) -> tuple:
         """Store and return (Res(J), its tails, J's D_x tower) for J = jet_part.
 
-        The tower is D_x J, ..., D_x^(top-1) J as numerator tables over 1,
-        all that a product f J needs of J besides Res(J).  J = f J', f the
-        z_k or h_j of lowest index in J, is built from J' (see
-        _product_images), and J' the same way from the table, down to a
-        part already there or to E^m, whose images come from D_t and
-        prolongation_sums.  A part with an h_j is refused in a ring without
-        them before anything is built.
+        Res(J) and its tails are int tables over the denominator of L, the
+        tower D_x J, ..., D_x^(top-1) J, all that a product f J needs of J
+        besides Res(J), int tables over 1.  J = f J', f the z_k or h_j of
+        lowest index in J, is built from J' (see _product_images), and J'
+        the same way from the table, down to a part already there or to
+        E^m, whose images come from D_t and prolongation_sums.  A part with
+        an h_j is refused in a ring without them before anything is built.
         """
         if not self.allows_par:
             self._check_par(DiffPoly._make({jet_part: 1}))
@@ -336,7 +338,11 @@ class EvolutionEquation(Record):
         return table[jet_part]
 
     def _base_images(self, J: int) -> tuple:
-        """The images of J = E^m (m = 0 included) by D_t and prolongation_sums."""
+        """The images of J = E^m (m = 0 included) by D_t and prolongation_sums.
+
+        Each is an integer combination of L's coefficients, so it is exactly
+        a table over L's denominator.
+        """
         p = DiffPoly._make({J: 1})
         residual = self.dt(p)
         count = len(jet_partials(self.rhs))
@@ -346,7 +352,11 @@ class EvolutionEquation(Record):
             residual = residual - gs[0]
         # D_x J .. D_x^(top-1) J, kept on p by prolongation_sums
         tower = x_tower(p, count)[1:-1]
-        return residual, tuple(gs[1:]), tuple(q._nums for q in tower)
+        den = self.rhs._den
+        res, *tails = (
+            {m: c * (den // q._den) for m, c in q._nums.items()} for q in (residual, *gs[1:])
+        )
+        return res, tuple(tails), tuple(q._nums for q in tower)
 
     def _product_images(self, Jp: int, u: int, images: tuple) -> tuple:
         """The images of J = f J', f of unit u, from J''s images, by the product rule.
@@ -358,25 +368,18 @@ class EvolutionEquation(Record):
             D_x^j(f J') = sum_{i=0}^{j} C(j, i) D_x^i f D_x^(j-i) J',
 
         and the tails are read off J's tower.  f and J' are monomials, so
-        every product is a shift of packed keys; the residual and the tails
-        are numerator tables over the denominator of L.
+        every product is a shift of packed keys, and the tables come out in
+        _build_images's format as they are formed.
         """
         res_rule, tower_rules, tail_rules = self._factor_rule(u)
         residual, _, tower = images
-        den = self.rhs._den
-        g = den // residual._den
-        out = {k + u: g * c for k, c in residual._nums.items()}
-        residual = _shift_sum(out, Jp, tower, res_rule)
+        residual = _shift_sum({k + u: c for k, c in residual.items()}, Jp, tower, res_rule)
         tower = [_shift_sum({}, Jp, tower, rule) for rule in tower_rules]
         J = Jp + u
         tails = [_shift_sum({}, J, tower, rule) for rule in tail_rules]
         # every key, the cancelled ones too, as derive checks them
         _check_fields(chain(residual, *tower, *tails))
-        return (
-            DiffPoly._make(_nonzero(residual), den),
-            tuple(DiffPoly._make(_nonzero(tail), den) for tail in tails),
-            tuple(map(_nonzero, tower)),
-        )
+        return _nonzero(residual), tuple(map(_nonzero, tails)), tuple(map(_nonzero, tower))
 
     def _factor_rule(self, u: int) -> tuple:
         """What _product_images reads for a factor f of unit u, kept per u.
@@ -424,19 +427,19 @@ class EvolutionEquation(Record):
         )
         return rule
 
-    def _leibniz_residual(self, nums: dict[int, int]) -> tuple[dict[int, int], int]:
-        """The invariance residual of sum_m nums[m] m, as (numerators, denominator).
+    def _leibniz_residual(self, nums: dict[int, int]) -> dict[int, int]:
+        """The invariance residual of sum_m nums[m] m, as numerators over L's denominator.
 
         Each term c t^a x^b J adds c times the Leibniz expansion of the
-        module docstring, read from J's images (see jet_part_images); the images'
-        denominators are widened into one as derive does.  The result's
-        numerators are nonzero and its fields checked; the caller divides
-        by the input's own denominator.
+        module docstring, read from J's images (see jet_part_images), which
+        are all over that denominator.  The result's numerators are nonzero
+        and its fields checked; the caller divides by the input's own
+        denominator.
         """
         table = self._jet_images
+        den = self.rhs._den
         out: dict[int, int] = {}
         get = out.get
-        den = 1  # common denominator of the images used so far
         for m, c in nums.items():
             tx = m & _TX_MASK
             images = table.get(m - tx)
@@ -450,21 +453,16 @@ class EvolutionEquation(Record):
                     # G_i(J) enters at t^a x^(b-i) with weight -c b!/(b-i)!
                     weight = (-c if i == 1 else weight) * (b - i + 1)
                     shift -= _X_UNIT
-                d = image._den
-                if den % d:
-                    out, den = _widened(out, den, d)
-                    get = out.get
-                w = weight * (den // d)
-                for im, ic in image._nums.items():
+                for im, ic in image.items():
                     k = im + shift
-                    out[k] = get(k, 0) + w * ic
+                    out[k] = get(k, 0) + weight * ic
             a = tx & _MASK
             if a:
                 k = m - _T_UNIT
                 out[k] = get(k, 0) + c * a * den
         # an x in L can push a power of x past its field
         _check_fields(out)
-        return _nonzero(out), den
+        return _nonzero(out)
 
 
 class Characteristic(Record):
@@ -503,8 +501,7 @@ def invariance_residual(eq: EvolutionEquation, eta) -> DiffPoly:
         if eta.equation is not eq:
             raise ValueError("characteristic belongs to a different equation")
         eta = eta.body
-    nums, den = eq._leibniz_residual(eta._nums)
-    return DiffPoly._make(nums, eta._den * den)
+    return DiffPoly._make(eq._leibniz_residual(eta._nums), eta._den * eq.rhs._den)
 
 
 class Family(Enum):

@@ -1,5 +1,6 @@
 """The solver's exact reducer and the bounded-ansatz symmetry solver."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from jetsym.diffring import (
     order_key,
     unit,
 )
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, invariance_residual
+from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, invariance_residual
 from jetsym.symfam import Family, q_char
 
 
@@ -345,6 +346,27 @@ def test_x_is_folded_into_the_parts_when_l_has_x():
     system = _level_system(Ansatz(BURGERS, 2, jet_degree=1, x_degree=3, t_degree=2))
     assert (system.t_degree, system.x_degree) == (2, 3)
     assert len(system.parts) == 4 and all(len(tails) == 2 for tails in system.tails)
+
+
+def test_level_system_reads_the_kept_image_tables():
+    # each equation keeps its jet-part images as plain int tables over the
+    # denominator of L, which the cyclic collector does not walk, and the
+    # level system reads them as kept.  CPython keeps a tuple that holds a
+    # dict tracked, so the tables themselves are checked.
+    for eq in (BURGERS, THIRD, KDV, XDEP):
+        copy = EvolutionEquation(eq.name, eq.rhs, eq.allows_par)
+        _level_system(Ansatz(copy, 3))
+        gc.collect()
+        assert copy._jet_images
+        for residual, tails, tower in copy._jet_images.values():
+            for table in (residual, *tails, *tower):
+                assert type(table) is dict and not gc.is_tracked(table)
+    third = EvolutionEquation(THIRD.name, THIRD.rhs, THIRD.allows_par)
+    system = _level_system(Ansatz(third, 3))
+    assert system.scale == THIRD.rhs._den == 3
+    for j, part in enumerate(system.parts):
+        assert system.images[j] is third._jet_images[part][0]
+        assert system.tails[j] is third._jet_images[part][1]
 
 
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS], ids=lambda eq: eq.name)
