@@ -31,17 +31,19 @@ G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
 Each equation keeps, per jet part, Res(J) and its tails as integer
 numerator tables over the denominator of L, and the tower D_x J, ...,
 D_x^(top-1) J as tables over 1; the residual and the solver read these
-tables as they are built.  They are computed once, by the product rule:
-with f the z_k or h_j of lowest index in J and J' = J / f,
+tables as they are built.  They are computed once.  The part 1's are
+read off the partials of L: Res(1) = -dL/dz_0 and G_i(1) = dL/dz_i.
+Every other part's come by the product rule: with f the z_k or h_j of
+lowest index in J, or E^(+-1) once J has neither, and J' = J / f,
 
     Res(f J') = f Res(J') + J' D_t f
                 - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
 
 and D_x^j(f J') by the Leibniz rule, so that each part's images are key
 shifts of a smaller part's (Goktas and Hereman 1997 build their ansaetze
-weight by weight the same way).  Only the parts E^m, 1 included
-(Res(1) = -dL/dz_0), are derived whole, from D_t J and prolongation_sums.
-The powers of t and x only shift packed keys too.  The solver reads the
+weight by weight the same way); D_x^i f is one term for z_k and h_j and
+a few for E (D_x E = z_1 E), and D_t E = L E.  The powers of t and x
+only shift packed keys too.  The solver reads the
 same expansion level by level: detsolve factors Res over the jet parts
 alone, and each coefficient of t^a x^b reads the tails of the levels above
 it.
@@ -299,9 +301,10 @@ class EvolutionEquation(Record):
         G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, top the order
         of L, and Res(J) = D_t J - L'[J], each a table of integer numerators
         over the denominator of L, nonzero and not to be modified.  Computed
-        on first request, by the product rule from the images of a smaller
-        part (see _build_images), and kept, so each jet part's images are
-        built once however many residuals and solver columns read them.
+        on first request, read off the partials of L for the part 1 and by
+        the product rule from a smaller part's images for every other part
+        (see _build_images), and kept, so each jet part's images are built
+        once however many residuals and solver columns read them.
         """
         images = self._jet_images.get(jet_part)
         if images is None:
@@ -313,63 +316,53 @@ class EvolutionEquation(Record):
 
         Res(J) and its tails are int tables over the denominator of L, the
         tower D_x J, ..., D_x^(top-1) J, all that a product f J needs of J
-        besides Res(J), int tables over 1.  J = f J', f the z_k or h_j of
-        lowest index in J, is built from J' (see _product_images), and J'
-        the same way from the table, down to a part already there or to
-        E^m, whose images come from D_t and prolongation_sums.  A part with
-        an h_j is refused in a ring without them before anything is built.
+        besides Res(J), int tables over 1.  J = f J' is built from J' (see
+        _product_images), f the z_k or h_j of lowest index in J, or E or
+        E^-1 once J has neither, and J' the same way from the table, down
+        to a part already there or to 1, whose images are read off the
+        partials of L.  A part with an h_j is refused in a ring without
+        them before anything is built.
         """
         if not self.allows_par:
             self._check_par(DiffPoly._make({jet_part: 1}))
         table = self._jet_images
-        steps = []  # (J, the unit of its lowest factor), from jet_part down
+        steps = []  # (J, the key of its peeled factor), from jet_part down
         J = jet_part
         while J not in table:
             factors = (J + _DIGITS_BIAS) >> _Z0_SHIFT
-            if not factors:
-                table[J] = self._base_images(J)
+            if factors:
+                low = (factors & -factors).bit_length() - 1  # a bit of the lowest field
+                u = 1 << (low - low % _BITS + _Z0_SHIFT)
+            elif J:
+                u = _E_UNIT if J > 0 else -_E_UNIT
+            else:
+                table[J] = self._unit_images()
                 break
-            low = (factors & -factors).bit_length() - 1  # a bit of the lowest field
-            u = 1 << (low - low % _BITS + _Z0_SHIFT)
             steps.append((J, u))
             J -= u
         for J, u in reversed(steps):
             table[J] = self._product_images(J - u, u, table[J - u])
         return table[jet_part]
 
-    def _base_images(self, J: int) -> tuple:
-        """The images of J = E^m (m = 0 included) by D_t and prolongation_sums.
-
-        Each is an integer combination of L's coefficients, so it is exactly
-        a table over L's denominator.
-        """
-        p = DiffPoly._make({J: 1})
-        residual = self.dt(p)
-        count = len(jet_partials(self.rhs))
-        # G_0(J), G_1(J), ..., G_top(J), read off the tower J, ..., D_x^top J
-        gs = prolongation_sums(self.rhs, p, count)
-        if gs:
-            residual = residual - gs[0]
-        # D_x J .. D_x^(top-1) J, kept on p by prolongation_sums
-        tower = x_tower(p, count)[1:-1]
+    def _unit_images(self) -> tuple:
+        """The images of the part 1: Res(1) = -dL/dz_0, G_i(1) = dL/dz_i, D_x^j 1 = 0."""
         den = self.rhs._den
-        res, *tails = (
-            {m: c * (den // q._den) for m, c in q._nums.items()} for q in (residual, *gs[1:])
-        )
-        return res, tuple(tails), tuple(q._nums for q in tower)
+        res, *tails = [
+            {m: c * (den // p._den) for m, c in p._nums.items()} for p in jet_partials(self.rhs)
+        ] or [{}]
+        return {m: -c for m, c in res.items()}, tuple(tails), tuple({} for _ in tails[1:])
 
     def _product_images(self, Jp: int, u: int, images: tuple) -> tuple:
-        """The images of J = f J', f of unit u, from J''s images, by the product rule.
-
-        With D_x^i f = z_{k+i} (or h_{j+i}) and D_t f = D_x^k L (or h_{j+2}),
+        """The images of J = f J', f the monomial of key u, from J''s, by the product rule.
 
             Res(f J') = f Res(J') + J' D_t f
                         - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
             D_x^j(f J') = sum_{i=0}^{j} C(j, i) D_x^i f D_x^(j-i) J',
 
-        and the tails are read off J's tower.  f and J' are monomials, so
-        every product is a shift of packed keys, and the tables come out in
-        _build_images's format as they are formed.
+        and the tails are read off J's tower.  Every term of D_x^i f, of
+        D_t f and of dL/dz_m is a monomial, as is J', so every product is a
+        shift of packed keys, and the tables come out in _build_images's
+        format as they are formed.
         """
         res_rule, tower_rules, tail_rules = self._factor_rule(u)
         residual, _, tower = images
@@ -382,40 +375,39 @@ class EvolutionEquation(Record):
         return _nonzero(residual), tuple(map(_nonzero, tails)), tuple(map(_nonzero, tower))
 
     def _factor_rule(self, u: int) -> tuple:
-        """What _product_images reads for a factor f of unit u, kept per u.
+        """What _product_images reads for a factor f of key u, kept per u.
 
         The _shift_rule of Res(f J') - f Res(J') and of each level
         D_x^j(f J'), j = 1 .. top-1, over the tower of J', and of each tail
         G_i(J) over the tower of J = f J', every weight a numerator over the
-        denominator of L.
+        denominator of L.  They read f's tower D_x^i f, i = 0 .. top, one
+        term per level for z_k and h_j and a few for E^(+-1) (D_x E = z_1 E),
+        and D_t f (D_x^k L, h_{j+2} or +-L E^(+-1)) term by term.
         """
         rule = self._factor_rules.get(u)
         if rule is not None:
             return rule
-        kind, idx = unit_var(u)
-        var = jet if kind == KIND_JET else par
-        den = self.rhs._den
-        partials = [
-            [(m, c * (den // p._den)) for m, c in p._nums.items()] for p in jet_partials(self.rhs)
-        ]
+        # dL/dz_m = G_m(1), m = 1 .. top, over the denominator of L
+        partials = [None, *(g.items() for g in self.jet_part_images(0)[1])]
         top = len(partials) - 1
-        # D_x^i f for i = 0 .. top, each one variable
-        dx_f = [unit(var(idx + i)) for i in range(top + 1)]
-        image = self._dt_images.get(u)
-        if image is None:
-            image = self._dt_image(u)
+        f = DiffPoly._make({u: 1})
+        dx_f = [q._nums.items() for q in x_tower(f, top + 1)]
+        dt_f = derive(f, self._dt_images, self._dt_image)
         # J' D_t f, then the terms with i >= 1 of each dL/dz_m D_x^m(f J')
-        res_terms = [(0, m, c * (den // image._den)) for m, c in image._nums.items()]
+        res_terms = [(0, m, c * (self.rhs._den // dt_f._den)) for m, c in dt_f._nums.items()]
         res_terms += [
-            (m - i, pm + dx_f[i], -comb(m, i) * c)
+            (m - i, pm + fm, -comb(m, i) * c * fc)
             for m in range(1, top + 1)
             for i in range(1, m + 1)
             for pm, c in partials[m]
+            for fm, fc in dx_f[i]
         ]
         rule = self._factor_rules[u] = (
             _shift_rule(res_terms),
             [
-                _shift_rule((j - i, dx_f[i], comb(j, i)) for i in range(j + 1))
+                _shift_rule(
+                    (j - i, fm, comb(j, i) * fc) for i in range(j + 1) for fm, fc in dx_f[i]
+                )
                 for j in range(1, top)
             ],
             [

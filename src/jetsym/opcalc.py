@@ -47,7 +47,6 @@ from .diffring import (
     T_VAR,
     X_VAR,
     Record,
-    derive,
     jet,
     t_poly,
     unit,
@@ -253,7 +252,6 @@ def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:
     walks packed keys, so it imports the ring's internals itself.
     """
     from .diffring import _BITS, _MASK, _check_fields, _subtract, _widened
-    from .jetflow import _DX_IMAGES, _dx_image
 
     rest, den = dict(p._nums), p._den
     pieces = []
@@ -276,7 +274,7 @@ def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:
         _check_fields(nums)
         piece = DiffPoly._make(nums, den * lead)
         pieces.append(piece)
-        dx = derive(piece, _DX_IMAGES, _dx_image)
+        dx = x_derivative(piece)
         d = dx._den
         if den % d:
             rest, den = _widened(rest, den, d)

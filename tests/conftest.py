@@ -12,6 +12,7 @@ from jetsym.diffring import (
     DiffPoly,
     T_VAR,
     X_VAR,
+    exp_poly,
     jet,
     jet_poly,
     jet_rows,
@@ -53,6 +54,10 @@ THIRD = EvolutionEquation("potburgers_third", jet_poly(2) + Fraction(1, 3) * jet
 # z_t = x: jet-free, so its images carry no Leibniz tails, and x-dependent,
 # so the solver folds the powers of x into its parts
 LIN = EvolutionEquation("lin", DiffPoly.variable(X_VAR))
+
+# z_t = z_2 + E, E = e^z: L carries E, so Res(1) = -E comes from the chain
+# rule dE/dz_0 = E, and D_t E = L E holds E^2
+EXPRHS = EvolutionEquation("exp_rhs", jet_poly(2) + exp_poly(1))
 
 # The Lenard recursion operator R = D_x^2 + (2/3) u + (1/3) u_x D_x^{-1} of KdV.
 LENARD = Sum(

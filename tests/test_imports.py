@@ -211,6 +211,20 @@ def test_a_ring_client_reads_no_ring_internals(module):
     assert internal_reads == []
 
 
+def test_no_module_imports_a_private_name_of_jetflow():
+    # jetflow's derivation tables and image builders are its own: a module
+    # that needs a D_x takes it through x_derivative
+    private_imports = [
+        f"{path.stem}: {alias.name}"
+        for path in sorted((SRC / "jetsym").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("jetflow", "jetsym.jetflow")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private_imports == []
+
+
 # Definitions that only tests and the benchmark reach, each with its reason.
 _REACHED_ONLY_OUTSIDE = {
     "cli.render_table": "perfbench's layer tracer wraps it as the table renderer",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KDV, LIN, THIRD, XDEP, make_random_poly
+from conftest import EXPRHS, KDV, LIN, THIRD, XDEP, make_random_poly
 from jetsym.detsolve import solve_symmetries
 from jetsym.diffring import (
     EXP_VAR,
@@ -205,7 +205,7 @@ def test_dt_derives_the_rhs_tower_on_demand():
 def _equation_and_body(draw):
     # up to five terms with t and x powers up to 3, jets up to z_3, E^m with
     # m in [-2, 2], and h_j where the ring allows them
-    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, XDEP, KDV]))
+    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, XDEP, KDV, EXPRHS]))
     pool = [T_VAR, X_VAR, jet(0), jet(1), jet(2), jet(3)]
     if eq.allows_par:
         pool += [par(0), par(1)]
@@ -236,16 +236,17 @@ def test_burgers_residual_rejects_parameter_symbols():
 
 
 def test_residual_images_are_built_once_per_jet_part(monkeypatch):
-    # each part's images are built once, by D_t and prolongation_sums for
-    # the base part 1 and by the product rule for every other part
+    # each part's images are built once, read off the partials of L for the
+    # part 1 and by the product rule for every other part, and no part is
+    # derived whole by D_t
     built, dt_calls = [], []
-    base, product, dt = (
-        EvolutionEquation._base_images, EvolutionEquation._product_images, EvolutionEquation.dt
+    unit_images, product, dt = (
+        EvolutionEquation._unit_images, EvolutionEquation._product_images, EvolutionEquation.dt
     )
 
-    def counting_base(self, J):
-        built.append(J)
-        return base(self, J)
+    def counting_unit(self):
+        built.append(0)
+        return unit_images(self)
 
     def counting_product(self, Jp, u, images):
         built.append(Jp + u)
@@ -255,7 +256,7 @@ def test_residual_images_are_built_once_per_jet_part(monkeypatch):
         dt_calls.append(p)
         return dt(self, p)
 
-    monkeypatch.setattr(EvolutionEquation, "_base_images", counting_base)
+    monkeypatch.setattr(EvolutionEquation, "_unit_images", counting_unit)
     monkeypatch.setattr(EvolutionEquation, "_product_images", counting_product)
     monkeypatch.setattr(EvolutionEquation, "dt", counting_dt)
     # 48 terms over 3 jet parts
@@ -268,8 +269,8 @@ def test_residual_images_are_built_once_per_jet_part(monkeypatch):
                 body = body + Fraction(a + 1, b + 2) * t**a * x**b * J
     residual = invariance_residual(eq, body)
     assert len(built) == len(set(built))
-    assert {m for J in parts for m in J._nums} <= set(built)
-    assert dt_calls == [DiffPoly.const(1)]
+    assert built[0] == 0 and {m for J in parts for m in J._nums} <= set(built)
+    assert dt_calls == []
     built.clear()
     assert invariance_residual(eq, body) == residual
     assert built == []
@@ -288,18 +289,17 @@ def test_residual_images_are_built_once_per_jet_part(monkeypatch):
 def _equation_and_parts(draw):
     """A fresh copy of an equation, and jet parts in a random order.
 
-    Each part has degree <= 4 and indices <= 6, with h_j where the ring
-    allows them and E^(+-1) on potential Burgers.
+    Each part has degree <= 4 in the z_k and h_j, indices <= 6, h_j where
+    the ring allows them, and E^m with m in [-2, 2].
     """
-    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, KDV, XDEP, THIRD, LIN]))
+    eq = draw(st.sampled_from([HEAT, POTBURGERS, BURGERS, KDV, XDEP, THIRD, LIN, EXPRHS]))
     pool = [jet(k) for k in range(7)]
     if eq.allows_par:
         pool += [par(j) for j in range(7)]
-    exps = [0, -1, 1] if eq is POTBURGERS else [0]
     part = st.builds(
         lambda factors, e: sum(map(unit, factors)) + e * unit(EXP_VAR),
         st.lists(st.sampled_from(pool), max_size=4),
-        st.sampled_from(exps),
+        st.integers(-2, 2),
     )
     parts = draw(st.lists(part, min_size=1, max_size=12, unique=True))
     return EvolutionEquation(eq.name, eq.rhs, eq.allows_par), parts

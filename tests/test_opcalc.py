@@ -256,7 +256,7 @@ def test_a_squared_top_jet_is_refused_before_any_derivative(monkeypatch):
     # the refusal is the early exit: the z_0 check would refuse the same
     # input, but only after a D_x per jet order
     calls = []
-    monkeypatch.setattr(opcalc, "derive", lambda *args: calls.append(args))
+    monkeypatch.setattr(opcalc, "x_derivative", calls.append)
     assert x_antiderivative(z(3) ** 2 + z(2) * z(1)) is None
     assert calls == []
 
@@ -486,10 +486,10 @@ def test_normalize_factors_a_shared_last_dx():
 
 
 # The D_x derivations of verify --suite recursion --max-order 7, counted in
-# a fresh process, where no value holds a kept D_x yet: x_derivative's in
-# jetflow and x_antiderivative's in opcalc.
+# a fresh process, where no value holds a kept D_x yet: every one, in
+# x_antiderivative too, is taken by jetflow.x_derivative.
 _COUNT_RECURSION_DX = """
-from jetsym import checks, jetflow, opcalc
+from jetsym import checks, jetflow
 
 calls = terms = 0
 derive = jetflow.derive
@@ -503,7 +503,7 @@ def spy(p, images, fill):
     return derive(p, images, fill)
 
 
-jetflow.derive = opcalc.derive = spy
+jetflow.derive = spy
 assert all(result.ok for result in checks.suite_recursion(7))
 print(calls, terms)
 """
@@ -517,7 +517,7 @@ def test_recursion_suite_takes_one_dx_per_bracket_probe():
         [sys.executable, "-c", _COUNT_RECURSION_DX],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.split() == ["900", "10439"]
+    assert out.stdout.split() == ["898", "10438"]
 
 
 def test_recursion_commutator_probe_takes_one_preimage_per_probe(monkeypatch):
