@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "colemap": (
-        "BareDependentVariable NotProjectable heat_to_potential hopf_cole_chain "
-        "potential_to_burgers w_jet_substitution"
+        "BareDependentVariable NotProjectable heat_to_potential potential_to_burgers "
+        "w_jet_substitution"
     ),
     "detsolve": "Ansatz AnsatzTooLarge SolveReport solve_symmetries",
     "diffring": (
@@ -32,9 +32,8 @@ _EXPORTS = {
         "invariance_residual"
     ),
     "opcalc": (
-        "IntegrabilityCertificate NotATotalDerivative OperatorExpr apply boost_op "
-        "commutator_op dx_preimage euler_residual identity_op integrability_certificate "
-        "op_compose op_power op_scale op_sum operator_identity_probe potential_defect_op "
+        "NotATotalDerivative OperatorExpr apply boost_op commutator_op dx_preimage "
+        "euler_residual op_power op_scale operator_identity_probe potential_defect_op "
         "recursion_ops translation_op"
     ),
     "structure": (

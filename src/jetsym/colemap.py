@@ -102,9 +102,3 @@ def potential_to_burgers(eta: Characteristic) -> Characteristic:
         )
     image = w_jet_substitution(prolonged) * Fraction(-2)
     return Characteristic(BURGERS, image, eta.label)
-
-
-def hopf_cole_chain(eta: Characteristic) -> tuple[Characteristic, Characteristic]:
-    """heat -> potential Burgers -> Burgers; returns both stages."""
-    mid = heat_to_potential(eta)
-    return mid, potential_to_burgers(mid)

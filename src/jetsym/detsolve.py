@@ -10,16 +10,17 @@ t^a x^b in the residual vanishes exactly when
 
     R(eta_ab) = sum_{i >= 1} (b+i)!/b! G_i(eta_{a,b+i}) - (a+1) eta_{a+1,b},
 
-with R(J) = Res(J) and the tails G_i(J) that the equation keeps per jet
-part (jetflow.EvolutionEquation.jet_part_images), integer tables over the
-denominator of L that the walk reads as kept.  So each level (a, b)
-reads only the levels above it.  R is factored once, over the jet parts
-alone, and the levels are walked down from (t_degree, x_degree), keeping
-a basis of partial solutions: at each level their right-hand sides are
-reduced as extra columns against a copy of R's pivot table; a dependency
-extends those partial solutions by its preimage under R, and ker R joins
-as new ones.  When L has x, x is no level variable: the parts are the
-x^b J, R(x^b J) is their whole residual, and only t is walked.
+with R(J) = Res(J), kept per jet part beside J's D_x tower
+(jetflow.EvolutionEquation.jet_part_images) as an integer table over the
+denominator of L, and the tails G_i(J) read off J and that tower by the
+equation's one rule per tail.  So each level (a, b) reads only the
+levels above it.  R is factored once, over the jet parts alone, and the
+levels are walked down from (t_degree, x_degree), keeping a basis of
+partial solutions: at each level their right-hand sides are reduced as
+extra columns against a copy of R's pivot table; a dependency extends
+those partial solutions by its preimage under R, and ker R joins as new
+ones.  When L has x, x is no level variable: the parts are the x^b J,
+R(x^b J) is their whole residual, and only t is walked.
 
 Every reduction is one routine (_insert): a fraction-free reduction of an
 integer vector by its highest key against a table of earlier ones, which
@@ -56,6 +57,7 @@ from .diffring import (
     Record,
     T_VAR,
     X_VAR,
+    _check_fields,
     _decode,
     _subtract,
     jet,
@@ -143,20 +145,20 @@ class Ansatz(Record):
 
 
 class _LevelSystem(NamedTuple):
-    """The walk's inputs: R's columns, the tails, and the levels.
+    """The walk's inputs: R's columns, the parts' D_x towers, and the levels.
 
     parts are the packed parts R acts on: the jet parts J, or, when L has
-    x, the x^b J.  images[j] = scale R(parts[j]) and tails[j][i - 1] =
-    scale G_i(parts[j]) are integer vectors {packed row monomial: int},
-    scale the denominator of L, read as the equation keeps them and never
-    modified; a part's tails are () when L has x.  The levels are t^a x^b
-    for a <= t_degree, b <= x_degree, and x_degree is 0 when L has x.
+    x, the x^b J.  images[j] = d R(parts[j]), an integer vector {packed
+    row monomial: int}, d the denominator of the equation's L, and
+    towers[j], off which the equation reads d G_i(parts[j]), are its own
+    tables, never modified; a part's tower is () when L has x.  The levels
+    are t^a x^b for a <= t_degree, b <= x_degree; x_degree is 0 when L has x.
     """
 
     parts: list[int]
     images: list[dict[int, int]]
-    tails: list[tuple[dict[int, int], ...]]
-    scale: int
+    towers: list[tuple[dict[int, int], ...]]
+    equation: EvolutionEquation
     t_degree: int
     x_degree: int
 
@@ -171,15 +173,13 @@ def _level_system(ansatz: Ansatz) -> _LevelSystem:
             key=order_key,
         )
         images = [eq._leibniz_residual({p: 1}) for p in parts]
-        tails = [()] * len(parts)
+        towers = [()] * len(parts)
         x_degree = 0
     else:
         parts = jet_parts
-        found = list(map(eq.jet_part_images, parts))
-        images = [residual for residual, _ in found]
-        tails = [gs for _, gs in found]
+        images, towers = zip(*map(eq.jet_part_images, parts))
         x_degree = ansatz.x_degree
-    return _LevelSystem(parts, images, tails, eq.rhs._den, ansatz.t_degree, x_degree)
+    return _LevelSystem(parts, images, towers, eq, ansatz.t_degree, x_degree)
 
 
 def _kernel_span(system: _LevelSystem) -> list[dict[int, int]]:
@@ -218,23 +218,21 @@ def _kernel_span(system: _LevelSystem) -> list[dict[int, int]]:
 
 
 def _level_rhs(solution, a: int, b: int, system: _LevelSystem) -> dict[int, int]:
-    """scale times sum_{i >= 1} (b+i)!/b! G_i(eta_{a,b+i}) - (a+1) eta_{a+1,b}."""
+    """d sum_{i >= 1} (b+i)!/b! G_i(eta_{a,b+i}) - d (a+1) eta_{a+1,b}, d L's denominator."""
     rhs: dict[int, int] = {}
-    get = rhs.get
-    tails = system.tails
-    top = len(tails[0])  # the same for every part; there is at least the part 1
-    for i in range(1, min(top, system.x_degree - b) + 1):
+    eq, parts, towers = system.equation, system.parts, system.towers
+    for i in range(1, min(len(eq._tail_rules), system.x_degree - b) + 1):
         eta = solution.get((a, b + i))
         if eta:
             weight = perm(b + i, i)
             for j, c in eta.items():
-                w = weight * c
-                for k, v in tails[j][i - 1].items():
-                    rhs[k] = get(k, 0) + w * v
+                rhs = eq._tail_sum(rhs, parts[j], towers[j], i, weight * c)
+    # a tail can raise an exponent past its field: G_1(v^127) holds v^128
+    _check_fields(rhs)
+    get = rhs.get
     eta = solution.get((a + 1, b))
     if eta:
-        w = (a + 1) * system.scale
-        parts = system.parts
+        w = (a + 1) * eq.rhs._den
         for j, c in eta.items():
             k = parts[j]
             rhs[k] = get(k, 0) - w * c

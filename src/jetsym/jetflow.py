@@ -28,13 +28,13 @@ t^a x^b J, J a jet part (a packed monomial free of t and x), is
 
 with Res(J) = D_t J - L'[J] and the tails
 G_i(J) = sum_{k >= i} C(k, i) dL/dz_k D_x^{k-i} J, top the order of L.
-Each equation keeps, per jet part, Res(J) and its tails as integer
-numerator tables over the denominator of L, and the tower D_x J, ...,
-D_x^(top-1) J as tables over 1; the residual and the solver read these
-tables as they are built.  They are computed once.  The part 1's are
-read off the partials of L: Res(1) = -dL/dz_0 and G_i(1) = dL/dz_i.
-Every other part's come by the product rule: with f the z_k or h_j of
-lowest index in J, or E^(+-1) once J has neither, and J' = J / f,
+Each equation keeps, per jet part, Res(J) as an integer numerator table
+over the denominator of L and the tower D_x J, ..., D_x^(top-1) J as
+tables over 1, built once and read as built.  No tails are kept: one
+equation-wide rule per G_i reads G_i(J) off J and its tower.  The part
+1's images are read off the partials of L: Res(1) = -dL/dz_0, and its
+tower is zero.  Every other part's come by the product rule: with f the
+z_k or h_j of lowest index in J, or E^(+-1) once J has neither, J' = J / f,
 
     Res(f J') = f Res(J') + J' D_t f
                 - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
@@ -43,10 +43,9 @@ and D_x^j(f J') by the Leibniz rule, so that each part's images are key
 shifts of a smaller part's (Goktas and Hereman 1997 build their ansaetze
 weight by weight the same way); D_x^i f is one term for z_k and h_j and
 a few for E (D_x E = z_1 E), and D_t E = L E.  The powers of t and x
-only shift packed keys too.  The solver reads the
-same expansion level by level: detsolve factors Res over the jet parts
-alone, and each coefficient of t^a x^b reads the tails of the levels above
-it.
+only shift packed keys too.  The solver reads the same expansion level by
+level: detsolve factors Res over the jet parts alone, and each coefficient
+of t^a x^b reads the tails of the levels above it by the same rules.
 """
 
 from __future__ import annotations
@@ -195,14 +194,17 @@ def _shift_rule(terms) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]
     )
 
 
-def _shift_sum(out: dict[int, int], part: int, tower, rule) -> dict[int, int]:
-    """out plus a _shift_rule read at the packed part P, tower[s - 1] being D_x^s P.
+def _shift_sum(out: dict[int, int], part: int, tower, rule, weight=1, shift=0) -> dict[int, int]:
+    """out plus weight times a _shift_rule read at the packed part P, its keys offset by shift.
 
-    The first level shifted into an empty table fills it whole.  The keys
-    are not checked, and cancelled entries are kept.
+    tower[s - 1] is D_x^s P.  The first level shifted into an empty table
+    fills it whole.  The keys are not checked, and cancelled entries are
+    kept.
     """
     at, shifts = rule
     for s, offset, w in shifts:
+        offset += shift
+        w *= weight
         if out:
             get = out.get
             for k, c in tower[s - 1].items():
@@ -212,8 +214,8 @@ def _shift_sum(out: dict[int, int], part: int, tower, rule) -> dict[int, int]:
             out = {k + offset: w * c for k, c in tower[s - 1].items()}
     get = out.get
     for offset, w in at:
-        k = part + offset
-        out[k] = get(k, 0) + w
+        k = part + shift + offset
+        out[k] = get(k, 0) + weight * w
     return out
 
 
@@ -232,7 +234,8 @@ class EvolutionEquation(Record):
     """
 
     __slots__ = ("name", "rhs", "allows_par", "letter", "multiplier", "q_family", "z_family",
-                 "reference", "_dt_images", "_jet_images", "_factor_rules")
+                 "reference", "_dt_images", "_jet_images", "_factor_rules", "_partials",
+                 "_tail_rules")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
@@ -242,14 +245,25 @@ class EvolutionEquation(Record):
     ):
         if rhs.has_kind(KIND_PAR) or rhs.has_kind(KIND_T):
             raise ValueError("equation right-hand side must involve jets (and x) only")
+        partials = [
+            {m: c * (rhs._den // p._den) for m, c in p._nums.items()} for p in jet_partials(rhs)
+        ]
         # the images of D_t (t -> 1, x -> 0, z_k -> D_x^k rhs, h_j -> h_{j+2},
-        # E -> rhs E); Res(J), its Leibniz tails (G_1(J), ...) and J's D_x
-        # tower by packed jet part J; the product rule's shifts by factor
+        # E -> rhs E); (Res(J), J's D_x tower) by jet part J; the product rule's
+        # shifts by factor; dL/dz_k over L's denominator; G_i's rule over J's tower
         super().__init__(
             name, rhs, allows_par, letter, multiplier, q_family, z_family, reference,
             {_T_UNIT: DiffPoly.const(1), _X_UNIT: DiffPoly.zero(), _E_UNIT: rhs * exp_poly(1)},
             {},
             {},
+            partials,
+            [
+                _shift_rule(
+                    (k - i, pm, comb(k, i) * c)
+                    for k in range(i, len(partials)) for pm, c in partials[k].items()
+                )
+                for i in range(1, len(partials))
+            ],
         )
 
     def __repr__(self) -> str:
@@ -296,26 +310,25 @@ class EvolutionEquation(Record):
         return prolongation_sums(F, eta, 1)[0]
 
     def jet_part_images(self, jet_part: int) -> tuple[dict[int, int], tuple[dict[int, int], ...]]:
-        """Res(J) and the Leibniz tails (G_1(J), ..., G_top(J)) of a packed jet part J.
+        """Res(J) = D_t J - L'[J] and the tower D_x J, ..., D_x^(top-1) J of a packed jet part J.
 
-        G_i(J) = sum_{k >= i} C(k, i) dL/dz_k * D_x^{k-i} J, top the order
-        of L, and Res(J) = D_t J - L'[J], each a table of integer numerators
-        over the denominator of L, nonzero and not to be modified.  Computed
-        on first request, read off the partials of L for the part 1 and by
-        the product rule from a smaller part's images for every other part
-        (see _build_images), and kept, so each jet part's images are built
-        once however many residuals and solver columns read them.
+        top is the order of L.  Res(J) is a table of integer numerators over
+        the denominator of L, the tower's tables over 1, none to be modified;
+        the tails G_i(J) are read off J and the tower (see _tail_sum).
+        Computed on first request, by the product rule from a smaller part's
+        images (see _build_images), and kept, so each jet part's images are
+        built once however many residuals and solver columns read them.
         """
         images = self._jet_images.get(jet_part)
         if images is None:
             images = self._build_images(jet_part)
-        return images[0], images[1]
+        return images
 
     def _build_images(self, jet_part: int) -> tuple:
-        """Store and return (Res(J), its tails, J's D_x tower) for J = jet_part.
+        """Store and return (Res(J), J's D_x tower) for J = jet_part.
 
-        Res(J) and its tails are int tables over the denominator of L, the
-        tower D_x J, ..., D_x^(top-1) J, all that a product f J needs of J
+        Res(J) is an int table over the denominator of L, the tower D_x J,
+        ..., D_x^(top-1) J, all that a product f J or a tail of J needs of J
         besides Res(J), int tables over 1.  J = f J' is built from J' (see
         _product_images), f the z_k or h_j of lowest index in J, or E or
         E^-1 once J has neither, and J' the same way from the table, down
@@ -345,51 +358,42 @@ class EvolutionEquation(Record):
         return table[jet_part]
 
     def _unit_images(self) -> tuple:
-        """The images of the part 1: Res(1) = -dL/dz_0, G_i(1) = dL/dz_i, D_x^j 1 = 0."""
-        den = self.rhs._den
-        res, *tails = [
-            {m: c * (den // p._den) for m, c in p._nums.items()} for p in jet_partials(self.rhs)
-        ] or [{}]
-        return {m: -c for m, c in res.items()}, tuple(tails), tuple({} for _ in tails[1:])
+        """The images of the part 1: Res(1) = -dL/dz_0 and D_x^j 1 = 0."""
+        residual = {m: -c for m, c in self._partials[0].items()} if self._partials else {}
+        return residual, tuple({} for _ in self._tail_rules[1:])
 
     def _product_images(self, Jp: int, u: int, images: tuple) -> tuple:
         """The images of J = f J', f the monomial of key u, from J''s, by the product rule.
 
             Res(f J') = f Res(J') + J' D_t f
                         - sum_{m >= 1} dL/dz_m sum_{i=1}^{m} C(m, i) D_x^i f D_x^(m-i) J',
-            D_x^j(f J') = sum_{i=0}^{j} C(j, i) D_x^i f D_x^(j-i) J',
+            D_x^j(f J') = sum_{i=0}^{j} C(j, i) D_x^i f D_x^(j-i) J'.
 
-        and the tails are read off J's tower.  Every term of D_x^i f, of
-        D_t f and of dL/dz_m is a monomial, as is J', so every product is a
-        shift of packed keys, and the tables come out in _build_images's
-        format as they are formed.
+        Every term of D_x^i f, of D_t f and of dL/dz_m is a monomial, as is
+        J', so every product is a shift of packed keys, and the tables come
+        out in _build_images's format as they are formed.
         """
-        res_rule, tower_rules, tail_rules = self._factor_rule(u)
-        residual, _, tower = images
+        res_rule, tower_rules = self._factor_rule(u)
+        residual, tower = images
         residual = _shift_sum({k + u: c for k, c in residual.items()}, Jp, tower, res_rule)
         tower = [_shift_sum({}, Jp, tower, rule) for rule in tower_rules]
-        J = Jp + u
-        tails = [_shift_sum({}, J, tower, rule) for rule in tail_rules]
         # every key, the cancelled ones too, as derive checks them
-        _check_fields(chain(residual, *tower, *tails))
-        return _nonzero(residual), tuple(map(_nonzero, tails)), tuple(map(_nonzero, tower))
+        _check_fields(chain(residual, *tower))
+        return _nonzero(residual), tuple(map(_nonzero, tower))
 
     def _factor_rule(self, u: int) -> tuple:
         """What _product_images reads for a factor f of key u, kept per u.
 
         The _shift_rule of Res(f J') - f Res(J') and of each level
-        D_x^j(f J'), j = 1 .. top-1, over the tower of J', and of each tail
-        G_i(J) over the tower of J = f J', every weight a numerator over the
-        denominator of L.  They read f's tower D_x^i f, i = 0 .. top, one
-        term per level for z_k and h_j and a few for E^(+-1) (D_x E = z_1 E),
-        and D_t f (D_x^k L, h_{j+2} or +-L E^(+-1)) term by term.
+        D_x^j(f J'), j = 1 .. top-1, over the tower of J', every weight a
+        numerator over the denominator of L.  They read the kept dL/dz_m,
+        f's tower D_x^i f, i = 0 .. top, one term per level for z_k and h_j
+        and a few for E^(+-1) (D_x E = z_1 E), and D_t f term by term.
         """
         rule = self._factor_rules.get(u)
         if rule is not None:
             return rule
-        # dL/dz_m = G_m(1), m = 1 .. top, over the denominator of L
-        partials = [None, *(g.items() for g in self.jet_part_images(0)[1])]
-        top = len(partials) - 1
+        top = len(self._tail_rules)
         f = DiffPoly._make({u: 1})
         dx_f = [q._nums.items() for q in x_tower(f, top + 1)]
         dt_f = derive(f, self._dt_images, self._dt_image)
@@ -399,7 +403,7 @@ class EvolutionEquation(Record):
             (m - i, pm + fm, -comb(m, i) * c * fc)
             for m in range(1, top + 1)
             for i in range(1, m + 1)
-            for pm, c in partials[m]
+            for pm, c in self._partials[m].items()
             for fm, fc in dx_f[i]
         ]
         rule = self._factor_rules[u] = (
@@ -410,49 +414,46 @@ class EvolutionEquation(Record):
                 )
                 for j in range(1, top)
             ],
-            [
-                _shift_rule(
-                    (k - i, pm, comb(k, i) * c) for k in range(i, top + 1) for pm, c in partials[k]
-                )
-                for i in range(1, top + 1)
-            ],
         )
         return rule
+
+    def _tail_sum(self, out: dict[int, int], J: int, tower, i: int, weight: int) -> dict:
+        """out plus weight G_i(J), over L's denominator, read off J and J's D_x tower."""
+        return _shift_sum(out, J, tower, self._tail_rules[i - 1], weight)
 
     def _leibniz_residual(self, nums: dict[int, int]) -> dict[int, int]:
         """The invariance residual of sum_m nums[m] m, as numerators over L's denominator.
 
         Each term c t^a x^b J adds c times the Leibniz expansion of the
-        module docstring, read from J's images (see jet_part_images), which
-        are all over that denominator.  The result's numerators are nonzero
-        and its fields checked; the caller divides by the input's own
-        denominator.
+        module docstring, read from J's images (see jet_part_images) and
+        the tails read off them, which are all over that denominator.
+        The result's numerators are nonzero and its fields checked; the
+        caller divides by the input's own denominator.
         """
         table = self._jet_images
         den = self.rhs._den
         out: dict[int, int] = {}
-        get = out.get
         for m, c in nums.items():
+            get = out.get
             tx = m & _TX_MASK
             images = table.get(m - tx)
             if images is None:
                 images = self._build_images(m - tx)
-            residual, tails, _ = images
-            b = tx >> _BITS
-            weight, shift = c, tx
-            for i, image in enumerate((residual, *tails[:b])):
-                if i:
-                    # G_i(J) enters at t^a x^(b-i) with weight -c b!/(b-i)!
-                    weight = (-c if i == 1 else weight) * (b - i + 1)
-                    shift -= _X_UNIT
-                for im, ic in image.items():
-                    k = im + shift
-                    out[k] = get(k, 0) + weight * ic
+            residual, tower = images
+            for k, v in residual.items():
+                k += tx
+                out[k] = get(k, 0) + c * v
             a = tx & _MASK
             if a:
                 k = m - _T_UNIT
                 out[k] = get(k, 0) + c * a * den
-        # an x in L can push a power of x past its field
+            b = tx >> _BITS
+            weight = -c
+            for i, rule in enumerate(self._tail_rules[:b], start=1):
+                # G_i(J) enters at t^a x^(b-i) with weight -c b!/(b-i)!
+                weight *= b - i + 1
+                out = _shift_sum(out, m - tx, tower, rule, weight, tx - i * _X_UNIT)
+        # an x in L, or a tail (G_1(v^127) holds v^128), can leave a field
         _check_fields(out)
         return _nonzero(out)
 

@@ -117,14 +117,6 @@ class Compose(OperatorExpr):
     __slots__ = ("ops",)
 
 
-def op_sum(*ops: OperatorExpr) -> OperatorExpr:
-    return Sum(tuple(ops))
-
-
-def op_compose(*ops: OperatorExpr) -> OperatorExpr:
-    return Compose(tuple(ops))
-
-
 def op_scale(c: Fraction | int) -> OperatorExpr:
     return Scale(Fraction(c))
 
@@ -133,10 +125,6 @@ def op_power(op: OperatorExpr, n: int) -> OperatorExpr:
     if n < 0:
         raise ValueError("operator powers must be nonnegative")
     return Compose((op,) * n)
-
-
-def identity_op() -> OperatorExpr:
-    return Compose(())
 
 
 def commutator_op(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -224,16 +212,6 @@ def euler_residual(p: DiffPoly) -> DiffPoly:
     for k in range(top - 1, -1, -1):
         result = p.partial(jet(k)) - x_derivative(result)
     return result
-
-
-class IntegrabilityCertificate(NamedTuple):
-    euler_residual: DiffPoly
-    is_total_derivative: bool
-
-
-def integrability_certificate(p: DiffPoly) -> IntegrabilityCertificate:
-    res = euler_residual(p)
-    return IntegrabilityCertificate(res, res.is_zero())
 
 
 def x_antiderivative(p: DiffPoly) -> Optional[DiffPoly]:

@@ -29,6 +29,7 @@ from jetsym.detsolve import (
     _canonical_basis,
     _dependencies,
     _kernel_span,
+    _level_rhs,
     _level_system,
     family_bodies,
     solve_symmetries,
@@ -44,7 +45,14 @@ from jetsym.diffring import (
     order_key,
     unit,
 )
-from jetsym.jetflow import BURGERS, HEAT, POTBURGERS, EvolutionEquation, invariance_residual
+from jetsym.jetflow import (
+    BURGERS,
+    HEAT,
+    POTBURGERS,
+    EvolutionEquation,
+    invariance_residual,
+    prolongation_sums,
+)
 from jetsym.symfam import Family, q_char
 
 
@@ -278,7 +286,7 @@ def test_basis_does_not_depend_on_the_order_of_the_parts(eq, rng):
     shuffled = system._replace(
         parts=[system.parts[j] for j in order],
         images=[system.images[j] for j in order],
-        tails=[system.tails[j] for j in order],
+        towers=[system.towers[j] for j in order],
     )
     span = _kernel_span(shuffled)
     assert _canonical_basis(span) == _canonical_basis(_kernel_span(system))
@@ -297,9 +305,15 @@ _LEIBNIZ_BOUNDS = [
 
 
 def _level_columns(ansatz):
-    """The residual of each ansatz monomial t^a x^b p, rebuilt from the level
-    system by the Leibniz rule: {decoded row: {column: Fraction}}."""
+    """The residual of each ansatz monomial t^a x^b p, rebuilt by the Leibniz
+    rule from the level system's R(p) and the tails G_i(p) that
+    prolongation_sums gives for the decoded part: {decoded row: {column:
+    Fraction}}."""
     system = _level_system(ansatz)
+    tails = [
+        prolongation_sums(ansatz.equation.rhs, DiffPoly._make({p: 1}), system.x_degree + 1)[1:]
+        for p in system.parts
+    ]
     columns = {
         a * unit(T_VAR) + b * unit(X_VAR) + part: (a, b, j)
         for a in range(system.t_degree + 1)
@@ -312,17 +326,17 @@ def _level_columns(ansatz):
     for col, mono in enumerate(monos):
         a, b, j = columns[mono]
         tx = a * unit(T_VAR) + b * unit(X_VAR)
-        vec = {m + tx: c for m, c in system.images[j].items()}
-        for i, tail in enumerate(system.tails[j][:b], start=1):
-            for m, c in tail.items():
+        vec = {m + tx: Fraction(c, ansatz.equation.rhs._den) for m, c in system.images[j].items()}
+        for i, tail in enumerate(tails[j][:b], start=1):
+            for m, c in tail._nums.items():
                 k = m + tx - i * unit(X_VAR)
-                vec[k] = vec.get(k, 0) - math.perm(b, i) * c
+                vec[k] = vec.get(k, 0) - math.perm(b, i) * Fraction(c, tail._den)
         if a:
             k = mono - unit(T_VAR)
-            vec[k] = vec.get(k, 0) + a * system.scale
+            vec[k] = vec.get(k, 0) + a
         for m, c in vec.items():
             if c:
-                rows.setdefault(_decode(m), {})[col] = Fraction(c, system.scale)
+                rows.setdefault(_decode(m), {})[col] = c
     return rows
 
 
@@ -341,11 +355,12 @@ def test_build_system_matches_direct_residuals(eq, bounds):
 def test_x_is_folded_into_the_parts_when_l_has_x():
     system = _level_system(Ansatz(XDEP, 2, jet_degree=1, x_degree=3, t_degree=2))
     assert (system.t_degree, system.x_degree) == (2, 0)
-    assert len(system.parts) == 4 * 4 and all(tails == () for tails in system.tails)
-    assert system.scale == 3
+    assert len(system.parts) == 4 * 4 and all(tower == () for tower in system.towers)
+    assert system.equation is XDEP and XDEP.rhs._den == 3
     system = _level_system(Ansatz(BURGERS, 2, jet_degree=1, x_degree=3, t_degree=2))
     assert (system.t_degree, system.x_degree) == (2, 3)
-    assert len(system.parts) == 4 and all(len(tails) == 2 for tails in system.tails)
+    # each jet part's tower holds D_x J, the one level below L's order 2
+    assert len(system.parts) == 4 and all(len(tower) == 1 for tower in system.towers)
 
 
 def test_level_system_reads_the_kept_image_tables():
@@ -358,15 +373,19 @@ def test_level_system_reads_the_kept_image_tables():
         _level_system(Ansatz(copy, 3))
         gc.collect()
         assert copy._jet_images
-        for residual, tails, tower in copy._jet_images.values():
-            for table in (residual, *tails, *tower):
+        # each kept entry is (Res(J), J's D_x tower) and no more: no tails
+        for entry in copy._jet_images.values():
+            assert type(entry) is tuple and len(entry) == 2
+            residual, tower = entry
+            assert len(tower) == eq.rhs.order() - 1
+            for table in (residual, *tower):
                 assert type(table) is dict and not gc.is_tracked(table)
     third = EvolutionEquation(THIRD.name, THIRD.rhs, THIRD.allows_par)
     system = _level_system(Ansatz(third, 3))
-    assert system.scale == THIRD.rhs._den == 3
+    assert system.equation is third and third.rhs._den == 3
     for j, part in enumerate(system.parts):
         assert system.images[j] is third._jet_images[part][0]
-        assert system.tails[j] is third._jet_images[part][1]
+        assert system.towers[j] is third._jet_images[part][1]
 
 
 @pytest.mark.parametrize("eq", [HEAT, POTBURGERS], ids=lambda eq: eq.name)
@@ -513,6 +532,18 @@ def test_ansatz_bounds_over_the_packed_field(order, bounds):
     (name,) = [k for k, v in bounds.items() if v == 128]
     with pytest.raises(ExponentOverflow, match=name):
         Ansatz(BURGERS, order, **bounds).monomials()
+
+
+def test_a_tail_that_leaves_the_packed_field_raises():
+    # G_1(v^127) = -v^128 + 254 v^126 v_x leaves v's field although Res(v^127)
+    # and its tower stay inside: the tails are formed as they are read, so the
+    # walk's right-hand side and the residual both check their keys
+    system = _level_system(Ansatz(BURGERS, 0, jet_degree=127, x_degree=1, t_degree=0))
+    j = system.parts.index(127 * unit(jet(0)))
+    with pytest.raises(ExponentOverflow):
+        _level_rhs({(0, 1): {j: 1}}, 0, 0, system)
+    with pytest.raises(ExponentOverflow):
+        invariance_residual(BURGERS, DiffPoly({((X_VAR, 1), (jet(0), 127)): 1}))
 
 
 def test_system_order_one_contains_translation():

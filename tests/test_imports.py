@@ -21,8 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The public names of the package, by the module that defines each.
 EXPORTS = {
     "colemap": [
-        "BareDependentVariable", "NotProjectable", "heat_to_potential", "hopf_cole_chain",
-        "potential_to_burgers", "w_jet_substitution",
+        "BareDependentVariable", "NotProjectable", "heat_to_potential", "potential_to_burgers",
+        "w_jet_substitution",
     ],
     "detsolve": ["Ansatz", "AnsatzTooLarge", "SolveReport", "solve_symmetries"],
     "diffring": [
@@ -34,11 +34,9 @@ EXPORTS = {
         "EvolutionEquation", "invariance_residual",
     ],
     "opcalc": [
-        "IntegrabilityCertificate", "NotATotalDerivative", "OperatorExpr", "apply",
-        "boost_op", "commutator_op", "dx_preimage", "euler_residual", "identity_op",
-        "integrability_certificate", "op_compose", "op_power", "op_scale", "op_sum",
-        "operator_identity_probe", "potential_defect_op", "recursion_ops",
-        "translation_op",
+        "NotATotalDerivative", "OperatorExpr", "apply", "boost_op", "commutator_op",
+        "dx_preimage", "euler_residual", "op_power", "op_scale", "operator_identity_probe",
+        "potential_defect_op", "recursion_ops", "translation_op",
     ],
     "structure": [
         "LieGenerator", "LieMatch", "evolution_form", "heat_point_symmetries",

@@ -34,6 +34,7 @@ from jetsym.jetflow import (
     invariance_residual,
     jet_partials,
     prolongation_sums,
+    x_tower,
 )
 from jetsym.opcalc import translation_op
 from jetsym.symfam import Family
@@ -309,15 +310,21 @@ def _equation_and_parts(draw):
 @given(_equation_and_parts())
 def test_product_rule_images_match_dt_and_prolongation_sums(case):
     # each part's images, built from a smaller part's by the product rule,
-    # equal those of D_t and the prolongation sums applied to the part
+    # and the tails that the equation's rules read off its tower, equal
+    # those of D_t, D_x and the prolongation sums applied to the part
     eq, parts = case
     for J in parts:
         p = DiffPoly._make({J: 1})
         G = prolongation_sums(eq.rhs, p, len(jet_partials(eq.rhs)))
-        res, tails = eq.jet_part_images(J)
-        # the tables are numerators over the denominator of L
-        wrapped = tuple(DiffPoly._make(dict(t), eq.rhs._den) for t in (res, *tails))
+        res, tower = eq.jet_part_images(J)
+        tails = [eq._tail_sum({}, J, tower, i, 1) for i in range(1, len(G))]
+        # Res and the tails are numerators over the denominator of L, the
+        # tower over 1; the tails may hold cancelled entries
+        wrapped = tuple(
+            DiffPoly._make({m: c for m, c in t.items() if c}, eq.rhs._den) for t in (res, *tails)
+        )
         assert wrapped == (eq.dt(p) - (G[0] if G else 0), *G[1:])
+        assert tuple(DiffPoly._make(dict(t)) for t in tower) == tuple(x_tower(p, len(G) - 1)[1:])
 
 
 def test_a_parameter_part_is_refused_before_anything_is_built():
